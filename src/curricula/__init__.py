@@ -64,7 +64,6 @@ from .seq2seq import (
     ForwardResult,
     ModelConfig,
     attention_weights,
-    backward_gradients,
     forward_teacher_forced,
     greedy_decode,
     init_params,

@@ -249,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="compute a per-pair score table")
     p.add_argument("--corpus-dir", required=True)
-    p.add_argument("--metric", choices=["length", "ppl", "bleu"], required=True)
+    p.add_argument(
+        "--metric", choices=["length", "xent", "ppl", "bleu"], required=True
+    )
     p.add_argument("--side", choices=["source", "target"], default="source")
     p.add_argument("--split", choices=["train", "val", "test"], default="train")
     p.add_argument("--ckpt")

@@ -17,9 +17,8 @@ from .metrics import (
     BLEU_ORDER,
     clipped_ngram_matches,
     corpus_cross_entropy,
-    default_decode_len,
+    decode_pairs,
 )
-from .seq2seq import greedy_decode
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,8 @@ def evaluate_model(
             )
     entropies, tokens = corpus_cross_entropy(ckpt.params, ckpt.config, test_pairs)
     perplexity = 2.0 ** float((entropies * tokens).sum() / tokens.sum())
-    candidates = []
-    references = []
-    for pair in test_pairs:
-        budget = (
-            max_decode_len
-            if max_decode_len is not None
-            else default_decode_len(len(pair.src_ids))
-        )
-        candidates.append(greedy_decode(ckpt.params, ckpt.config, pair.src_ids, budget))
-        references.append(list(pair.tgt_out_ids[:-1]))
+    candidates = decode_pairs(ckpt.params, ckpt.config, test_pairs, max_decode_len)
+    references = [list(pair.tgt_out_ids[:-1]) for pair in test_pairs]
     return EvalResult(
         perplexity=perplexity,
         bleu=corpus_bleu(candidates, references),

@@ -27,7 +27,7 @@ from .corpus import (
     write_corpus,
 )
 from .checkpoint import ModelCheckpoint, save_checkpoint
-from .errors import ConfigError, DataError
+from .errors import ConfigError, CurriculaError, DataError
 from .evaluate import evaluate_model
 from .metrics import ScoreTable, length_scores, score_corpus
 from .ordering import (
@@ -603,7 +603,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             save_checkpoint(ckpt, out / f"model_{_file_token(strategy, scorer)}.ckpt")
             stage = "evaluate"
             result = evaluate_model(ckpt, data.test_enc)
-        except Exception as exc:
+        except CurriculaError as exc:
+            # the same class, so that the CLI's exit code still follows it;
+            # anything else propagates unchanged
             raise type(exc)(
                 f"strategy {strategy.token()} failed during {stage}: {exc}"
             ) from exc

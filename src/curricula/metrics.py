@@ -74,11 +74,17 @@ class ScoreTable:
         if len(head) != 4 or " ".join(head[:2]) != SCORES_HEADER:
             raise DataError(f"bad score table header: {lines[0]!r}")
         scores = []
-        for ln in lines[1:]:
+        for number, ln in enumerate(lines[1:], start=2):
             if not ln:
                 continue
-            idx, val = ln.split("\t")
-            scores.append(PairScore(int(idx), float(val)))
+            try:
+                idx, val = ln.split("\t")
+                scores.append(PairScore(int(idx), float(val)))
+            except ValueError as exc:
+                raise DataError(
+                    f"score table line {number}: expected '<index>\\t<value>', "
+                    f"got {ln!r}"
+                ) from exc
         return cls(metric=head[2], scorer_fingerprint=head[3], scores=tuple(scores))
 
     def save(self, path) -> None:
@@ -103,11 +109,8 @@ def _check_fingerprints(model: ModelCheckpoint, pair: EncodedPair) -> None:
 def pair_cross_entropy(model: ModelCheckpoint, pair: EncodedPair) -> float:
     """Teacher-forced cross-entropy of one pair, in bits per target token."""
     _check_fingerprints(model, pair)
-    batch = make_batch([pair])
-    result = forward_teacher_forced(
-        model.params, model.config, batch, dropout_on=False, seed=0
-    )
-    return float(result.mean_loss)
+    entropies, _ = corpus_cross_entropy(model.params, model.config, [pair])
+    return float(entropies[0])
 
 
 def pair_perplexity(model: ModelCheckpoint, pair: EncodedPair) -> float:
@@ -166,18 +169,19 @@ def default_decode_len(source_length: int) -> int:
     return max(2 * source_length, 80)
 
 
+def _bleu_against_reference(decoded, pair: EncodedPair) -> float:
+    if not decoded:
+        return 0.0
+    return sentence_bleu(decoded, pair.tgt_out_ids[:-1])  # strip EOS
+
+
 def pair_bleu(
     model: ModelCheckpoint, pair: EncodedPair, max_decode_len: int | None = None
 ) -> float:
     """Sentence BLEU of the model's greedy translation against the reference."""
     _check_fingerprints(model, pair)
-    if max_decode_len is None:
-        max_decode_len = default_decode_len(len(pair.src_ids))
-    decoded = greedy_decode(model.params, model.config, pair.src_ids, max_decode_len)
-    reference = list(pair.tgt_out_ids[:-1])  # strip EOS
-    if not decoded:
-        return 0.0
-    return sentence_bleu(decoded, reference)
+    (decoded,) = decode_pairs(model.params, model.config, [pair], max_decode_len)
+    return _bleu_against_reference(decoded, pair)
 
 
 def length_scores(corpus: ParallelCorpus, side: str) -> ScoreTable:
@@ -198,37 +202,84 @@ def score_corpus(
 ) -> ScoreTable:
     """Score every encoded pair with one model-based metric.
 
-    Pairs are independent of each other; results are emitted in corpus-index
-    order whatever order they were supplied in.
+    Pairs are independent of each other, and each gets the bits that
+    scoring it alone gives; results are emitted in corpus-index order
+    whatever order they were supplied in.
     """
     if metric not in ("xent", "ppl", "bleu"):
         raise ConfigError(f"unknown model metric {metric!r}; use xent, ppl or bleu")
-    scores = []
+    pairs = list(pairs)
     for pair in pairs:
-        if metric == "xent":
-            value = pair_cross_entropy(model, pair)
-        elif metric == "ppl":
-            value = pair_perplexity(model, pair)
-        else:
-            value = pair_bleu(model, pair, max_decode_len)
-        scores.append(PairScore(pair.index, value))
+        _check_fingerprints(model, pair)
+    if metric == "bleu":
+        decoded = decode_pairs(model.params, model.config, pairs, max_decode_len)
+        values = [_bleu_against_reference(d, p) for d, p in zip(decoded, pairs)]
+    else:
+        entropies, _ = corpus_cross_entropy(model.params, model.config, pairs)
+        values = [float(h) if metric == "xent" else 2.0 ** float(h) for h in entropies]
     return ScoreTable(
-        metric=metric, scorer_fingerprint=model.fingerprint, scores=tuple(scores)
+        metric=metric,
+        scorer_fingerprint=model.fingerprint,
+        scores=tuple(PairScore(p.index, v) for p, v in zip(pairs, values)),
     )
 
 
-def corpus_cross_entropy(params, config, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair (cross-entropy, token count) arrays, scored one pair at a time.
+# Rows per batched call. Any size gives the same bits; these were chosen by
+# measurement at the three presets.
+_SCORE_CHUNK = 64
+_DECODE_CHUNK = 32
 
-    Single-pair scoring is the canonical path: it is exactly what
-    `pair_cross_entropy` computes, so corpus-level aggregates built from it
-    agree bit-for-bit with the per-pair metric.
+
+def _chunks(keys, size: int):
+    """Positions sorted by key, cut into runs of at most `size`. The key's
+    first field is a group that no run straddles."""
+    chunk: list[int] = []
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if chunk and (len(chunk) == size or keys[i][0] != keys[chunk[0]][0]):
+            yield chunk
+            chunk = []
+        chunk.append(i)
+    if chunk:
+        yield chunk
+
+
+def corpus_cross_entropy(params, config, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair (cross-entropy, token count) arrays, in input order.
+
+    Pairs are sorted by length and scored in chunks of up to `_SCORE_CHUNK`
+    through `forward_teacher_forced`, whose per-row losses do not depend on
+    the batch. A pair's entropy therefore has the bits that
+    `pair_cross_entropy` (this function on one pair) gives, and corpus-level
+    aggregates built from it agree bit-for-bit with the per-pair metric.
     """
     entropies = np.empty(len(pairs))
-    token_counts = np.empty(len(pairs))
-    for i, pair in enumerate(pairs):
-        batch = make_batch([pair])
+    token_counts = np.array([float(len(p.tgt_out_ids)) for p in pairs])
+    keys = [(0, len(p.src_ids), len(p.tgt_out_ids)) for p in pairs]
+    for chunk in _chunks(keys, _SCORE_CHUNK):
+        batch = make_batch([pairs[i] for i in chunk])
         result = forward_teacher_forced(params, config, batch, dropout_on=False, seed=0)
-        entropies[i] = result.mean_loss
-        token_counts[i] = len(pair.tgt_out_ids)
+        entropies[chunk] = result.pair_losses
     return entropies, token_counts
+
+
+def decode_pairs(params, config, pairs, max_decode_len: int | None = None):
+    """Greedy translations of `pairs`, in input order.
+
+    Each pair's budget is `max_decode_len`, or `default_decode_len` of its
+    source. Pairs are sorted by budget and source length and decoded in
+    chunks of up to `_DECODE_CHUNK` that share one budget; a pair's tokens do
+    not depend on its chunk.
+    """
+    budgets = [
+        max_decode_len if max_decode_len is not None
+        else default_decode_len(len(p.src_ids))
+        for p in pairs
+    ]
+    decoded: list[list[int]] = [[] for _ in pairs]
+    keys = [(b, len(p.src_ids)) for b, p in zip(budgets, pairs)]
+    for chunk in _chunks(keys, _DECODE_CHUNK):
+        sources = [pairs[i].src_ids for i in chunk]
+        out = greedy_decode(params, config, sources, budgets[chunk[0]])
+        for i, tokens in zip(chunk, out):
+            decoded[i] = tokens
+    return decoded

@@ -7,8 +7,23 @@ that can be checked against finite differences.
 
 Layout of one LSTM layer: gate pre-activations are `x @ Wx + h_prev @ Wh + b`
 with the 4H columns ordered [input, forget, output, candidate]. Encoder
-layers carry their state through PAD positions unchanged (masked update), so
-per-pair results do not depend on how much padding a batch happens to have.
+layers carry their state through PAD positions unchanged (masked update).
+One cell step (`_lstm_cell`) serves training, scoring and decoding.
+
+Inference is batch-invariant: a pair's scores and greedy tokens have the
+same bits whether it is run alone or in any batch, in any row, next to any
+amount of padding. Two things would otherwise leak the batch into a row:
+- The BLAS picks its kernel by shape (GEMV for one row, a small-matrix
+  kernel for small products, blocked GEMM above), and the kernels round
+  differently. `_rows_matmul` therefore runs every matmul whose row count
+  depends on the batch in fixed blocks of `_BLOCK_ROWS` rows, zero-padding
+  the last block, so every call has the same shape.
+- numpy's pairwise summation regroups terms when the summed length changes.
+  Sums over padded axes (attention denominator and context over source
+  positions, a pair's loss over target positions) therefore run strictly
+  left to right, where trailing exact zeros change nothing.
+Training keeps plain numpy (`_TRAINING`): its loss is a batch mean, and its
+bits are pinned by every checkpoint trained so far.
 
 Attention is additive: score(q, k) = v . tanh(q @ Wq + k @ Wk), softmaxed
 over the non-PAD source positions of each pair. The query is the previous
@@ -26,6 +41,7 @@ Masks depend only on (seed, shapes), never on parameter values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -191,7 +207,79 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lstm_forward(Wx, Wh, b, X, h0, c0, mask=None):
+_BLOCK_ROWS = 8
+
+
+def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`a @ w` for a 2-D `w`, in fixed blocks of `_BLOCK_ROWS` rows of `a`.
+
+    Leading axes of `a` are flattened into rows. The last block is
+    zero-padded, so every BLAS call has the shape (_BLOCK_ROWS, K) @ (K, N)
+    and a row's result does not depend on how many rows share the call.
+    """
+    rows = a.reshape(-1, a.shape[-1])
+    m = rows.shape[0]
+    out = np.empty((m, w.shape[1]))
+    full = m - m % _BLOCK_ROWS
+    for start in range(0, full, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        np.matmul(rows[start:stop], w, out=out[start:stop])
+    if full < m:
+        tail = np.zeros((_BLOCK_ROWS, rows.shape[1]))
+        tail[: m - full] = rows[full:]
+        out[full:] = (tail @ w)[: m - full]
+    return out.reshape(*a.shape[:-1], w.shape[1])
+
+
+def _sum_left(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 1, strictly left to right, so trailing zeros are neutral."""
+    total = x[:, 0].copy()
+    for k in range(1, x.shape[1]):
+        total += x[:, k]
+    return total
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """How a forward pass runs: for training or for inference."""
+
+    backward: bool  # keep the per-step values the backward pass reads
+    matmul: Callable  # (..., K) @ (K, N) over a batch-dependent number of rows
+    score: Callable  # (B, S, H) . (H,) -> (B, S)
+    total: Callable  # (B, S, ...) -> (B, ...), summed over positions
+    context: Callable  # (B, S) weights . (B, S, H) values -> (B, H)
+
+
+_TRAINING = _Mode(
+    backward=True,
+    matmul=np.matmul,
+    score=np.matmul,
+    total=lambda x: x.sum(axis=1),
+    context=lambda alpha, values: np.einsum("bs,bsh->bh", alpha, values),
+)
+
+_INVARIANT = _Mode(
+    backward=False,
+    matmul=_rows_matmul,
+    score=lambda u, v: _rows_matmul(u, v.reshape(-1, 1))[..., 0],
+    total=_sum_left,
+    context=lambda alpha, values: _sum_left(alpha[:, :, None] * values),
+)
+
+
+def _lstm_cell(a, c):
+    """Gates and new state from pre-activations a (B, 4H) and cell state c."""
+    hdim = c.shape[1]
+    i = _sigmoid(a[:, :hdim])
+    f = _sigmoid(a[:, hdim : 2 * hdim])
+    o = _sigmoid(a[:, 2 * hdim : 3 * hdim])
+    g = np.tanh(a[:, 3 * hdim :])
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return i, f, o, g, tanh_c, c_new, o * tanh_c
+
+
+def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, mask=None):
     """Run one LSTM layer over a full (B, T, Din) input sequence.
 
     With `mask` (B, T), state updates at masked-off steps are skipped
@@ -200,34 +288,24 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mask=None):
     """
     bsz, tlen, _ = X.shape
     hdim = Wh.shape[0]
-    xw = (X.reshape(bsz * tlen, -1) @ Wx).reshape(bsz, tlen, 4 * hdim) + b
-    gi = np.empty((bsz, tlen, hdim))
-    gf = np.empty((bsz, tlen, hdim))
-    go = np.empty((bsz, tlen, hdim))
-    gg = np.empty((bsz, tlen, hdim))
-    tc = np.empty((bsz, tlen, hdim))
-    cs = np.empty((bsz, tlen, hdim))  # post-carry cell states
+    xw = mode.matmul(X.reshape(bsz * tlen, -1), Wx).reshape(bsz, tlen, 4 * hdim) + b
     hs = np.empty((bsz, tlen, hdim))  # post-carry hidden states
+    saved = []  # per step, what the backward pass reads
     h, c = h0, c0
     for t in range(tlen):
-        a = xw[:, t] + h @ Wh
-        i = _sigmoid(a[:, :hdim])
-        f = _sigmoid(a[:, hdim : 2 * hdim])
-        o = _sigmoid(a[:, 2 * hdim : 3 * hdim])
-        g = np.tanh(a[:, 3 * hdim :])
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
+        i, f, o, g, tanh_c, c_new, h_new = _lstm_cell(xw[:, t] + mode.matmul(h, Wh), c)
         if mask is not None:
             m = mask[:, t : t + 1]
             h = m * h_new + (1.0 - m) * h
             c = m * c_new + (1.0 - m) * c
         else:
             h, c = h_new, c_new
-        gi[:, t], gf[:, t], go[:, t], gg[:, t] = i, f, o, g
-        tc[:, t] = tanh_c
-        cs[:, t] = c
         hs[:, t] = h
+        if mode.backward:
+            saved.append((i, f, o, g, tanh_c, c))  # c: post-carry cell state
+    if not mode.backward:
+        return hs, (h, c), None
+    gi, gf, go, gg, tc, cs = (np.stack(seq, axis=1) for seq in zip(*saved))
     cache = {
         "X": X, "I": gi, "F": gf, "O": go, "G": gg, "TC": tc,
         "C": cs, "H": hs, "h0": h0, "c0": c0, "mask": mask,
@@ -287,58 +365,47 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
     return dX, dWx, dWh, db, dh_next, dc_next
 
 
-def _attention_alpha(qs, kwk, v, mask):
+def _attention_alpha(qs, kwk, v, mask, mode):
     """Masked additive-attention weights; PAD positions are exactly zero."""
     u = np.tanh(qs[:, None, :] + kwk)
-    e = u @ v
+    e = mode.score(u, v)
     neg = np.where(mask, e, -np.inf)
     peak = neg.max(axis=1, keepdims=True)
     peak = np.where(np.isfinite(peak), peak, 0.0)  # rows with no valid position
     ex = np.where(mask, np.exp(e - peak), 0.0)
-    denom = ex.sum(axis=1, keepdims=True)
+    denom = mode.total(ex)[:, None]
     return np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
 
 
-def _attn_lstm_forward(Wx, Wh, b, Wq, Wk, v, Y, K, src_mask, h0, c0):
+def _attn_lstm_forward(Wx, Wh, b, Wq, v, Y, K, kwk, src_mask, h0, c0, mode):
     """First decoder layer with additive attention over encoder outputs K.
 
     Input at step t is [y_t ; context_t] where the context is attended with
-    the layer's own previous hidden state as query.
+    the layer's own previous hidden state as query; `kwk` is K @ Wk.
     """
     bsz, tlen, edim = Y.shape
     hdim = Wh.shape[0]
-    kwk = np.matmul(K, Wk)
-    yw = (Y.reshape(bsz * tlen, edim) @ Wx[:edim]).reshape(bsz, tlen, 4 * hdim) + b
+    yw = mode.matmul(Y.reshape(bsz * tlen, edim), Wx[:edim]).reshape(
+        bsz, tlen, 4 * hdim
+    ) + b
     wx_ctx = Wx[edim:]
-    gi = np.empty((bsz, tlen, hdim))
-    gf = np.empty((bsz, tlen, hdim))
-    go = np.empty((bsz, tlen, hdim))
-    gg = np.empty((bsz, tlen, hdim))
-    tc = np.empty((bsz, tlen, hdim))
-    cs = np.empty((bsz, tlen, hdim))
     hs = np.empty((bsz, tlen, hdim))
-    queries = np.empty((bsz, tlen, hdim))
-    alphas = np.empty((bsz, tlen, K.shape[1]))
-    contexts = np.empty((bsz, tlen, K.shape[2]))
+    saved = []  # per step, what the backward pass reads
     h, c = h0, c0
     for t in range(tlen):
-        queries[:, t] = h
-        alpha = _attention_alpha(h @ Wq, kwk, v, src_mask)
-        ctx = np.einsum("bs,bsh->bh", alpha, K)
-        alphas[:, t] = alpha
-        contexts[:, t] = ctx
-        a = yw[:, t] + ctx @ wx_ctx + h @ Wh
-        i = _sigmoid(a[:, :hdim])
-        f = _sigmoid(a[:, hdim : 2 * hdim])
-        o = _sigmoid(a[:, 2 * hdim : 3 * hdim])
-        g = np.tanh(a[:, 3 * hdim :])
-        c = f * c + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        gi[:, t], gf[:, t], go[:, t], gg[:, t] = i, f, o, g
-        tc[:, t] = tanh_c
-        cs[:, t] = c
+        query = h
+        alpha = _attention_alpha(mode.matmul(query, Wq), kwk, v, src_mask, mode)
+        ctx = mode.context(alpha, K)
+        a = yw[:, t] + mode.matmul(ctx, wx_ctx) + mode.matmul(h, Wh)
+        i, f, o, g, tanh_c, c, h = _lstm_cell(a, c)
         hs[:, t] = h
+        if mode.backward:
+            saved.append((query, alpha, ctx, i, f, o, g, tanh_c, c))
+    if not mode.backward:
+        return hs, (h, c), None
+    queries, alphas, contexts, gi, gf, go, gg, tc, cs = (
+        np.stack(seq, axis=1) for seq in zip(*saved)
+    )
     cache = {
         "Y": Y, "K": K, "KWK": kwk, "src_mask": src_mask,
         "I": gi, "F": gf, "O": go, "G": gg, "TC": tc, "C": cs, "H": hs,
@@ -428,28 +495,15 @@ def _check_batch_ids(config: ModelConfig, batch: Batch) -> None:
         raise EncodingError("target ids outside the model's target vocabulary")
 
 
-def _run_forward(params, config, batch, dropout_on, seed):
-    """Full teacher-forced pass. Returns (ForwardResult, cache-for-backward)."""
-    _check_batch_ids(config, batch)
-    bsz, slen = batch.src.shape
-    tlen = batch.tgt_in.shape[1]
-    hdim = config.hidden_dim
-    p = config.dropout_p if dropout_on else 0.0
-    rng = (
-        np.random.Generator(np.random.Philox(key=derive_seed("dropout", seed)))
-        if p > 0.0
-        else None
-    )
+def _encode(params, config, src, src_mask, mode, rng=None, p=0.0):
+    """Encoder stack over (B, S) ids, carrying state through masked positions.
 
-    src_mask = (batch.src != PAD_ID).astype(np.float64)
-    src_bool = batch.src != PAD_ID
-
-    x = params["src_embed"][batch.src]
-    zeros = np.zeros((bsz, hdim))
-    enc_caches = []
-    enc_masks = []
-    enc_finals = []
-    inp = x
+    Returns (top-layer outputs after dropout, final (h, c) per layer,
+    caches, dropout masks).
+    """
+    zeros = np.zeros((src.shape[0], config.hidden_dim))
+    inp = params["src_embed"][src]
+    finals, caches, drops = [], [], []
     for layer in range(config.encoder_layers):
         hs, final, cache = _lstm_forward(
             params[f"enc{layer}_Wx"],
@@ -458,54 +512,79 @@ def _run_forward(params, config, batch, dropout_on, seed):
             inp,
             zeros,
             zeros,
+            mode,
             mask=src_mask,
         )
-        enc_finals.append(final)
         drop = _dropout_mask(rng, hs.shape, p) if rng is not None else None
-        enc_caches.append(cache)
-        enc_masks.append(drop)
+        finals.append(final)
+        caches.append(cache)
+        drops.append(drop)
         inp = hs * drop if drop is not None else hs
-    enc_top = inp  # post-dropout outputs of the top encoder layer
+    return inp, finals, caches, drops
 
-    y = params["tgt_embed"][batch.tgt_in]
-    dec_init = [
+
+def _decoder_init(config, enc_finals):
+    """Decoder layer l starts from encoder layer min(l, top)'s final state."""
+    return [
         enc_finals[min(layer, config.encoder_layers - 1)]
         for layer in range(config.decoder_layers)
     ]
-    dec_caches = []
-    dec_masks = []
-    if config.use_attention:
-        hs, _, cache0 = _attn_lstm_forward(
-            params["dec0_Wx"], params["dec0_Wh"], params["dec0_b"],
-            params["attn_Wq"], params["attn_Wk"], params["attn_v"],
-            y, enc_top, src_bool, dec_init[0][0], dec_init[0][1],
+
+
+def _decode_stack(params, config, Y, states, K, kwk, src_bool, mode, rng=None, p=0.0):
+    """Decoder stack over (B, T, E) input embeddings from per-layer (h, c).
+
+    K is the encoder's top output after dropout and `kwk` is K @ attn_Wk
+    (both unused without attention). Returns (top-layer outputs after
+    dropout, final (h, c) per layer, caches, dropout masks).
+    """
+    finals, caches, drops = [], [], []
+    inp = Y
+    for layer in range(config.decoder_layers):
+        weights = (
+            params[f"dec{layer}_Wx"], params[f"dec{layer}_Wh"], params[f"dec{layer}_b"]
         )
-    else:
-        hs, _, cache0 = _lstm_forward(
-            params["dec0_Wx"], params["dec0_Wh"], params["dec0_b"],
-            y, dec_init[0][0], dec_init[0][1],
-        )
-    drop = _dropout_mask(rng, hs.shape, p) if rng is not None else None
-    dec_caches.append(cache0)
-    dec_masks.append(drop)
-    inp = hs * drop if drop is not None else hs
-    for layer in range(1, config.decoder_layers):
-        hs, _, cache = _lstm_forward(
-            params[f"dec{layer}_Wx"],
-            params[f"dec{layer}_Wh"],
-            params[f"dec{layer}_b"],
-            inp,
-            dec_init[layer][0],
-            dec_init[layer][1],
-        )
+        h0, c0 = states[layer]
+        if layer == 0 and config.use_attention:
+            hs, final, cache = _attn_lstm_forward(
+                *weights, params["attn_Wq"], params["attn_v"],
+                inp, K, kwk, src_bool, h0, c0, mode,
+            )
+        else:
+            hs, final, cache = _lstm_forward(*weights, inp, h0, c0, mode)
         drop = _dropout_mask(rng, hs.shape, p) if rng is not None else None
-        dec_caches.append(cache)
-        dec_masks.append(drop)
+        finals.append(final)
+        caches.append(cache)
+        drops.append(drop)
         inp = hs * drop if drop is not None else hs
-    top = inp  # post-dropout outputs of the top decoder layer
+    return inp, finals, caches, drops
+
+
+def _run_forward(params, config, batch, dropout_on, seed, mode):
+    """Full teacher-forced pass. Returns (ForwardResult, cache-for-backward),
+    the cache None unless `mode.backward`."""
+    _check_batch_ids(config, batch)
+    bsz, tlen = batch.tgt_in.shape
+    hdim = config.hidden_dim
+    p = config.dropout_p if dropout_on else 0.0
+    rng = (
+        np.random.Generator(np.random.Philox(key=derive_seed("dropout", seed)))
+        if p > 0.0
+        else None
+    )
+
+    src_bool = batch.src != PAD_ID
+    enc_top, enc_finals, enc_caches, enc_masks = _encode(
+        params, config, batch.src, src_bool.astype(np.float64), mode, rng, p
+    )
+    kwk = mode.matmul(enc_top, params["attn_Wk"]) if config.use_attention else None
+    top, _, dec_caches, dec_masks = _decode_stack(
+        params, config, params["tgt_embed"][batch.tgt_in],
+        _decoder_init(config, enc_finals), enc_top, kwk, src_bool, mode, rng, p,
+    )
 
     logits = (
-        top.reshape(bsz * tlen, hdim) @ params["out_W"] + params["out_b"]
+        mode.matmul(top.reshape(bsz * tlen, hdim), params["out_W"]) + params["out_b"]
     ).reshape(bsz, tlen, -1)
     peak = logits.max(axis=2, keepdims=True)
     expl = np.exp(logits - peak)
@@ -518,11 +597,13 @@ def _run_forward(params, config, batch, dropout_on, seed):
     picked = np.take_along_axis(log_probs, batch.tgt_out[:, :, None], axis=2)[:, :, 0]
     neg = -picked * tgt_mask
     token_counts = batch.tgt_lengths.astype(np.float64)
-    pair_losses = neg.sum(axis=1) / token_counts
+    pair_losses = mode.total(neg) / token_counts
     total_tokens = tgt_mask.sum()
     mean_loss = float(neg.sum() / total_tokens)
 
     result = ForwardResult(mean_loss, pair_losses, log_probs)
+    if not mode.backward:
+        return result, None
     cache = {
         "batch": batch,
         "softmax": expl / expl.sum(axis=2, keepdims=True),
@@ -533,7 +614,6 @@ def _run_forward(params, config, batch, dropout_on, seed):
         "enc_masks": enc_masks,
         "dec_caches": dec_caches,
         "dec_masks": dec_masks,
-        "src_mask_bool": src_bool,
         "enc_top": enc_top,
     }
     return result, cache
@@ -542,7 +622,9 @@ def _run_forward(params, config, batch, dropout_on, seed):
 def forward_teacher_forced(
     params, config: ModelConfig, batch: Batch, dropout_on: bool = False, seed: int = 0
 ) -> ForwardResult:
-    result, _ = _run_forward(params, config, batch, dropout_on, seed)
+    """Teacher-forced pass for scoring; each row's log-probs and pair loss
+    have the same bits in any batch (see the module docstring)."""
+    result, _ = _run_forward(params, config, batch, dropout_on, seed, _INVARIANT)
     return result
 
 
@@ -550,7 +632,7 @@ def loss_and_gradients(
     params, config: ModelConfig, batch: Batch, dropout_on: bool = False, seed: int = 0
 ):
     """Forward pass plus exact gradients of the mean loss w.r.t. every tensor."""
-    result, cache = _run_forward(params, config, batch, dropout_on, seed)
+    result, cache = _run_forward(params, config, batch, dropout_on, seed, _TRAINING)
     batch = cache["batch"]
     bsz, tlen = batch.tgt_in.shape
     hdim = config.hidden_dim
@@ -650,14 +732,6 @@ def loss_and_gradients(
     return result, grads
 
 
-def backward_gradients(
-    params, config: ModelConfig, batch: Batch, dropout_on: bool = False, seed: int = 0
-) -> dict[str, np.ndarray]:
-    """Gradients only; recomputes the forward pass with the same dropout masks."""
-    _, grads = loss_and_gradients(params, config, batch, dropout_on, seed)
-    return grads
-
-
 def attention_weights(
     params, config: ModelConfig, decoder_state, encoder_states, source_lengths
 ) -> np.ndarray:
@@ -672,82 +746,59 @@ def attention_weights(
     K = np.asarray(encoder_states, dtype=np.float64)
     lengths = np.asarray(source_lengths)
     mask = np.arange(K.shape[1])[None, :] < lengths[:, None]
-    return _attention_alpha(q @ params["attn_Wq"], np.matmul(K, params["attn_Wk"]),
-                            params["attn_v"], mask)
+    mode = _INVARIANT
+    return _attention_alpha(mode.matmul(q, params["attn_Wq"]),
+                            mode.matmul(K, params["attn_Wk"]),
+                            params["attn_v"], mask, mode)
 
 
 def greedy_decode(
-    params, config: ModelConfig, src_ids, max_len: int
-) -> list[int]:
-    """Argmax decoding from BOS until EOS or max_len; deterministic, no dropout.
+    params, config: ModelConfig, sources, max_len: int
+) -> list[list[int]]:
+    """Argmax decoding of each source from BOS until EOS or max_len tokens.
 
-    PAD and BOS are never emitted (their logits are excluded from the argmax);
-    ties resolve to the smallest id. EOS terminates and is not returned.
+    Deterministic and without dropout. A source's tokens do not depend on
+    which other sources share the call: the steps run the scoring path's
+    batch-invariant arithmetic, and a row that emits EOS leaves the batch.
+    PAD and BOS are never emitted (their logits are excluded from the
+    argmax); ties resolve to the smallest id. EOS is not returned.
     """
-    src = np.asarray(list(src_ids), dtype=np.int64).reshape(1, -1)
-    if src.size and (src.min() < 0 or src.max() >= config.src_vocab_size):
+    sources = [np.asarray(s, dtype=np.int64).reshape(-1) for s in sources]
+    out: list[list[int]] = [[] for _ in sources]
+    if not sources:
+        return out
+    lengths = np.array([len(s) for s in sources])
+    src = np.full((len(sources), max(int(lengths.max()), 1)), PAD_ID, dtype=np.int64)
+    for row, ids in enumerate(sources):
+        src[row, : len(ids)] = ids
+    if src.min() < 0 or src.max() >= config.src_vocab_size:
         raise EncodingError("source ids outside the model's source vocabulary")
-    hdim = config.hidden_dim
-    zeros = np.zeros((1, hdim))
-    enc_finals = []
-    inp = params["src_embed"][src] if src.size else np.zeros((1, 0, config.embed_dim))
-    ones = np.ones(src.shape, dtype=np.float64)
-    for layer in range(config.encoder_layers):
-        hs, final, _ = _lstm_forward(
-            params[f"enc{layer}_Wx"],
-            params[f"enc{layer}_Wh"],
-            params[f"enc{layer}_b"],
-            inp,
-            zeros,
-            zeros,
-            mask=ones,
-        )
-        enc_finals.append(final)
-        inp = hs
-    enc_top = inp
-    kwk = np.matmul(enc_top, params["attn_Wk"]) if config.use_attention else None
-    src_mask = np.ones((1, src.shape[1]), dtype=bool)
-
-    states = [
-        [enc_finals[min(layer, config.encoder_layers - 1)][0].copy(),
-         enc_finals[min(layer, config.encoder_layers - 1)][1].copy()]
-        for layer in range(config.decoder_layers)
-    ]
-    out: list[int] = []
-    token = BOS_ID
+    mode = _INVARIANT
+    src_bool = np.arange(src.shape[1])[None, :] < lengths[:, None]
+    K, enc_finals, _, _ = _encode(
+        params, config, src, src_bool.astype(np.float64), mode
+    )
+    kwk = mode.matmul(K, params["attn_Wk"]) if config.use_attention else None
+    states = _decoder_init(config, enc_finals)
+    rows = np.arange(len(sources))  # output row of each live batch row
+    tokens = np.full(len(sources), BOS_ID)
     for _ in range(max_len):
-        x = params["tgt_embed"][np.array([[token]])][:, 0, :]
-        if config.use_attention:
-            h_prev = states[0][0]
-            if src.shape[1] > 0:
-                alpha = _attention_alpha(
-                    h_prev @ params["attn_Wq"], kwk, params["attn_v"], src_mask
-                )
-                ctx = np.einsum("bs,bsh->bh", alpha, enc_top)
-            else:
-                ctx = np.zeros((1, hdim))
-            x = np.concatenate([x, ctx], axis=1)
-        for layer in range(config.decoder_layers):
-            h, c = states[layer]
-            a = (
-                x @ params[f"dec{layer}_Wx"]
-                + h @ params[f"dec{layer}_Wh"]
-                + params[f"dec{layer}_b"]
+        y = params["tgt_embed"][tokens][:, None, :]
+        top, states, _, _ = _decode_stack(
+            params, config, y, states, K, kwk, src_bool, mode
+        )
+        logits = mode.matmul(top[:, 0], params["out_W"]) + params["out_b"]
+        logits[:, [PAD_ID, BOS_ID]] = -np.inf
+        tokens = logits.argmax(axis=1)
+        live = tokens != EOS_ID
+        for row, token in zip(rows[live], tokens[live]):
+            out[row].append(int(token))
+        if not live.all():
+            if not live.any():
+                break
+            rows, tokens, K, src_bool = (
+                rows[live], tokens[live], K[live], src_bool[live]
             )
-            i = _sigmoid(a[:, :hdim])
-            f = _sigmoid(a[:, hdim : 2 * hdim])
-            o = _sigmoid(a[:, 2 * hdim : 3 * hdim])
-            g = np.tanh(a[:, 3 * hdim :])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            states[layer] = [h, c]
-            x = h
-        logits = (x @ params["out_W"] + params["out_b"])[0]
-        logits = logits.copy()
-        logits[PAD_ID] = -np.inf
-        logits[BOS_ID] = -np.inf
-        token = int(np.argmax(logits))
-        if token == EOS_ID:
-            break
-        out.append(token)
+            kwk = kwk[live] if kwk is not None else None
+            states = [(h[live], c[live]) for h, c in states]
     return out

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from curricula.cli import main as cli_main
 from curricula.checkpoint import load_checkpoint
 from curricula.errors import ConfigError
+from curricula.metrics import ScoreTable
 from curricula.harness import (
     CorpusSpec,
     ExperimentReport,
@@ -227,6 +229,35 @@ def test_experiment_report_persisted_matches_returned(experiment_run):
     assert parsed.metadata == report.metadata
 
 
+def test_row_failure_keeps_package_error_class_and_names_the_row(tmp_path, monkeypatch):
+    from curricula.errors import FingerprintError
+
+    original = FingerprintError("vocabularies differ")
+
+    def fail(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr("curricula.harness.evaluate_model", fail)
+    spec = tiny_spec(tmp_path, strategies=(Strategy("shuffle_once"),))
+    with pytest.raises(FingerprintError) as err:
+        run_experiment(spec)
+    assert "shuffle_once failed during evaluate: vocabularies differ" in str(err.value)
+    assert err.value.__cause__ is original
+
+
+def test_row_failure_outside_the_package_propagates_unchanged(tmp_path, monkeypatch):
+    original = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    def fail(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr("curricula.harness.evaluate_model", fail)
+    spec = tiny_spec(tmp_path, strategies=(Strategy("shuffle_once"),))
+    with pytest.raises(UnicodeDecodeError) as err:
+        run_experiment(spec)
+    assert err.value is original
+
+
 def test_table_one_row_set(tmp_path):
     labels = [s.label() for s in table_one_strategies()]
     assert len(labels) == 10 and len(set(labels)) == 10
@@ -308,6 +339,43 @@ def test_cli_exit_codes(tmp_path, capsys):
         "eval", "--corpus-dir", str(empty), "--ckpt", str(tmp_path / "nope.ckpt"),
     ]) == 3
     capsys.readouterr()
+
+
+def test_cli_score_xent_and_bad_score_table(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    assert cli_main([
+        "corpus", "--toy", "reverse", "--size", "60", "--vocab", "8",
+        "--min-len", "3", "--max-len", "5", "--seed", "1",
+        "--out-dir", str(corpus_dir),
+    ]) == 0
+    ckpt_path = tmp_path / "scorer.ckpt"
+    assert cli_main([
+        "pretrain", "--corpus-dir", str(corpus_dir), "--preset", "tiny",
+        "--learning-rate", "1e-3", "--batch-size", "16", "--max-epochs", "1",
+        "--out", str(ckpt_path),
+    ]) == 0
+    paths = {}
+    for metric in ("xent", "ppl"):
+        paths[metric] = tmp_path / f"scores_{metric}.txt"
+        assert cli_main([
+            "score", "--corpus-dir", str(corpus_dir), "--metric", metric,
+            "--ckpt", str(ckpt_path), "--out", str(paths[metric]),
+        ]) == 0
+    xent = ScoreTable.load(paths["xent"])
+    ppl = ScoreTable.load(paths["ppl"])
+    assert xent.metric == "xent" and xent.indices() == ppl.indices()
+    for h, p in zip(xent.scores, ppl.scores):
+        assert math.isclose(2.0**h.value, p.value, rel_tol=1e-7)
+
+    bad = tmp_path / "bad_scores.txt"
+    bad.write_text(paths["ppl"].read_text().replace("\t", " ", 1))
+    capsys.readouterr()
+    assert cli_main([
+        "order", "--corpus-dir", str(corpus_dir), "--strategy", "ppl",
+        "--direction", "asc", "--scores", str(bad),
+        "--epochs", "1", "--out", str(tmp_path / "plan.txt"),
+    ]) == 3
+    assert "score table line 2" in capsys.readouterr().err
 
 
 def test_cli_spec_file_loading(tmp_path):

@@ -200,10 +200,10 @@ def test_pair_bleu_composes_decode_and_sentence_bleu(toy_data, tiny_checkpoint):
     from curricula.seq2seq import greedy_decode
 
     pair = toy_data["train_enc"][0]
-    decoded = greedy_decode(
+    (decoded,) = greedy_decode(
         tiny_checkpoint.params,
         tiny_checkpoint.config,
-        pair.src_ids,
+        [pair.src_ids],
         default_decode_len(len(pair.src_ids)),
     )
     expected = (
@@ -279,3 +279,12 @@ def test_score_table_rejects_duplicates_and_nan():
 def test_score_values_print_nine_significant_digits():
     table = ScoreTable("xent", "none", (PairScore(0, 1.2345678987654321),))
     assert table.to_text().splitlines()[1] == "0\t1.2345679"
+
+
+@pytest.mark.parametrize(
+    "line", ["3 1.5", "3\t1.5\t7", "x\t1.5", "3\tabc", "1.5\t2.0"]
+)
+def test_score_table_bad_line_is_a_data_error_naming_the_line(line):
+    text = f"CURRICULA-SCORES v1 ppl fp\n0\t1.0\n{line}\n"
+    with pytest.raises(DataError, match="line 3"):
+        ScoreTable.from_text(text)

@@ -10,7 +10,6 @@ from curricula.seq2seq import (
     Batch,
     ModelConfig,
     attention_weights,
-    backward_gradients,
     forward_teacher_forced,
     greedy_decode,
     init_params,
@@ -241,21 +240,22 @@ def test_decode_immediate_eos_gives_empty_output():
     config = SMALL_LAYOUT
     params = {n: np.zeros(sh) for n, sh in parameter_shapes(config)}
     params["out_b"][EOS_ID] = 10.0
-    assert greedy_decode(params, config, (4, 5), max_len=7) == []
+    assert greedy_decode(params, config, [(4, 5)], max_len=7) == [[]]
 
 
 def test_decode_caps_at_max_len():
     config = SMALL_LAYOUT
     params = {n: np.zeros(sh) for n, sh in parameter_shapes(config)}
     params["out_b"][7] = 10.0  # never EOS
-    out = greedy_decode(params, config, (4, 5), max_len=7)
-    assert out == [7] * 7
+    out = greedy_decode(params, config, [(4, 5)], max_len=7)
+    assert out == [[7] * 7]
 
 
 def test_decode_deterministic_and_clean(toy_data, tiny_checkpoint):
     pair = toy_data["train_enc"][0]
-    a = greedy_decode(tiny_checkpoint.params, tiny_checkpoint.config, pair.src_ids, 40)
-    b = greedy_decode(tiny_checkpoint.params, tiny_checkpoint.config, pair.src_ids, 40)
+    params, config = tiny_checkpoint.params, tiny_checkpoint.config
+    (a,) = greedy_decode(params, config, [pair.src_ids], 40)
+    (b,) = greedy_decode(params, config, [pair.src_ids], 40)
     assert a == b
     assert PAD_ID not in a and BOS_ID not in a and EOS_ID not in a
 
@@ -264,7 +264,7 @@ def test_decode_argmax_ties_take_smallest_id():
     config = SMALL_LAYOUT
     params = {n: np.zeros(sh) for n, sh in parameter_shapes(config)}
     # all logits tied at zero; PAD/BOS are excluded, so EOS (id 2) wins
-    assert greedy_decode(params, config, (4,), max_len=5) == []
+    assert greedy_decode(params, config, [(4,)], max_len=5) == [[]]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +306,7 @@ def test_gradients_match_finite_differences_with_dropout():
 def test_unused_embedding_rows_get_zero_gradient():
     params = check_weights(SMALL_LAYOUT)
     batch = make_batch(mixed_pairs())
-    grads = backward_gradients(params, SMALL_LAYOUT, batch)
+    _, grads = loss_and_gradients(params, SMALL_LAYOUT, batch)
     used_src = set(batch.src.ravel().tolist())
     used_tgt = set(batch.tgt_in.ravel().tolist())
     for row in range(SMALL_LAYOUT.src_vocab_size):
@@ -345,14 +345,80 @@ def test_non_finite_gradients_name_the_tensor():
     params["out_W"][0, 0] = np.nan
     batch = make_batch(mixed_pairs())
     with pytest.raises(NumericalError) as err:
-        backward_gradients(params, SMALL_LAYOUT, batch)
+        loss_and_gradients(params, SMALL_LAYOUT, batch)
     assert "tensor" in str(err.value)
 
 
 def test_backward_deterministic():
     params = init_params(BASE_LAYOUT, seed=6)
     batch = make_batch(mixed_pairs())
-    g1 = backward_gradients(params, BASE_LAYOUT, batch, dropout_on=True, seed=21)
-    g2 = backward_gradients(params, BASE_LAYOUT, batch, dropout_on=True, seed=21)
+    _, g1 = loss_and_gradients(params, BASE_LAYOUT, batch, dropout_on=True, seed=21)
+    _, g2 = loss_and_gradients(params, BASE_LAYOUT, batch, dropout_on=True, seed=21)
     for k in g1:
         assert np.array_equal(g1[k], g2[k])
+
+
+# ---------------------------------------------------------------------------
+# batch invariance: a pair's bits do not depend on the batch it rides in
+# ---------------------------------------------------------------------------
+
+def invariance_setup(preset, n):
+    """Scaled-up random weights, so that greedy outputs vary by source and
+    some rows emit EOS early, and n pairs with lengths 2 to 30 on both sides."""
+    config = ModelConfig.preset(preset, 24, 24)
+    params = {k: 8.0 * v for k, v in init_params(config, seed=5).items()}
+    params["out_b"][EOS_ID] = 2.0
+    rng = np.random.default_rng(17)
+    pairs = []
+    for i in range(n):
+        src = tuple(int(x) for x in rng.integers(4, 24, size=2 + i % 29))
+        tgt = tuple(int(x) for x in rng.integers(4, 24, size=int(rng.integers(2, 31))))
+        pairs.append(EncodedPair(i, src, (BOS_ID,) + tgt, tgt + (EOS_ID,), FP, FP))
+    return config, params, pairs
+
+
+def groupings(pairs):
+    """The same pairs alone, in batches of 7, in one batch, and reversed."""
+    return (
+        [[p] for p in pairs],
+        [pairs[k : k + 7] for k in range(0, len(pairs), 7)],
+        [pairs],
+        [pairs[::-1]],
+    )
+
+
+@pytest.mark.parametrize("preset, n", [("tiny", 64), ("small", 64), ("base", 24)])
+def test_scores_do_not_depend_on_the_batch(preset, n):
+    from curricula.metrics import corpus_cross_entropy
+
+    config, params, pairs = invariance_setup(preset, n)
+    seen = []
+    for groups in groupings(pairs):
+        bits = {}
+        for group in groups:
+            result = forward_teacher_forced(params, config, make_batch(group))
+            for pair, loss in zip(group, result.pair_losses):
+                bits[pair.index] = loss
+        seen.append([bits[p.index] for p in pairs])
+    entropies, _ = corpus_cross_entropy(params, config, pairs)
+    seen.append(list(entropies))
+    assert all(s == seen[0] for s in seen[1:])  # exact float equality
+
+
+@pytest.mark.parametrize("preset, n", [("tiny", 64), ("small", 64), ("base", 24)])
+def test_greedy_tokens_do_not_depend_on_the_batch(preset, n):
+    config, params, pairs = invariance_setup(preset, n)
+    seen = []
+    for groups in groupings(pairs):
+        tokens = {}
+        for group in groups:
+            out = greedy_decode(params, config, [p.src_ids for p in group], 12)
+            tokens.update((p.index, o) for p, o in zip(group, out))
+        seen.append([tokens[p.index] for p in pairs])
+    assert all(s == seen[0] for s in seen[1:])
+    lengths = {len(t) for t in seen[0]}
+    assert 12 in lengths and min(lengths) < 12  # some rows stop at EOS
+    # a row with a shorter budget than its batch mates gets a prefix
+    short = pairs[::3]
+    out = greedy_decode(params, config, [p.src_ids for p in short], 5)
+    assert out == [seen[0][p.index][:5] for p in short]
