@@ -49,11 +49,16 @@ class ModelCheckpoint:
     @property
     def fingerprint(self) -> str:
         if self._fingerprint is None:
-            config_b, vocab_b, params_b, _ = _sections(self)
-            self._fingerprint = hashlib.sha256(
-                config_b + vocab_b + params_b
-            ).hexdigest()
+            self._fingerprint = _identity(*_sections(self)[:3])
         return self._fingerprint
+
+
+def _identity(config_b: bytes, vocab_b: bytes, params_b: bytes) -> str:
+    # hashed section by section: joining them would copy every tensor again
+    h = hashlib.sha256(config_b)
+    h.update(vocab_b)
+    h.update(params_b)
+    return h.hexdigest()
 
 
 def _json_bytes(obj) -> bytes:
@@ -169,7 +174,7 @@ def load_checkpoint(path) -> ModelCheckpoint:
         arr = np.frombuffer(pr.take(n * 8), dtype="<f8").reshape(shape).copy()
         params[name] = arr
     history = tuple(json.loads(history_b))
-    return ModelCheckpoint(
+    ckpt = ModelCheckpoint(
         config=config,
         params=params,
         src_vocab_fingerprint=vocab["src"],
@@ -177,3 +182,6 @@ def load_checkpoint(path) -> ModelCheckpoint:
         history=history,
         version=version,
     )
+    # the sections the content hash just verified are the fingerprint's input
+    ckpt._fingerprint = _identity(config_b, vocab_b, params_b)
+    return ckpt

@@ -1,8 +1,15 @@
 """Command-line front end.
 
 Subcommands mirror the pipeline stages: corpus, pretrain, score, order,
-train, eval, experiment, report. Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 numerical error.
+train, eval, experiment, report. Each stage command is argument parsing
+around one stage function of `harness`, the same function that
+`run_experiment` calls, and `--seed` is the experiment seed from which
+that function derives its working seeds. Run with an experiment's seed and
+train flags over its `corpus/` directory, the stage commands therefore
+rewrite that experiment's artifacts byte for byte, unless the corpus came
+from files whose filter dropped lines (`corpus/` renumbers the pairs that
+remain). Exit codes: 0 success, 2 configuration error, 3 data error,
+4 numerical error.
 """
 
 from __future__ import annotations
@@ -11,32 +18,30 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import (
-    Vocabulary,
-    build_vocab,
-    encode_corpus,
-    filter_corpus,
-    load_parallel_corpus,
-    truncate_corpus,
-    write_corpus,
-)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, NumericalError
-from .evaluate import evaluate_model
 from .harness import (
+    FILE_KEYS,
+    CorpusSpec,
     emit_report,
-    generate_toy_corpus,
+    evaluate_split,
+    init_trainer,
+    load_corpus_dir,
     load_spec,
+    make_plan,
+    prepare_data,
+    pretrain_scorer,
     report_from_tsv,
     report_to_markdown,
     report_to_tsv,
     run_experiment,
+    save_corpus_dir,
+    score_table,
+    train_model,
 )
-from .metrics import ScoreTable, length_scores, score_corpus
-from .ordering import OrderingPlan, Strategy, make_ordering, verify_plan
-from .rng import derive_seed
-from .seq2seq import ModelConfig, init_params
-from .trainer import TrainConfig, fit
+from .metrics import ScoreTable
+from .ordering import OrderingPlan, Strategy
+from .trainer import TrainConfig
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -49,75 +54,34 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _train_config(args) -> TrainConfig:
+    # the stage functions derive the training seed from --seed themselves
     return TrainConfig(
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
         max_epochs=args.max_epochs,
         patience=args.patience,
         clip_norm=args.clip_norm,
-        seed=args.seed,
     )
-
-
-def _load_split(corpus_dir: Path, split: str):
-    return load_parallel_corpus(
-        corpus_dir / f"{split}.src", corpus_dir / f"{split}.tgt"
-    )
-
-
-def _load_corpus_dir(corpus_dir: Path):
-    corpus_dir = Path(corpus_dir)
-    src_vocab = Vocabulary.load(corpus_dir / "src.vocab")
-    tgt_vocab = Vocabulary.load(corpus_dir / "tgt.vocab")
-    splits = {s: _load_split(corpus_dir, s) for s in ("train", "val", "test")}
-    encoded = {
-        s: encode_corpus(c, src_vocab, tgt_vocab) for s, c in splits.items()
-    }
-    return splits, encoded, src_vocab, tgt_vocab
 
 
 def _cmd_corpus(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.toy:
-        train, val, test = generate_toy_corpus(
-            args.toy, args.size, args.vocab, (args.min_len, args.max_len), args.seed
-        )
-    else:
-        if not (args.train_src and args.train_tgt):
-            raise ConfigError("either --toy or --train-src/--train-tgt is required")
-        train = load_parallel_corpus(args.train_src, args.train_tgt)
-        train = filter_corpus(train, args.filter_min, args.filter_max)
-        if args.take:
-            train = truncate_corpus(train, args.take)
-        if not (args.val_src and args.val_tgt and args.test_src and args.test_tgt):
-            raise ConfigError("file corpora need --val-src/--val-tgt/--test-src/--test-tgt")
-        val = load_parallel_corpus(args.val_src, args.val_tgt)
-        test = load_parallel_corpus(args.test_src, args.test_tgt)
-    for name, split in (("train", train), ("val", val), ("test", test)):
-        write_corpus(split, out / f"{name}.src", out / f"{name}.tgt")
-    build_vocab(train, "source", args.min_count).save(out / "src.vocab")
-    build_vocab(train, "target", args.min_count).save(out / "tgt.vocab")
-    print(f"corpus written to {out} ({len(train)} train / {len(val)} val / {len(test)} test)")
+    corpus = CorpusSpec(
+        toy_task=args.toy, size=args.size, vocab=args.vocab,
+        min_len=args.min_len, max_len=args.max_len,
+        filter_min=args.filter_min, filter_max=args.filter_max,
+        take=args.take, min_count=args.min_count,
+        **{k: getattr(args, k) for k in FILE_KEYS},
+    )
+    data = prepare_data(corpus, args.seed)
+    save_corpus_dir(data, args.out_dir)
+    sizes = " / ".join(f"{len(split)} {name}" for name, split in data.splits.items())
+    print(f"corpus written to {args.out_dir} ({sizes})")
     return 0
 
 
 def _cmd_pretrain(args) -> int:
-    splits, encoded, src_vocab, tgt_vocab = _load_corpus_dir(args.corpus_dir)
-    config = ModelConfig.preset(args.preset, len(src_vocab), len(tgt_vocab))
-    train_config = _train_config(args)
-    params = init_params(config, derive_seed("scorer-init", args.preset, args.seed))
-    plan = make_ordering(
-        Strategy("shuffle_every_epoch"),
-        None,
-        splits["train"].indices(),
-        train_config.max_epochs,
-        seed=derive_seed("scorer-order", args.preset, args.seed),
-    )
-    ckpt, _, epochs = fit(
-        params, config, plan, encoded["train"], encoded["val"], train_config,
-        src_vocab.fingerprint(), tgt_vocab.fingerprint(),
-    )
+    data = load_corpus_dir(args.corpus_dir)
+    ckpt, epochs = pretrain_scorer(data, args.preset, _train_config(args), args.seed)
     save_checkpoint(ckpt, args.out)
     print(f"pretrained {args.preset} scorer: best epoch {epochs}, "
           f"fingerprint {ckpt.fingerprint[:16]}, saved to {args.out}")
@@ -125,59 +89,36 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    splits, encoded, _, _ = _load_corpus_dir(args.corpus_dir)
-    if args.metric == "length":
-        table = length_scores(splits[args.split], args.side)
-    else:
-        if not args.ckpt:
-            raise ConfigError(f"--metric {args.metric} needs --ckpt")
-        ckpt = load_checkpoint(args.ckpt)
-        table = score_corpus(ckpt, encoded[args.split], args.metric)
+    data = load_corpus_dir(args.corpus_dir)
+    metric = f"length:{args.side}" if args.metric == "length" else args.metric
+    scorer = load_checkpoint(args.ckpt) if args.ckpt else None
+    table = score_table(data, metric, scorer, args.split)
     table.save(args.out)
     print(f"{len(table)} {table.metric} scores written to {args.out}")
     return 0
 
 
 def _cmd_order(args) -> int:
-    splits, _, _, _ = _load_corpus_dir(args.corpus_dir)
-    if args.strategy in ("shuffle_every_epoch", "shuffle_once"):
-        strategy = Strategy(args.strategy)
+    strategy = Strategy(args.strategy, side=args.side, direction=args.direction)
+    data = load_corpus_dir(args.corpus_dir)
+    metric = strategy.required_metric
+    if metric is None:
         table = None
-    elif args.strategy == "length":
-        if not args.side or not args.direction:
-            raise ConfigError("length ordering needs --side and --direction")
-        strategy = Strategy("length", side=args.side, direction=args.direction)
-        table = ScoreTable.load(args.scores) if args.scores else length_scores(
-            splits["train"], args.side
-        )
-    else:
-        if not args.direction:
-            raise ConfigError(f"{args.strategy} ordering needs --direction")
-        if not args.scores:
-            raise ConfigError(f"{args.strategy} ordering needs --scores")
-        strategy = Strategy(args.strategy, direction=args.direction)
+    elif args.scores:
         table = ScoreTable.load(args.scores)
-    plan = make_ordering(
-        strategy, table, splits["train"].indices(), args.epochs, seed=args.seed
-    )
-    check = verify_plan(plan, splits["train"].indices(), table)
-    if not check.ok:
-        raise DataError(f"plan verification failed: {check.violation}")
+    else:
+        table = score_table(data, metric)
+    plan = make_plan(strategy, table, data, args.epochs, args.seed)
     plan.save(args.out)
     print(f"plan for {strategy.token()} over {args.epochs} epochs written to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    splits, encoded, src_vocab, tgt_vocab = _load_corpus_dir(args.corpus_dir)
+    data = load_corpus_dir(args.corpus_dir)
     plan = OrderingPlan.load(args.plan)
-    config = ModelConfig.preset(args.preset, len(src_vocab), len(tgt_vocab))
-    train_config = _train_config(args)
-    params = init_params(config, derive_seed("trainer-init", args.seed))
-    ckpt, stats, epochs = fit(
-        params, config, plan, encoded["train"], encoded["val"], train_config,
-        src_vocab.fingerprint(), tgt_vocab.fingerprint(),
-    )
+    init = init_trainer(data, args.preset, args.seed)
+    ckpt, stats, epochs = train_model(init, plan, data, _train_config(args), args.seed)
     save_checkpoint(ckpt, args.out)
     last = stats[-1]
     print(
@@ -188,10 +129,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _, encoded, _, _ = _load_corpus_dir(args.corpus_dir)
+    data = load_corpus_dir(args.corpus_dir)
     ckpt = load_checkpoint(args.ckpt)
-    result = evaluate_model(ckpt, encoded[args.split], args.max_decode_len)
-    print(result.to_line())
+    print(evaluate_split(ckpt, data, args.split, args.max_decode_len).to_line())
     return 0
 
 
@@ -227,12 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-len", type=int, default=3)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-src")
-    p.add_argument("--train-tgt")
-    p.add_argument("--val-src")
-    p.add_argument("--val-tgt")
-    p.add_argument("--test-src")
-    p.add_argument("--test-tgt")
+    for key in FILE_KEYS:
+        p.add_argument("--" + key.replace("_", "-"))
     p.add_argument("--filter-min", type=int, default=5)
     p.add_argument("--filter-max", type=int, default=60)
     p.add_argument("--take", type=int)

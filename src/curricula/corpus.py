@@ -119,17 +119,21 @@ class Vocabulary:
         if not lines or lines[0] != VOCAB_HEADER:
             raise DataError(f"bad vocabulary header; expected {VOCAB_HEADER!r}")
         tokens, freqs = [], []
-        for ln in lines[1:]:
+        for number, ln in enumerate(lines[1:], start=2):
             if not ln:
                 continue
-            parts = ln.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"bad vocabulary line: {ln!r}")
-            tok, ident, freq = parts
-            if int(ident) != len(tokens):
-                raise DataError(f"non-contiguous vocabulary id: {ln!r}")
+            try:
+                tok, ident, freq = ln.split("\t")
+                ident, freq = int(ident), int(freq)
+            except ValueError as exc:
+                raise DataError(
+                    f"vocabulary line {number}: expected '<token>\\t<id>\\t<count>' "
+                    f"with integer id and count, got {ln!r}"
+                ) from exc
+            if ident != len(tokens):
+                raise DataError(f"vocabulary line {number}: non-contiguous id {ident}")
             tokens.append(tok)
-            freqs.append(int(freq))
+            freqs.append(freq)
         return cls(tuple(tokens), tuple(freqs))
 
     def save(self, path) -> None:

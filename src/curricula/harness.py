@@ -1,5 +1,12 @@
-"""Experiment orchestration: toy corpora, scorer pretraining, the
-score -> order -> train -> evaluate pipeline, and results tables.
+"""Experiment orchestration: toy corpora, the pipeline stages, experiment
+specs and results tables.
+
+Each pipeline stage is one function here, and it owns its checks, its file
+layout and the derivation of its working seeds from the experiment seed:
+`prepare_data`, `save_corpus_dir`/`load_corpus_dir`, `pretrain_scorer`,
+`score_table`, `make_plan`, `init_trainer`, `train_model` and
+`evaluate_split`. `run_experiment` composes them, and the command line
+calls the same functions one stage at a time.
 
 An experiment runs every requested strategy against the same data, the same
 initial parameters and the same training configuration, so the ordering is
@@ -16,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .corpus import (
+    EncodedPair,
     ParallelCorpus,
     SentencePair,
     Vocabulary,
@@ -172,6 +180,9 @@ class CorpusSpec:
     min_count: int = 1
 
 
+FILE_KEYS = ("train_src", "train_tgt", "val_src", "val_tgt", "test_src", "test_tgt")
+
+
 @dataclass
 class ExperimentSpec:
     corpus: CorpusSpec
@@ -197,28 +208,16 @@ def spec_to_text(spec: ExperimentSpec) -> str:
     c = spec.corpus
     lines = [SPEC_HEADER]
     if c.toy_task is not None:
-        lines += [
-            f"corpus.toy = {c.toy_task}",
-            f"corpus.size = {c.size}",
-            f"corpus.vocab = {c.vocab}",
-            f"corpus.min_len = {c.min_len}",
-            f"corpus.max_len = {c.max_len}",
-        ]
+        lines.append(f"corpus.toy = {c.toy_task}")
+        keys = ("size", "vocab", "min_len", "max_len")
+        lines += [f"corpus.{k} = {getattr(c, k)}" for k in keys]
         if c.noise:
             lines.append(f"corpus.noise = {c.noise!r}")
         if c.seed is not None:
             lines.append(f"corpus.seed = {c.seed}")
     else:
-        lines += [
-            f"corpus.train_src = {c.train_src}",
-            f"corpus.train_tgt = {c.train_tgt}",
-            f"corpus.val_src = {c.val_src}",
-            f"corpus.val_tgt = {c.val_tgt}",
-            f"corpus.test_src = {c.test_src}",
-            f"corpus.test_tgt = {c.test_tgt}",
-            f"corpus.filter_min = {c.filter_min}",
-            f"corpus.filter_max = {c.filter_max}",
-        ]
+        keys = FILE_KEYS + ("filter_min", "filter_max")
+        lines += [f"corpus.{k} = {getattr(c, k)}" for k in keys]
         if c.take is not None:
             lines.append(f"corpus.take = {c.take}")
     lines.append(f"corpus.min_count = {c.min_count}")
@@ -253,30 +252,33 @@ def spec_from_text(text: str) -> ExperimentSpec:
         key, value = ln.split("=", 1)
         kv[key.strip()] = value.strip()
 
-    def pop(key, default=None):
-        return kv.pop(key, default)
+    def pop(key, default=None, kind=str):
+        value = kv.pop(key, None)
+        if value is None:
+            return default
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"spec key {key}: expected {kind.__name__}, got {value!r}"
+            ) from None
 
     corpus = CorpusSpec()
     if "corpus.toy" in kv:
         corpus.toy_task = pop("corpus.toy")
-        corpus.size = int(pop("corpus.size", corpus.size))
-        corpus.vocab = int(pop("corpus.vocab", corpus.vocab))
-        corpus.min_len = int(pop("corpus.min_len", corpus.min_len))
-        corpus.max_len = int(pop("corpus.max_len", corpus.max_len))
-        corpus.noise = float(pop("corpus.noise", corpus.noise))
-        seed = pop("corpus.seed")
-        corpus.seed = int(seed) if seed is not None else None
+        corpus.size = pop("corpus.size", corpus.size, int)
+        corpus.vocab = pop("corpus.vocab", corpus.vocab, int)
+        corpus.min_len = pop("corpus.min_len", corpus.min_len, int)
+        corpus.max_len = pop("corpus.max_len", corpus.max_len, int)
+        corpus.noise = pop("corpus.noise", corpus.noise, float)
+        corpus.seed = pop("corpus.seed", None, int)
     else:
-        for k in ("train_src", "train_tgt", "val_src", "val_tgt", "test_src", "test_tgt"):
-            value = pop(f"corpus.{k}")
-            if value is None:
-                raise ConfigError(f"file corpus spec is missing corpus.{k}")
-            setattr(corpus, k, value)
-        corpus.filter_min = int(pop("corpus.filter_min", corpus.filter_min))
-        corpus.filter_max = int(pop("corpus.filter_max", corpus.filter_max))
-        take = pop("corpus.take")
-        corpus.take = int(take) if take is not None else None
-    corpus.min_count = int(pop("corpus.min_count", corpus.min_count))
+        for k in FILE_KEYS:
+            setattr(corpus, k, pop(f"corpus.{k}"))
+        corpus.filter_min = pop("corpus.filter_min", corpus.filter_min, int)
+        corpus.filter_max = pop("corpus.filter_max", corpus.filter_max, int)
+        corpus.take = pop("corpus.take", None, int)
+    corpus.min_count = pop("corpus.min_count", corpus.min_count, int)
 
     raw = pop("strategies")
     if raw is None:
@@ -289,14 +291,14 @@ def spec_from_text(text: str) -> ExperimentSpec:
     # working seeds always derive from the experiment seed, so the spec file
     # has no train.seed key
     train = TrainConfig(
-        learning_rate=float(pop("train.learning_rate", 1e-5)),
-        batch_size=int(pop("train.batch_size", 128)),
-        max_epochs=int(pop("train.max_epochs", 10)),
-        patience=int(pop("train.patience", 5)),
-        clip_norm=float(pop("train.clip_norm", 5.0)),
+        learning_rate=pop("train.learning_rate", 1e-5, float),
+        batch_size=pop("train.batch_size", 128, int),
+        max_epochs=pop("train.max_epochs", 10, int),
+        patience=pop("train.patience", 5, int),
+        clip_norm=pop("train.clip_norm", 5.0, float),
         seed=0,
     )
-    seed = int(pop("seed", 0))
+    seed = pop("seed", 0, int)
     output_dir = pop("output_dir")
     if output_dir is None:
         raise ConfigError("spec is missing 'output_dir'")
@@ -350,20 +352,28 @@ def report_from_tsv(text: str) -> ExperimentReport:
     metadata: dict[str, str] = {}
     rows: list[ReportRow] = []
     header_seen = False
-    for ln in text.splitlines():
+    for number, ln in enumerate(text.splitlines(), start=1):
         if not ln:
             continue
         if ln.startswith("# "):
-            key, value = ln[2:].split("\t", 1)
+            key, tab, value = ln[2:].partition("\t")
+            if not tab:
+                raise DataError(f"report line {number}: metadata needs '# <key>\\t<value>'")
             metadata[key] = value
             continue
         if not header_seen:
             if ln != "strategy\tscorer\tepochs\ttest_ppl\ttest_bleu":
-                raise DataError(f"bad report header: {ln!r}")
+                raise DataError(f"report line {number}: bad header {ln!r}")
             header_seen = True
             continue
-        strategy, scorer, epochs, ppl, bleu = ln.split("\t")
-        rows.append(ReportRow(strategy, scorer, int(epochs), float(ppl), float(bleu)))
+        try:
+            strategy, scorer, epochs, ppl, bleu = ln.split("\t")
+            rows.append(ReportRow(strategy, scorer, int(epochs), float(ppl), float(bleu)))
+        except ValueError as exc:
+            raise DataError(
+                f"report line {number}: expected five tab-separated fields with "
+                f"numeric epochs, test_ppl and test_bleu, got {ln!r}"
+            ) from exc
     if not header_seen:
         raise DataError("report TSV has no header line")
     return ExperimentReport(rows=tuple(rows), metadata=metadata)
@@ -395,25 +405,32 @@ def emit_report(report: ExperimentReport, fmt: str, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Running experiments
+# Pipeline stages
 # ---------------------------------------------------------------------------
 
 @dataclass
 class PreparedData:
-    train: ParallelCorpus
-    val: ParallelCorpus
-    test: ParallelCorpus
+    """A corpus's splits, the vocabularies of its training split, and every
+    split encoded with them."""
+
+    splits: dict[str, ParallelCorpus]
     src_vocab: Vocabulary
     tgt_vocab: Vocabulary
-    train_enc: tuple
-    val_enc: tuple
-    test_enc: tuple
+    encoded: dict[str, tuple[EncodedPair, ...]] = field(init=False)
+
+    def __post_init__(self):
+        self.encoded = {
+            name: encode_corpus(split, self.src_vocab, self.tgt_vocab)
+            for name, split in self.splits.items()
+        }
 
 
-def prepare_data(spec: ExperimentSpec) -> PreparedData:
-    c = spec.corpus
+def prepare_data(corpus: CorpusSpec, seed: int) -> PreparedData:
+    """Generate or load the corpus and build its vocabularies. A toy corpus
+    is drawn from `corpus.seed`, or from the experiment seed when unset."""
+    c = corpus
     if c.toy_task is not None:
-        corpus_seed = c.seed if c.seed is not None else spec.seed
+        corpus_seed = c.seed if c.seed is not None else seed
         train, val, test = generate_toy_corpus(
             c.toy_task, c.size, c.vocab, (c.min_len, c.max_len), corpus_seed
         )
@@ -423,55 +440,116 @@ def prepare_data(spec: ExperimentSpec) -> PreparedData:
                 derive_seed(corpus_seed, "noise"),
             )
     else:
+        missing = [k for k in FILE_KEYS if getattr(c, k) is None]
+        if missing:
+            raise ConfigError(f"a corpus needs a toy task or six files; missing {missing}")
         train = load_parallel_corpus(c.train_src, c.train_tgt)
         train = filter_corpus(train, c.filter_min, c.filter_max)
         if c.take is not None:
             train = truncate_corpus(train, c.take)
         val = load_parallel_corpus(c.val_src, c.val_tgt)
         test = load_parallel_corpus(c.test_src, c.test_tgt)
-    src_vocab = build_vocab(train, "source", c.min_count)
-    tgt_vocab = build_vocab(train, "target", c.min_count)
     return PreparedData(
-        train, val, test, src_vocab, tgt_vocab,
-        encode_corpus(train, src_vocab, tgt_vocab),
-        encode_corpus(val, src_vocab, tgt_vocab),
-        encode_corpus(test, src_vocab, tgt_vocab),
+        {"train": train, "val": val, "test": test},
+        build_vocab(train, "source", c.min_count),
+        build_vocab(train, "target", c.min_count),
     )
 
 
-def _pretrain(
-    data: PreparedData, preset: str, train_config: TrainConfig, seed: int
+def save_corpus_dir(data: PreparedData, corpus_dir) -> None:
+    """Write `<split>.src`, `<split>.tgt`, `src.vocab` and `tgt.vocab`."""
+    corpus_dir = Path(corpus_dir)
+    corpus_dir.mkdir(parents=True, exist_ok=True)
+    for name, split in data.splits.items():
+        write_corpus(split, corpus_dir / f"{name}.src", corpus_dir / f"{name}.tgt")
+    data.src_vocab.save(corpus_dir / "src.vocab")
+    data.tgt_vocab.save(corpus_dir / "tgt.vocab")
+
+
+def load_corpus_dir(corpus_dir) -> PreparedData:
+    """Read what `save_corpus_dir` wrote; pairs are numbered by file line."""
+    d = Path(corpus_dir)
+    vocabs = Vocabulary.load(d / "src.vocab"), Vocabulary.load(d / "tgt.vocab")
+    splits = {
+        s: load_parallel_corpus(d / f"{s}.src", d / f"{s}.tgt") for s in ("train", "val", "test")
+    }
+    return PreparedData(splits, *vocabs)
+
+
+def _fit(params, config: ModelConfig, plan, data: PreparedData, train: TrainConfig):
+    return fit(
+        params, config, plan, data.encoded["train"], data.encoded["val"], train,
+        data.src_vocab.fingerprint(), data.tgt_vocab.fingerprint(),
+    )
+
+
+def pretrain_scorer(
+    data: PreparedData, preset: str, train: TrainConfig, seed: int
 ) -> tuple[ModelCheckpoint, int]:
+    """Train a scorer of the given preset on the training split, shuffled
+    every epoch; return its best checkpoint and that checkpoint's epoch."""
     config = ModelConfig.preset(preset, len(data.src_vocab), len(data.tgt_vocab))
     params = init_params(config, derive_seed("scorer-init", preset, seed))
     plan = make_ordering(
         Strategy("shuffle_every_epoch"),
         None,
-        data.train.indices(),
-        train_config.max_epochs,
+        data.splits["train"].indices(),
+        train.max_epochs,
         seed=derive_seed("scorer-order", preset, seed),
     )
-    scorer_train = replace(train_config, seed=derive_seed("scorer-train", preset, seed))
-    ckpt, _, epochs = fit(
-        params,
-        config,
-        plan,
-        data.train_enc,
-        data.val_enc,
-        scorer_train,
-        data.src_vocab.fingerprint(),
-        data.tgt_vocab.fingerprint(),
-    )
+    scorer_train = replace(train, seed=derive_seed("scorer-train", preset, seed))
+    ckpt, _, epochs = _fit(params, config, plan, data, scorer_train)
     return ckpt, epochs
 
 
-def pretrain_scorer(spec: ExperimentSpec, preset: str) -> ModelCheckpoint:
-    """Train a scorer of the given preset on the spec's training split,
-    shuffled every epoch, and return its best checkpoint."""
-    data = prepare_data(spec)
-    ckpt, _ = _pretrain(data, preset, spec.train, spec.seed)
-    return ckpt
+def score_table(data: PreparedData, metric: str, scorer=None, split="train") -> ScoreTable:
+    """Score every pair of a split: `length:<side>` counts tokens, and
+    `xent`, `ppl` and `bleu` run the scorer checkpoint."""
+    if metric.startswith("length:"):
+        return length_scores(data.splits[split], metric.split(":", 1)[1])
+    if scorer is None:
+        raise ConfigError(f"{metric} scores need a scorer checkpoint or a saved table")
+    return score_corpus(scorer, data.encoded[split], metric)
 
+
+def make_plan(strategy: Strategy, table, data: PreparedData, epochs: int, seed: int):
+    """The strategy's ordering of the training split, verified against the
+    score table."""
+    indices = data.splits["train"].indices()
+    plan = make_ordering(
+        strategy, table, indices, epochs, seed=derive_seed("order", seed, strategy.token())
+    )
+    check = verify_plan(plan, indices, table)
+    if not check.ok:
+        raise DataError(f"plan verification failed: {check.violation}")
+    return plan
+
+
+def init_trainer(data: PreparedData, preset: str, seed: int) -> ModelCheckpoint:
+    """The initial parameters that every row of an experiment trains from."""
+    config = ModelConfig.preset(preset, len(data.src_vocab), len(data.tgt_vocab))
+    return ModelCheckpoint(
+        config=config,
+        params=init_params(config, derive_seed("trainer-init", seed)),
+        src_vocab_fingerprint=data.src_vocab.fingerprint(),
+        tgt_vocab_fingerprint=data.tgt_vocab.fingerprint(),
+    )
+
+
+def train_model(init: ModelCheckpoint, plan, data: PreparedData, train, seed: int):
+    """Train from `init` along the plan; returns what `fit` returns."""
+    row_train = replace(train, seed=derive_seed("trainer-run", seed))
+    return _fit(init.params, init.config, plan, data, row_train)
+
+
+def evaluate_split(ckpt, data: PreparedData, split="test", max_decode_len=None):
+    """Test perplexity and corpus BLEU of the checkpoint on one split."""
+    return evaluate_model(ckpt, data.encoded[split], max_decode_len)
+
+
+# ---------------------------------------------------------------------------
+# Running experiments
+# ---------------------------------------------------------------------------
 
 def _strategy_rows(spec: ExperimentSpec) -> list[tuple[Strategy, str]]:
     """(strategy, scorer preset) per report row; 'none' when no model is used."""
@@ -485,8 +563,8 @@ def _strategy_rows(spec: ExperimentSpec) -> list[tuple[Strategy, str]]:
     return rows
 
 
-def _file_token(strategy: Strategy, scorer: str) -> str:
-    tok = strategy.token().replace(":", "-")
+def _file_token(token: str, scorer: str) -> str:
+    tok = token.replace(":", "-")
     return tok if scorer == "none" else f"{tok}_{scorer}"
 
 
@@ -497,36 +575,19 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     configuration; only the data ordering differs. A second run of the same
     spec writes byte-identical scores, plans, checkpoints and reports.
     """
+    log_lines = [f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] experiment started"]
+    data = prepare_data(spec.corpus, spec.seed)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    log_lines = [f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] experiment started"]
-
-    data = prepare_data(spec)
-    corpus_dir = out / "corpus"
-    corpus_dir.mkdir(exist_ok=True)
-    for name, split in (("train", data.train), ("val", data.val), ("test", data.test)):
-        write_corpus(split, corpus_dir / f"{name}.src", corpus_dir / f"{name}.tgt")
-    data.src_vocab.save(corpus_dir / "src.vocab")
-    data.tgt_vocab.save(corpus_dir / "tgt.vocab")
-
-    trainer_config = ModelConfig.preset(
-        spec.trainer_preset, len(data.src_vocab), len(data.tgt_vocab)
-    )
-    init_seed = derive_seed("trainer-init", spec.seed)
-    shared_init = init_params(trainer_config, init_seed)
-    init_ckpt = ModelCheckpoint(
-        config=trainer_config,
-        params=shared_init,
-        src_vocab_fingerprint=data.src_vocab.fingerprint(),
-        tgt_vocab_fingerprint=data.tgt_vocab.fingerprint(),
-    )
+    save_corpus_dir(data, out / "corpus")
+    init_ckpt = init_trainer(data, spec.trainer_preset, spec.seed)
     save_checkpoint(init_ckpt, out / "init.ckpt")
 
     rows_wanted = _strategy_rows(spec)
     scorer_presets_needed = sorted({s for _, s in rows_wanted if s != "none"})
     scorers: dict[str, ModelCheckpoint] = {}
     for preset in scorer_presets_needed:
-        ckpt, epochs = _pretrain(data, preset, spec.train, spec.seed)
+        ckpt, epochs = pretrain_scorer(data, preset, spec.train, spec.seed)
         scorers[preset] = ckpt
         save_checkpoint(ckpt, out / f"scorer_{preset}.ckpt")
         log_lines.append(
@@ -542,13 +603,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             return None
         key = (metric, scorer)
         if key not in tables:
-            if metric.startswith("length:"):
-                table = length_scores(data.train, metric.split(":")[1])
-                name = f"scores_{metric.replace(':', '-')}.txt"
-            else:
-                table = score_corpus(scorers[scorer], data.train_enc, metric)
-                name = f"scores_{metric}_{scorer}.txt"
-            table.save(out / name)
+            table = score_table(data, metric, scorers.get(scorer))
+            table.save(out / f"scores_{_file_token(metric, scorer)}.txt")
             tables[key] = table
         return tables[key]
 
@@ -563,7 +619,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         ),
         "convergence": "early stop on validation perplexity",
         "init_fingerprint": init_ckpt.fingerprint,
-        "train_corpus_hash": data.train.content_hash(),
+        "train_corpus_hash": data.splits["train"].content_hash(),
         "src_vocab_fingerprint": data.src_vocab.fingerprint(),
         "tgt_vocab_fingerprint": data.tgt_vocab.fingerprint(),
     }
@@ -571,38 +627,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         metadata[f"scorer_fingerprint.{preset}"] = scorers[preset].fingerprint
 
     for n, (strategy, scorer) in enumerate(rows_wanted):
+        name = _file_token(strategy.token(), scorer)
         stage = "score"
         try:
             table = _table_for(strategy, scorer)
             stage = "order"
-            plan = make_ordering(
-                strategy,
-                table,
-                data.train.indices(),
-                spec.train.max_epochs,
-                seed=derive_seed("order", spec.seed, strategy.token()),
-            )
-            check = verify_plan(plan, data.train.indices(), table)
-            if not check.ok:
-                raise DataError(f"plan verification failed: {check.violation}")
-            plan.save(out / f"plan_{_file_token(strategy, scorer)}.txt")
+            plan = make_plan(strategy, table, data, spec.train.max_epochs, spec.seed)
+            plan.save(out / f"plan_{name}.txt")
             stage = "train"
-            row_train = replace(
-                spec.train, seed=derive_seed("trainer-run", spec.seed)
-            )
-            ckpt, _, epochs = fit(
-                shared_init,
-                trainer_config,
-                plan,
-                data.train_enc,
-                data.val_enc,
-                row_train,
-                data.src_vocab.fingerprint(),
-                data.tgt_vocab.fingerprint(),
-            )
-            save_checkpoint(ckpt, out / f"model_{_file_token(strategy, scorer)}.ckpt")
+            ckpt, _, epochs = train_model(init_ckpt, plan, data, spec.train, spec.seed)
+            save_checkpoint(ckpt, out / f"model_{name}.ckpt")
             stage = "evaluate"
-            result = evaluate_model(ckpt, data.test_enc)
+            result = evaluate_split(ckpt, data)
         except CurriculaError as exc:
             # the same class, so that the CLI's exit code still follows it;
             # anything else propagates unchanged
@@ -678,7 +714,7 @@ def run_directional_sanity(
             strategies=(Strategy("ppl", direction="asc"), Strategy("shuffle_once")),
             scorer_presets=(preset,),
             trainer_preset=preset,
-            train=replace(train, seed=seed),
+            train=train,
             seed=seed,
             output_dir=out / f"seed_{seed}",
         )

@@ -25,6 +25,8 @@ SCORES_HEADER = "CURRICULA-SCORES v1"
 
 BLEU_ORDER = 4
 
+SCORE_DIGITS = 9  # of a persisted score
+
 
 @dataclass(frozen=True)
 class PairScore:
@@ -34,7 +36,12 @@ class PairScore:
 
 @dataclass
 class ScoreTable:
-    """One metric value per corpus pair, tagged with the scoring model."""
+    """One metric value per corpus pair, tagged with the scoring model.
+
+    Values are rounded on construction to the 9 significant digits a score
+    file keeps, so a table read back from its file orders pairs exactly as
+    the table that wrote it: `from_text(t.to_text()) == t`.
+    """
 
     metric: str
     scorer_fingerprint: str
@@ -48,7 +55,10 @@ class ScoreTable:
             seen.add(s.index)
             if not math.isfinite(s.value):
                 raise DataError(f"non-finite score at index {s.index}")
-        self.scores = tuple(sorted(self.scores, key=lambda s: s.index))
+        self.scores = tuple(
+            PairScore(s.index, float(f"{s.value:.{SCORE_DIGITS}g}"))
+            for s in sorted(self.scores, key=lambda s: s.index)
+        )
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -62,7 +72,7 @@ class ScoreTable:
     def to_text(self) -> str:
         lines = [f"{SCORES_HEADER} {self.metric} {self.scorer_fingerprint}"]
         for s in self.scores:
-            lines.append(f"{s.index}\t{s.value:.9g}")
+            lines.append(f"{s.index}\t{s.value:.{SCORE_DIGITS}g}")
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -147,13 +147,14 @@ class OrderingPlan:
         if len(head) != 5 or " ".join(head[:2]) != ORDER_HEADER:
             raise DataError(f"bad ordering plan header: {lines[0]!r}")
         strategy = parse_strategy(head[2])
-        seed = int(head[3])
-        epochs = int(head[4])
-        perms = [
-            np.array([int(x) for x in ln.split(" ")], dtype=np.int64)
-            for ln in lines[1:]
-            if ln
-        ]
+        perms, number = [], 1
+        try:
+            seed, epochs = int(head[3]), int(head[4])
+            for number, ln in enumerate(lines[1:], start=2):
+                if ln:
+                    perms.append(np.array([int(x) for x in ln.split(" ")], dtype=np.int64))
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"ordering plan line {number}: expected integers") from exc
         if len(perms) != epochs:
             raise DataError(
                 f"plan declares {epochs} epochs but contains {len(perms)}"

@@ -1,4 +1,5 @@
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from curricula.cli import main as cli_main
 from curricula.checkpoint import load_checkpoint
 from curricula.errors import ConfigError
+from curricula.evaluate import EvalResult
 from curricula.metrics import ScoreTable
 from curricula.harness import (
     CorpusSpec,
@@ -382,3 +384,137 @@ def test_cli_spec_file_loading(tmp_path):
     bad = tmp_path / "bad.spec"
     bad.write_text("WRONG HEADER\n")
     assert cli_main(["experiment", "--spec", str(bad)]) == 2
+
+
+def test_cli_stages_replay_an_experiment(tmp_path, capsys):
+    spec = tiny_spec(
+        tmp_path,
+        strategies=(
+            Strategy("ppl", direction="asc"),
+            Strategy("length", side="source", direction="asc"),
+            Strategy("shuffle_once"),
+        ),
+        seed=4,
+    )
+    spec.corpus.seed = None  # the experiment seed draws the toy corpus
+    report = run_experiment(spec)
+    exp, rep = Path(spec.output_dir), tmp_path / "replay"
+    c, t = spec.corpus, spec.train
+    seed = ["--seed", spec.seed]
+    train_flags = [
+        "--learning-rate", repr(t.learning_rate), "--batch-size", t.batch_size,
+        "--max-epochs", t.max_epochs, "--patience", t.patience,
+        "--clip-norm", repr(t.clip_norm), *seed,
+    ]
+    corpus = ["--corpus-dir", rep / "corpus"]
+
+    def run(*argv):
+        assert cli_main([str(a) for a in argv]) == 0
+
+    run(
+        "corpus", "--toy", c.toy_task, "--size", c.size, "--vocab", c.vocab,
+        "--min-len", c.min_len, "--max-len", c.max_len, *seed, "--out-dir", rep / "corpus",
+    )
+    run("pretrain", *corpus, "--preset", "tiny", *train_flags, "--out", rep / "scorer_tiny.ckpt")
+    run(
+        "score", *corpus, "--metric", "ppl", "--ckpt", rep / "scorer_tiny.ckpt",
+        "--out", rep / "scores_ppl_tiny.txt",
+    )
+    run(
+        "score", *corpus, "--metric", "length", "--side", "source",
+        "--out", rep / "scores_length-source.txt",
+    )
+    rows = {
+        "ppl-asc_tiny": ["ppl", "--direction", "asc", "--scores", rep / "scores_ppl_tiny.txt"],
+        # no --scores: the length table comes from the corpus directory
+        "length-source-asc": ["length", "--side", "source", "--direction", "asc"],
+        "shuffle_once": ["shuffle_once"],
+    }
+    capsys.readouterr()
+    for token, strategy in rows.items():
+        plan, model = rep / f"plan_{token}.txt", rep / f"model_{token}.ckpt"
+        run("order", *corpus, "--strategy", *strategy, "--epochs", t.max_epochs, *seed, "--out", plan)
+        run("train", *corpus, "--plan", plan, "--preset", "tiny", *train_flags, "--out", model)
+        run("eval", *corpus, "--ckpt", model)
+    evals = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ppl=")]
+
+    replayed = sorted(p.relative_to(rep) for p in rep.rglob("*") if p.is_file())
+    assert len(replayed) == 6 + 2 + 1 + 2 + 3 + 3  # corpus dir, then artifacts
+    for rel in replayed:
+        assert (rep / rel).read_bytes() == (exp / rel).read_bytes(), rel
+    test_pairs = len((exp / "corpus" / "test.src").read_text().splitlines())
+    assert evals == [
+        EvalResult(r.test_perplexity, r.test_bleu, test_pairs).to_line()
+        for r in report.rows
+    ]
+
+
+@pytest.fixture(scope="module")
+def cli_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "corpus"
+    assert cli_main(["corpus", "--toy", "reverse", "--size", "60", "--out-dir", str(out)]) == 0
+    return out
+
+
+_REPORT_HEAD = "strategy\tscorer\tepochs\ttest_ppl\ttest_bleu\n"
+_ORDER = "order --corpus-dir {tmp}/corpus --epochs 1 --out {tmp}/plan.txt --strategy"
+_TRAIN = "train --corpus-dir {tmp}/corpus --plan {tmp}/plan.txt --out {tmp}/m.ckpt"
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, message",
+    [
+        pytest.param(
+            {"bad.spec": "CURRICULA-SPEC v1\ncorpus.toy = copy\ncorpus.size = abc\n"},
+            "experiment --spec {tmp}/bad.spec", 2, "corpus.size", id="spec-non-integer",
+        ),
+        pytest.param(
+            {"plan.txt": "CURRICULA-ORDER v1 shuffle_once 0 1\n0 1 x\n"},
+            _TRAIN, 3, "plan line 2", id="plan-index",
+        ),
+        pytest.param(
+            {"plan.txt": "CURRICULA-ORDER v1 shuffle_once 0 1\n0 99999999999999999999\n"},
+            _TRAIN, 3, "plan line 2", id="plan-index-overflow",
+        ),
+        pytest.param(
+            {"plan.txt": "CURRICULA-ORDER v1 shuffle_once s 1\n0 1\n"},
+            _TRAIN, 3, "plan line 1", id="plan-seed",
+        ),
+        pytest.param(
+            {"plan.txt": "CURRICULA-ORDER v1 shuffle_once 0 one\n0 1\n"},
+            _TRAIN, 3, "plan line 1", id="plan-epochs",
+        ),
+        pytest.param(
+            {"run/report.tsv": _REPORT_HEAD + "Random\tnone\t2\t1.5\n"},
+            "report --run-dir {tmp}/run", 3, "report line 2", id="report-field-count",
+        ),
+        pytest.param(
+            {"run/report.tsv": "# seed\t1\n" + _REPORT_HEAD + "Random\tnone\t2\tabc\t0.1\n"},
+            "report --run-dir {tmp}/run", 3, "report line 3", id="report-non-numeric",
+        ),
+        pytest.param(
+            {"corpus/src.vocab": "CURRICULA-VOCAB v1\n<pad>\t0\t0\n<bos>\tx\t0\n"},
+            "eval --corpus-dir {tmp}/corpus --ckpt {tmp}/m.ckpt", 3, "vocabulary line 3",
+            id="vocab-id",
+        ),
+        pytest.param(
+            {}, _ORDER + " length --direction asc", 2, "side", id="order-length-no-side",
+        ),
+        pytest.param(
+            {}, _ORDER + " ppl --direction asc", 2, "ppl scores", id="order-ppl-no-scores",
+        ),
+        pytest.param(
+            {}, "corpus --out-dir {tmp}/c", 2, "train_src", id="corpus-no-input",
+        ),
+    ],
+)
+def test_cli_bad_input_exits_with_its_error_code(
+    tmp_path, cli_corpus, capsys, files, argv, code, message
+):
+    shutil.copytree(cli_corpus, tmp_path / "corpus")
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert cli_main(argv.format(tmp=tmp_path).split()) == code
+    assert message in capsys.readouterr().err

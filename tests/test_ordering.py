@@ -32,6 +32,17 @@ def test_descending_sort_keeps_tie_order():
     assert plan.epoch_permutations[0].tolist() == [0, 2, 1]
 
 
+def test_plan_from_a_reloaded_score_table_matches_the_original():
+    # equal to the 11th digit, so the two pairs tie in a 9-digit score file
+    scores = table("ppl", {0: 1.00000000002, 1: 1.00000000001, 2: 0.5})
+    reloaded = ScoreTable.from_text(scores.to_text())
+    assert reloaded == scores
+    strategy = Strategy("ppl", direction="asc")
+    plan = make_ordering(strategy, scores, (0, 1, 2), 1)
+    assert plan.to_text() == make_ordering(strategy, reloaded, (0, 1, 2), 1).to_text()
+    assert plan.epoch_permutations[0].tolist() == [2, 0, 1]
+
+
 def test_shuffle_once_repeats_one_permutation():
     plan = make_ordering(Strategy("shuffle_once"), None, range(10), 3, seed=5)
     p0, p1, p2 = plan.epoch_permutations
