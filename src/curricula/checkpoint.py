@@ -49,15 +49,16 @@ class ModelCheckpoint:
     @property
     def fingerprint(self) -> str:
         if self._fingerprint is None:
-            self._fingerprint = _identity(*_sections(self)[:3])
+            identity = _sections(self)[:3]  # config, vocab, parameters
+            self._fingerprint = _identity(c for section in identity for c in section)
         return self._fingerprint
 
 
-def _identity(config_b: bytes, vocab_b: bytes, params_b: bytes) -> str:
-    # hashed section by section: joining them would copy every tensor again
-    h = hashlib.sha256(config_b)
-    h.update(vocab_b)
-    h.update(params_b)
+def _identity(chunks) -> str:
+    # hashed buffer by buffer: joining them would copy every tensor again
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
     return h.hexdigest()
 
 
@@ -65,47 +66,60 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _params_bytes(params: dict[str, np.ndarray]) -> bytes:
+def _params_chunks(params: dict[str, np.ndarray]) -> list:
+    """The parameter section as buffers: a small header per tensor, then its
+    data, a view when the tensor already is contiguous little-endian float64."""
     chunks = [struct.pack("<I", len(params))]
     for name in params:  # insertion order is the canonical order
-        arr = np.ascontiguousarray(params[name], dtype=np.float64)
+        arr = np.ascontiguousarray(params[name], dtype="<f8")
         name_b = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_b)))
-        chunks.append(name_b)
-        chunks.append(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            chunks.append(struct.pack("<I", d))
-        chunks.append(arr.astype("<f8").tobytes())
-    return b"".join(chunks)
+        header = f"<H{len(name_b)}sB{arr.ndim}I"  # name length, name, ndim, dims
+        chunks.append(struct.pack(header, len(name_b), name_b, arr.ndim, *arr.shape))
+        chunks.append(memoryview(arr).cast("B"))
+    return chunks
 
 
-def _sections(ckpt: ModelCheckpoint) -> tuple[bytes, bytes, bytes, bytes]:
-    config_b = _json_bytes(asdict(ckpt.config))
-    vocab_b = _json_bytes(
-        {"src": ckpt.src_vocab_fingerprint, "tgt": ckpt.tgt_vocab_fingerprint}
+def _sections(ckpt: ModelCheckpoint) -> tuple[list, list, list, list]:
+    """The four file sections (config, vocab, parameters, history), each a
+    list of buffers."""
+    vocab = {"src": ckpt.src_vocab_fingerprint, "tgt": ckpt.tgt_vocab_fingerprint}
+    return (
+        [_json_bytes(asdict(ckpt.config))],
+        [_json_bytes(vocab)],
+        _params_chunks(ckpt.params),
+        [_json_bytes(list(ckpt.history))],
     )
-    params_b = _params_bytes(ckpt.params)
-    history_b = _json_bytes(list(ckpt.history))
-    return config_b, vocab_b, params_b, history_b
+
+
+def _payload_chunks(ckpt: ModelCheckpoint):
+    """Every buffer of the file before its trailing hash, in order."""
+    yield MAGIC
+    yield struct.pack("<H", ckpt.version)
+    for section in _sections(ckpt):
+        yield struct.pack("<Q", sum(len(chunk) for chunk in section))
+        yield from section
 
 
 def checkpoint_bytes(ckpt: ModelCheckpoint) -> bytes:
-    body = [MAGIC, struct.pack("<H", ckpt.version)]
-    for section in _sections(ckpt):
-        body.append(struct.pack("<Q", len(section)))
-        body.append(section)
-    payload = b"".join(body)
+    payload = b"".join(_payload_chunks(ckpt))
     return payload + hashlib.sha256(payload).digest()
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
-    """Write atomically: temp file in the same directory, then rename."""
+    """Write atomically: temp file in the same directory, then rename.
+
+    The buffers are hashed and written one by one, so the tensors are
+    never copied into one payload.
+    """
     path = Path(path)
-    data = checkpoint_bytes(ckpt)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            digest = hashlib.sha256()
+            for chunk in _payload_chunks(ckpt):
+                digest.update(chunk)
+                fh.write(chunk)
+            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -114,11 +128,13 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Reads a memoryview front to back; every slice it returns is a view."""
+
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointCorruptError("checkpoint is truncated")
         out = self.data[self.pos : self.pos + n]
@@ -139,7 +155,7 @@ class _Reader:
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())
     if len(data) < len(MAGIC) + 2 + 32:
         raise CheckpointCorruptError(f"checkpoint {path} is truncated")
     payload, digest = data[:-32], data[-32:]
@@ -161,19 +177,19 @@ def load_checkpoint(path) -> ModelCheckpoint:
     if r.pos != len(payload):
         raise CheckpointCorruptError(f"checkpoint {path} has trailing bytes")
 
-    config = ModelConfig(**json.loads(config_b))
-    vocab = json.loads(vocab_b)
+    config = ModelConfig(**json.loads(bytes(config_b)))
+    vocab = json.loads(bytes(vocab_b))
     pr = _Reader(params_b)
     count = pr.u32()
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = pr.take(pr.u16()).decode("utf-8")
+        name = str(pr.take(pr.u16()), "utf-8")
         ndim = pr.u8()
         shape = tuple(pr.u32() for _ in range(ndim))
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(pr.take(n * 8), dtype="<f8").reshape(shape).copy()
         params[name] = arr
-    history = tuple(json.loads(history_b))
+    history = tuple(json.loads(bytes(history_b)))
     ckpt = ModelCheckpoint(
         config=config,
         params=params,
@@ -183,5 +199,5 @@ def load_checkpoint(path) -> ModelCheckpoint:
         version=version,
     )
     # the sections the content hash just verified are the fingerprint's input
-    ckpt._fingerprint = _identity(config_b, vocab_b, params_b)
+    ckpt._fingerprint = _identity((config_b, vocab_b, params_b))
     return ckpt

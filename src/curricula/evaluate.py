@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 
 from .checkpoint import ModelCheckpoint
-from .errors import ConfigError, FingerprintError, PairingError
+from .errors import ConfigError, PairingError
 from .metrics import (
     BLEU_ORDER,
+    _check_fingerprints,
     clipped_ngram_matches,
     corpus_cross_entropy,
     decode_pairs,
@@ -70,14 +71,7 @@ def evaluate_model(
     if not test_pairs:
         raise ConfigError("evaluate_model requires a non-empty test set")
     for pair in test_pairs:
-        if (
-            pair.src_vocab_fingerprint != ckpt.src_vocab_fingerprint
-            or pair.tgt_vocab_fingerprint != ckpt.tgt_vocab_fingerprint
-        ):
-            raise FingerprintError(
-                f"test pair {pair.index} encoded with different vocabularies "
-                "than the checkpoint"
-            )
+        _check_fingerprints(ckpt, pair)
     entropies, tokens = corpus_cross_entropy(ckpt.params, ckpt.config, test_pairs)
     perplexity = 2.0 ** float((entropies * tokens).sum() / tokens.sum())
     candidates = decode_pairs(ckpt.params, ckpt.config, test_pairs, max_decode_len)

@@ -112,7 +112,7 @@ def _check_fingerprints(model: ModelCheckpoint, pair: EncodedPair) -> None:
     ):
         raise FingerprintError(
             f"pair {pair.index} was encoded with different vocabularies "
-            "than the scoring model was trained on"
+            "than the model was trained on"
         )
 
 

@@ -6,9 +6,15 @@ decoding. The point is full determinism for a fixed seed and gradients
 that can be checked against finite differences.
 
 Layout of one LSTM layer: gate pre-activations are `x @ Wx + h_prev @ Wh + b`
-with the 4H columns ordered [input, forget, output, candidate]. Encoder
-layers carry their state through PAD positions unchanged (masked update).
-One cell step (`_lstm_cell`) serves training, scoring and decoding.
+with the 4H columns ordered [input, forget, output, candidate]. One layer
+function (`_lstm_forward`, stepping the one cell `_lstm_cell`), with an
+optional mask and optional attention, and its one reverse pass
+(`_lstm_backward`, gate derivatives in `_lstm_cell_backward`) serve every
+layer of both layouts: the mask makes encoder layers carry their state
+through PAD positions unchanged, and attention feeds the first decoder layer
+of the attention layout. One stack walker (`_lstm_stack`) runs the encoder
+and the decoder for training, scoring and decoding, and one reverse walker
+(`_lstm_stack_backward`) runs back through either.
 
 Inference is batch-invariant: a pair's scores and greedy tokens have the
 same bits whether it is run alone or in any batch, in any row, next to any
@@ -279,92 +285,6 @@ def _lstm_cell(a, c):
     return i, f, o, g, tanh_c, c_new, o * tanh_c
 
 
-def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, mask=None):
-    """Run one LSTM layer over a full (B, T, Din) input sequence.
-
-    With `mask` (B, T), state updates at masked-off steps are skipped
-    (carried through), so trailing PAD never alters a row's state.
-    Returns (outputs (B, T, H), (hT, cT), cache).
-    """
-    bsz, tlen, _ = X.shape
-    hdim = Wh.shape[0]
-    xw = mode.matmul(X.reshape(bsz * tlen, -1), Wx).reshape(bsz, tlen, 4 * hdim) + b
-    hs = np.empty((bsz, tlen, hdim))  # post-carry hidden states
-    saved = []  # per step, what the backward pass reads
-    h, c = h0, c0
-    for t in range(tlen):
-        i, f, o, g, tanh_c, c_new, h_new = _lstm_cell(xw[:, t] + mode.matmul(h, Wh), c)
-        if mask is not None:
-            m = mask[:, t : t + 1]
-            h = m * h_new + (1.0 - m) * h
-            c = m * c_new + (1.0 - m) * c
-        else:
-            h, c = h_new, c_new
-        hs[:, t] = h
-        if mode.backward:
-            saved.append((i, f, o, g, tanh_c, c))  # c: post-carry cell state
-    if not mode.backward:
-        return hs, (h, c), None
-    gi, gf, go, gg, tc, cs = (np.stack(seq, axis=1) for seq in zip(*saved))
-    cache = {
-        "X": X, "I": gi, "F": gf, "O": go, "G": gg, "TC": tc,
-        "C": cs, "H": hs, "h0": h0, "c0": c0, "mask": mask,
-    }
-    return hs, (h, c), cache
-
-
-def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
-    """Reverse-mode pass for `_lstm_forward`.
-
-    dH carries the gradient every consumer put on the output sequence;
-    dhT/dcT the gradient on the final state. Returns
-    (dX, dWx, dWh, db, dh0, dc0).
-    """
-    X, mask = cache["X"], cache["mask"]
-    gi, gf, go, gg = cache["I"], cache["F"], cache["O"], cache["G"]
-    tc, cs, hs = cache["TC"], cache["C"], cache["H"]
-    h0, c0 = cache["h0"], cache["c0"]
-    bsz, tlen, hdim = hs.shape
-    d_gates = np.zeros((bsz, tlen, 4 * hdim))
-    dh_next = np.array(dhT, copy=True)
-    dc_next = np.array(dcT, copy=True)
-    for t in reversed(range(tlen)):
-        dh = dH[:, t] + dh_next
-        dc = dc_next
-        if mask is not None:
-            m = mask[:, t : t + 1]
-            dh_new = dh * m
-            dh_carry = dh * (1.0 - m)
-            dc_new = dc * m
-            dc_carry = dc * (1.0 - m)
-        else:
-            dh_new, dc_new = dh, dc
-            dh_carry = dc_carry = 0.0
-        i, f, o, g = gi[:, t], gf[:, t], go[:, t], gg[:, t]
-        tanh_c = tc[:, t]
-        c_prev = cs[:, t - 1] if t > 0 else c0
-        d_o = dh_new * tanh_c
-        d_c = dc_new + dh_new * o * (1.0 - tanh_c * tanh_c)
-        d_i = d_c * g
-        d_g = d_c * i
-        d_f = d_c * c_prev
-        dc_prev = d_c * f + dc_carry
-        da = d_gates[:, t]
-        da[:, :hdim] = d_i * i * (1.0 - i)
-        da[:, hdim : 2 * hdim] = d_f * f * (1.0 - f)
-        da[:, 2 * hdim : 3 * hdim] = d_o * o * (1.0 - o)
-        da[:, 3 * hdim :] = d_g * (1.0 - g * g)
-        dh_next = da @ Wh.T + dh_carry
-        dc_next = dc_prev
-    h_prev = np.concatenate([h0[:, None, :], hs[:, :-1]], axis=1)
-    flat = d_gates.reshape(bsz * tlen, 4 * hdim)
-    dWx = X.reshape(bsz * tlen, -1).T @ flat
-    dWh = h_prev.reshape(bsz * tlen, hdim).T @ flat
-    db = flat.sum(axis=0)
-    dX = (flat @ Wx.T).reshape(X.shape)
-    return dX, dWx, dWh, db, dh_next, dc_next
-
-
 def _attention_alpha(qs, kwk, v, mask, mode):
     """Masked additive-attention weights; PAD positions are exactly zero."""
     u = np.tanh(qs[:, None, :] + kwk)
@@ -377,109 +297,140 @@ def _attention_alpha(qs, kwk, v, mask, mode):
     return np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
 
 
-def _attn_lstm_forward(Wx, Wh, b, Wq, v, Y, K, kwk, src_mask, h0, c0, mode):
-    """First decoder layer with additive attention over encoder outputs K.
+def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, mask=None, attn=None):
+    """Run one LSTM layer over a full (B, T, Din) input sequence.
 
-    Input at step t is [y_t ; context_t] where the context is attended with
-    the layer's own previous hidden state as query; `kwk` is K @ Wk.
+    With `mask` (B, T), state updates at masked-off steps are skipped
+    (carried through), so trailing PAD never alters a row's state.
+    With `attn = (Wq, v, K, kwk, src_mask)`, step t also reads a context
+    attended over encoder outputs K (`kwk` is K @ Wk) with the layer's
+    previous hidden state as query, through the rows of Wx below Din.
+    Returns (outputs (B, T, H), (hT, cT), cache).
     """
-    bsz, tlen, edim = Y.shape
+    bsz, tlen, din = X.shape
     hdim = Wh.shape[0]
-    yw = mode.matmul(Y.reshape(bsz * tlen, edim), Wx[:edim]).reshape(
+    xw = mode.matmul(X.reshape(bsz * tlen, din), Wx[:din]).reshape(
         bsz, tlen, 4 * hdim
     ) + b
-    wx_ctx = Wx[edim:]
-    hs = np.empty((bsz, tlen, hdim))
+    hs = np.empty((bsz, tlen, hdim))  # post-carry hidden states
     saved = []  # per step, what the backward pass reads
     h, c = h0, c0
+    if attn is not None:
+        Wq, v, K, kwk, src_mask = attn
     for t in range(tlen):
-        query = h
-        alpha = _attention_alpha(mode.matmul(query, Wq), kwk, v, src_mask, mode)
-        ctx = mode.context(alpha, K)
-        a = yw[:, t] + mode.matmul(ctx, wx_ctx) + mode.matmul(h, Wh)
-        i, f, o, g, tanh_c, c, h = _lstm_cell(a, c)
+        a = xw[:, t]
+        if attn is not None:
+            alpha = _attention_alpha(mode.matmul(h, Wq), kwk, v, src_mask, mode)
+            ctx = mode.context(alpha, K)
+            a = a + mode.matmul(ctx, Wx[din:])
+        i, f, o, g, tanh_c, c_new, h_new = _lstm_cell(a + mode.matmul(h, Wh), c)
+        if mask is not None:
+            m = mask[:, t : t + 1]
+            h = m * h_new + (1.0 - m) * h
+            c = m * c_new + (1.0 - m) * c
+        else:
+            h, c = h_new, c_new
         hs[:, t] = h
         if mode.backward:
-            saved.append((query, alpha, ctx, i, f, o, g, tanh_c, c))
+            step = (i, f, o, g, tanh_c, c)  # c: post-carry cell state
+            saved.append(step + (alpha, ctx) if attn is not None else step)
     if not mode.backward:
         return hs, (h, c), None
-    queries, alphas, contexts, gi, gf, go, gg, tc, cs = (
-        np.stack(seq, axis=1) for seq in zip(*saved)
-    )
-    cache = {
-        "Y": Y, "K": K, "KWK": kwk, "src_mask": src_mask,
-        "I": gi, "F": gf, "O": go, "G": gg, "TC": tc, "C": cs, "H": hs,
-        "Q": queries, "A": alphas, "CTX": contexts, "h0": h0, "c0": c0,
-        "edim": edim,
-    }
+    names = ("I", "F", "O", "G", "TC", "C", "A", "CTX")
+    cache = dict(zip(names, (np.stack(seq, axis=1) for seq in zip(*saved))))
+    cache.update(X=X, H=hs, h0=h0, c0=c0, mask=mask, attn=attn)
     return hs, (h, c), cache
 
 
-def _attn_lstm_backward(Wx, Wh, Wq, Wk, v, cache, dH, dhT, dcT):
-    """Reverse-mode pass for `_attn_lstm_forward`.
+def _lstm_cell_backward(da, dh, dc, i, f, o, g, tanh_c, c_prev):
+    """Reverse of one `_lstm_cell` step from the gradients on its new h and c.
 
-    Returns (dY, dK, dWx, dWh, db, dWq, dWk, dv, dh0, dc0). The attention
-    query gradient lands on the previous step's hidden state, which is why
-    this loop cannot be collapsed across time.
+    Writes the pre-activation gradients into `da` (B, 4H) and returns the
+    gradient on the previous cell state.
     """
-    Y, K, kwk, src_mask = cache["Y"], cache["K"], cache["KWK"], cache["src_mask"]
+    hdim = dh.shape[1]
+    d_o = dh * tanh_c
+    d_c = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    d_i = d_c * g
+    d_g = d_c * i
+    d_f = d_c * c_prev
+    da[:, :hdim] = d_i * i * (1.0 - i)
+    da[:, hdim : 2 * hdim] = d_f * f * (1.0 - f)
+    da[:, 2 * hdim : 3 * hdim] = d_o * o * (1.0 - o)
+    da[:, 3 * hdim :] = d_g * (1.0 - g * g)
+    return d_c * f
+
+
+def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
+    """Reverse-mode pass for `_lstm_forward`.
+
+    dH carries the gradient every consumer put on the output sequence;
+    dhT/dcT the gradient on the final state. Returns
+    (dX, dWx, dWh, db, dh0, dc0, d_attn), where d_attn is None without
+    attention and otherwise (dWq, dv, dK, d_kwk), matching the forward's
+    `attn`. The attention query gradient lands on the previous step's
+    hidden state, which is why this loop cannot be collapsed across time.
+    """
+    X, mask, attn = cache["X"], cache["mask"], cache["attn"]
     gi, gf, go, gg = cache["I"], cache["F"], cache["O"], cache["G"]
     tc, cs, hs = cache["TC"], cache["C"], cache["H"]
-    queries, alphas, contexts = cache["Q"], cache["A"], cache["CTX"]
     h0, c0 = cache["h0"], cache["c0"]
-    edim = cache["edim"]
-    bsz, tlen, hdim = hs.shape
-    wx_ctx = Wx[edim:]
+    bsz, tlen, din = X.shape
+    hdim = hs.shape[2]
+    h_prev = np.concatenate([h0[:, None, :], hs[:, :-1]], axis=1)
+    if attn is not None:
+        Wq, v, K, kwk, _ = attn
+        dWq, dv, dK, d_kwk = (np.zeros_like(x) for x in (Wq, v, K, kwk))
     d_gates = np.zeros((bsz, tlen, 4 * hdim))
-    dK = np.zeros_like(K)
-    d_kwk = np.zeros_like(kwk)
-    dWq = np.zeros_like(Wq)
-    dv = np.zeros_like(v)
     dh_next = np.array(dhT, copy=True)
     dc_next = np.array(dcT, copy=True)
     for t in reversed(range(tlen)):
         dh = dH[:, t] + dh_next
         dc = dc_next
-        i, f, o, g = gi[:, t], gf[:, t], go[:, t], gg[:, t]
-        tanh_c = tc[:, t]
-        c_prev = cs[:, t - 1] if t > 0 else c0
-        d_o = dh * tanh_c
-        d_c = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        d_i = d_c * g
-        d_g = d_c * i
-        d_f = d_c * c_prev
-        dc_next = d_c * f
+        dh_carry = dc_carry = 0.0
+        if mask is not None:
+            m = mask[:, t : t + 1]
+            dh, dh_carry = dh * m, dh * (1.0 - m)
+            dc, dc_carry = dc * m, dc * (1.0 - m)
         da = d_gates[:, t]
-        da[:, :hdim] = d_i * i * (1.0 - i)
-        da[:, hdim : 2 * hdim] = d_f * f * (1.0 - f)
-        da[:, 2 * hdim : 3 * hdim] = d_o * o * (1.0 - o)
-        da[:, 3 * hdim :] = d_g * (1.0 - g * g)
-        # context path back through the attention read
-        dctx = da @ wx_ctx.T
-        alpha = alphas[:, t]
-        dalpha = np.einsum("bh,bsh->bs", dctx, K)
-        dK += alpha[:, :, None] * dctx[:, None, :]
-        inner = (alpha * dalpha).sum(axis=1, keepdims=True)
-        de = alpha * (dalpha - inner)
-        q = queries[:, t]
-        u = np.tanh((q @ Wq)[:, None, :] + kwk)
-        dv += np.einsum("bs,bsa->a", de, u)
-        dz = de[:, :, None] * (1.0 - u * u) * v
-        dqs = dz.sum(axis=1)
-        d_kwk += dz
-        dWq += q.T @ dqs
-        dh_next = da @ Wh.T + dqs @ Wq.T
-    dWk = np.einsum("bsh,bsa->ha", K, d_kwk)
-    dK += np.matmul(d_kwk, Wk.T)
-    h_prev = np.concatenate([h0[:, None, :], hs[:, :-1]], axis=1)
+        dc_next = _lstm_cell_backward(
+            da, dh, dc, gi[:, t], gf[:, t], go[:, t], gg[:, t], tc[:, t],
+            cs[:, t - 1] if t > 0 else c0,
+        )
+        dh_next = da @ Wh.T
+        if attn is not None:
+            # context path back through the attention read
+            dctx = da @ Wx[din:].T
+            alpha = cache["A"][:, t]
+            dalpha = np.einsum("bh,bsh->bs", dctx, K)
+            dK += alpha[:, :, None] * dctx[:, None, :]
+            inner = (alpha * dalpha).sum(axis=1, keepdims=True)
+            de = alpha * (dalpha - inner)
+            q = h_prev[:, t]
+            u = np.tanh((q @ Wq)[:, None, :] + kwk)
+            dv += np.einsum("bs,bsa->a", de, u)
+            dz = de[:, :, None] * (1.0 - u * u) * v
+            dqs = dz.sum(axis=1)
+            d_kwk += dz
+            dWq += q.T @ dqs
+            dh_next = dh_next + dqs @ Wq.T
+        # carries are zero in an unmasked layer; the plain layer adds them
+        # anyway and the attention layer does not, which fixes the sign of
+        # a zero gradient (-0.0 + 0.0 is +0.0) the same way in every run
+        if mask is not None or attn is None:
+            dc_next = dc_next + dc_carry
+            dh_next = dh_next + dh_carry
     flat = d_gates.reshape(bsz * tlen, 4 * hdim)
-    dWx = np.empty_like(Wx)
-    dWx[:edim] = Y.reshape(bsz * tlen, edim).T @ flat
-    dWx[edim:] = contexts.reshape(bsz * tlen, -1).T @ flat
+    dWx = X.reshape(bsz * tlen, din).T @ flat
     dWh = h_prev.reshape(bsz * tlen, hdim).T @ flat
     db = flat.sum(axis=0)
-    dY = (flat @ Wx[:edim].T).reshape(Y.shape)
-    return dY, dK, dWx, dWh, db, dWq, dWk, dv, dh_next, dc_next
+    dX = (flat @ Wx[:din].T).reshape(X.shape)
+    d_attn = None
+    if attn is not None:
+        ctx_grad = cache["CTX"].reshape(bsz * tlen, -1).T @ flat
+        dWx = np.concatenate([dWx, ctx_grad])
+        d_attn = (dWq, dv, dK, d_kwk)
+    return dX, dWx, dWh, db, dh_next, dc_next, d_attn
 
 
 def _dropout_mask(rng, shape, p):
@@ -495,25 +446,22 @@ def _check_batch_ids(config: ModelConfig, batch: Batch) -> None:
         raise EncodingError("target ids outside the model's target vocabulary")
 
 
-def _encode(params, config, src, src_mask, mode, rng=None, p=0.0):
-    """Encoder stack over (B, S) ids, carrying state through masked positions.
+def _lstm_stack(
+    params, prefix, inp, states, mode, mask=None, attn=None, rng=None, p=0.0
+):
+    """Layers `<prefix>0..n-1` over a (B, T, D) input, layer l starting from
+    states[l] = (h0, c0). `mask` reaches every layer, `attn` the first.
 
+    With `rng`, each layer's output draws its dropout mask in layer order.
     Returns (top-layer outputs after dropout, final (h, c) per layer,
     caches, dropout masks).
     """
-    zeros = np.zeros((src.shape[0], config.hidden_dim))
-    inp = params["src_embed"][src]
     finals, caches, drops = [], [], []
-    for layer in range(config.encoder_layers):
+    for layer, (h0, c0) in enumerate(states):
+        name = f"{prefix}{layer}"
         hs, final, cache = _lstm_forward(
-            params[f"enc{layer}_Wx"],
-            params[f"enc{layer}_Wh"],
-            params[f"enc{layer}_b"],
-            inp,
-            zeros,
-            zeros,
-            mode,
-            mask=src_mask,
+            params[f"{name}_Wx"], params[f"{name}_Wh"], params[f"{name}_b"],
+            inp, h0, c0, mode, mask, attn if layer == 0 else None,
         )
         drop = _dropout_mask(rng, hs.shape, p) if rng is not None else None
         finals.append(final)
@@ -521,6 +469,46 @@ def _encode(params, config, src, src_mask, mode, rng=None, p=0.0):
         drops.append(drop)
         inp = hs * drop if drop is not None else hs
     return inp, finals, caches, drops
+
+
+def _lstm_stack_backward(params, prefix, caches, drops, d_top, d_finals, grads):
+    """Reverse-mode pass for `_lstm_stack`; adds weight gradients to `grads`.
+
+    d_top is the gradient on the stack's output (after dropout) and
+    d_finals[l] the (dh, dc) on layer l's final state. Returns (gradient
+    on the stack's input, per-layer (dh0, dc0), the first layer's d_attn).
+    """
+    d_out = d_top
+    d_inits = [None] * len(caches)
+    for layer in reversed(range(len(caches))):
+        if drops[layer] is not None:
+            d_out = d_out * drops[layer]
+        name = f"{prefix}{layer}"
+        d_out, dWx, dWh, db, dh0, dc0, d_attn = _lstm_backward(
+            params[f"{name}_Wx"], params[f"{name}_Wh"], caches[layer], d_out,
+            *d_finals[layer],
+        )
+        grads[f"{name}_Wx"] += dWx
+        grads[f"{name}_Wh"] += dWh
+        grads[f"{name}_b"] += db
+        d_inits[layer] = (dh0, dc0)
+    return d_out, d_inits, d_attn
+
+
+def _encode(params, config, src, src_bool, mode, rng=None, p=0.0):
+    """Encoder stack over (B, S) ids from zero states, carrying state through
+    PAD; returns `_lstm_stack`'s outputs plus the decoder's `attn` or None."""
+    zeros = np.zeros((src.shape[0], config.hidden_dim))
+    top, finals, caches, drops = _lstm_stack(
+        params, "enc", params["src_embed"][src],
+        [(zeros, zeros)] * config.encoder_layers,
+        mode, src_bool.astype(np.float64), None, rng, p,
+    )
+    attn = None
+    if config.use_attention:
+        kwk = mode.matmul(top, params["attn_Wk"])
+        attn = (params["attn_Wq"], params["attn_v"], top, kwk, src_bool)
+    return top, finals, caches, drops, attn
 
 
 def _decoder_init(config, enc_finals):
@@ -529,35 +517,6 @@ def _decoder_init(config, enc_finals):
         enc_finals[min(layer, config.encoder_layers - 1)]
         for layer in range(config.decoder_layers)
     ]
-
-
-def _decode_stack(params, config, Y, states, K, kwk, src_bool, mode, rng=None, p=0.0):
-    """Decoder stack over (B, T, E) input embeddings from per-layer (h, c).
-
-    K is the encoder's top output after dropout and `kwk` is K @ attn_Wk
-    (both unused without attention). Returns (top-layer outputs after
-    dropout, final (h, c) per layer, caches, dropout masks).
-    """
-    finals, caches, drops = [], [], []
-    inp = Y
-    for layer in range(config.decoder_layers):
-        weights = (
-            params[f"dec{layer}_Wx"], params[f"dec{layer}_Wh"], params[f"dec{layer}_b"]
-        )
-        h0, c0 = states[layer]
-        if layer == 0 and config.use_attention:
-            hs, final, cache = _attn_lstm_forward(
-                *weights, params["attn_Wq"], params["attn_v"],
-                inp, K, kwk, src_bool, h0, c0, mode,
-            )
-        else:
-            hs, final, cache = _lstm_forward(*weights, inp, h0, c0, mode)
-        drop = _dropout_mask(rng, hs.shape, p) if rng is not None else None
-        finals.append(final)
-        caches.append(cache)
-        drops.append(drop)
-        inp = hs * drop if drop is not None else hs
-    return inp, finals, caches, drops
 
 
 def _run_forward(params, config, batch, dropout_on, seed, mode):
@@ -573,14 +532,12 @@ def _run_forward(params, config, batch, dropout_on, seed, mode):
         else None
     )
 
-    src_bool = batch.src != PAD_ID
-    enc_top, enc_finals, enc_caches, enc_masks = _encode(
-        params, config, batch.src, src_bool.astype(np.float64), mode, rng, p
+    enc_top, enc_finals, enc_caches, enc_drops, attn = _encode(
+        params, config, batch.src, batch.src != PAD_ID, mode, rng, p
     )
-    kwk = mode.matmul(enc_top, params["attn_Wk"]) if config.use_attention else None
-    top, _, dec_caches, dec_masks = _decode_stack(
-        params, config, params["tgt_embed"][batch.tgt_in],
-        _decoder_init(config, enc_finals), enc_top, kwk, src_bool, mode, rng, p,
+    top, _, dec_caches, dec_drops = _lstm_stack(
+        params, "dec", params["tgt_embed"][batch.tgt_in],
+        _decoder_init(config, enc_finals), mode, None, attn, rng, p,
     )
 
     logits = (
@@ -610,10 +567,8 @@ def _run_forward(params, config, batch, dropout_on, seed, mode):
         "top": top,
         "tgt_mask": tgt_mask,
         "total_tokens": total_tokens,
-        "enc_caches": enc_caches,
-        "enc_masks": enc_masks,
-        "dec_caches": dec_caches,
-        "dec_masks": dec_masks,
+        "enc": (enc_caches, enc_drops),
+        "dec": (dec_caches, dec_drops),
         "enc_top": enc_top,
     }
     return result, cache
@@ -650,81 +605,34 @@ def loss_and_gradients(
     grads["out_b"] += flat.sum(axis=0)
     d_top = (flat @ params["out_W"].T).reshape(bsz, tlen, hdim)
 
-    dec_masks = cache["dec_masks"]
-    dec_caches = cache["dec_caches"]
-    d_out = d_top
-    if dec_masks[-1] is not None:
-        d_out = d_out * dec_masks[-1]
+    zeros = np.zeros((bsz, hdim))
+    d_y, d_dec_init, d_attn = _lstm_stack_backward(
+        params, "dec", *cache["dec"], d_top,
+        [(zeros, zeros)] * config.decoder_layers, grads,
+    )
+    np.add.at(grads["tgt_embed"], batch.tgt_in, d_y)
+
+    # decoder initial states credit their encoder layers, top decoder layer first
     d_enc_final = [
         [np.zeros((bsz, hdim)), np.zeros((bsz, hdim))]
         for _ in range(config.encoder_layers)
     ]
-    zeros = np.zeros((bsz, hdim))
-
-    def _credit_init(layer, dh0, dc0):
-        src_layer = min(layer, config.encoder_layers - 1)
-        d_enc_final[src_layer][0] += dh0
-        d_enc_final[src_layer][1] += dc0
-
-    for layer in range(config.decoder_layers - 1, 0, -1):
-        dX, dWx, dWh, db, dh0, dc0 = _lstm_backward(
-            params[f"dec{layer}_Wx"],
-            params[f"dec{layer}_Wh"],
-            dec_caches[layer],
-            d_out,
-            zeros,
-            zeros,
-        )
-        grads[f"dec{layer}_Wx"] += dWx
-        grads[f"dec{layer}_Wh"] += dWh
-        grads[f"dec{layer}_b"] += db
-        _credit_init(layer, dh0, dc0)
-        d_out = dX
-        if dec_masks[layer - 1] is not None:
-            d_out = d_out * dec_masks[layer - 1]
-
-    d_enc_top = np.zeros_like(cache["enc_top"])
-    if config.use_attention:
-        dY, dK, dWx, dWh, db, dWq, dWk, dv, dh0, dc0 = _attn_lstm_backward(
-            params["dec0_Wx"], params["dec0_Wh"],
-            params["attn_Wq"], params["attn_Wk"], params["attn_v"],
-            dec_caches[0], d_out, zeros, zeros,
-        )
+    for layer in reversed(range(config.decoder_layers)):
+        d_final = d_enc_final[min(layer, config.encoder_layers - 1)]
+        d_final[0] += d_dec_init[layer][0]
+        d_final[1] += d_dec_init[layer][1]
+    enc_top = cache["enc_top"]
+    d_enc_top = np.zeros_like(enc_top)
+    if d_attn is not None:
+        dWq, dv, dK, d_kwk = d_attn
         grads["attn_Wq"] += dWq
-        grads["attn_Wk"] += dWk
+        grads["attn_Wk"] += np.einsum("bsh,bsa->ha", enc_top, d_kwk)
         grads["attn_v"] += dv
-        d_enc_top += dK
-    else:
-        dY, dWx, dWh, db, dh0, dc0 = _lstm_backward(
-            params["dec0_Wx"], params["dec0_Wh"], dec_caches[0], d_out, zeros, zeros
-        )
-    grads["dec0_Wx"] += dWx
-    grads["dec0_Wh"] += dWh
-    grads["dec0_b"] += db
-    _credit_init(0, dh0, dc0)
-    np.add.at(grads["tgt_embed"], batch.tgt_in, dY)
-
-    enc_masks = cache["enc_masks"]
-    enc_caches = cache["enc_caches"]
-    d_out = d_enc_top
-    if enc_masks[-1] is not None:
-        d_out = d_out * enc_masks[-1]
-    for layer in range(config.encoder_layers - 1, -1, -1):
-        dX, dWx, dWh, db, _, _ = _lstm_backward(
-            params[f"enc{layer}_Wx"],
-            params[f"enc{layer}_Wh"],
-            enc_caches[layer],
-            d_out,
-            d_enc_final[layer][0],
-            d_enc_final[layer][1],
-        )
-        grads[f"enc{layer}_Wx"] += dWx
-        grads[f"enc{layer}_Wh"] += dWh
-        grads[f"enc{layer}_b"] += db
-        d_out = dX
-        if layer > 0 and enc_masks[layer - 1] is not None:
-            d_out = d_out * enc_masks[layer - 1]
-    np.add.at(grads["src_embed"], batch.src, d_out)
+        d_enc_top += dK + np.matmul(d_kwk, params["attn_Wk"].T)
+    d_x, _, _ = _lstm_stack_backward(
+        params, "enc", *cache["enc"], d_enc_top, d_enc_final, grads
+    )
+    np.add.at(grads["src_embed"], batch.src, d_x)
 
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -775,18 +683,13 @@ def greedy_decode(
         raise EncodingError("source ids outside the model's source vocabulary")
     mode = _INVARIANT
     src_bool = np.arange(src.shape[1])[None, :] < lengths[:, None]
-    K, enc_finals, _, _ = _encode(
-        params, config, src, src_bool.astype(np.float64), mode
-    )
-    kwk = mode.matmul(K, params["attn_Wk"]) if config.use_attention else None
+    _, enc_finals, _, _, attn = _encode(params, config, src, src_bool, mode)
     states = _decoder_init(config, enc_finals)
     rows = np.arange(len(sources))  # output row of each live batch row
     tokens = np.full(len(sources), BOS_ID)
     for _ in range(max_len):
         y = params["tgt_embed"][tokens][:, None, :]
-        top, states, _, _ = _decode_stack(
-            params, config, y, states, K, kwk, src_bool, mode
-        )
+        top, states, _, _ = _lstm_stack(params, "dec", y, states, mode, attn=attn)
         logits = mode.matmul(top[:, 0], params["out_W"]) + params["out_b"]
         logits[:, [PAD_ID, BOS_ID]] = -np.inf
         tokens = logits.argmax(axis=1)
@@ -796,9 +699,8 @@ def greedy_decode(
         if not live.all():
             if not live.any():
                 break
-            rows, tokens, K, src_bool = (
-                rows[live], tokens[live], K[live], src_bool[live]
-            )
-            kwk = kwk[live] if kwk is not None else None
+            rows, tokens = rows[live], tokens[live]
             states = [(h[live], c[live]) for h, c in states]
+            if attn is not None:  # keys, their projection and the source mask
+                attn = attn[:2] + tuple(x[live] for x in attn[2:])
     return out

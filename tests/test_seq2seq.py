@@ -24,6 +24,10 @@ FP = "test"
 
 BASE_LAYOUT = ModelConfig(8, 8, 2, 2, True, 0.2, 12, 12)
 SMALL_LAYOUT = ModelConfig(8, 8, 1, 2, False, 0.2, 12, 12)
+# three attention-decoder layers all starting from the one encoder layer
+DEEP_DECODER_LAYOUT = ModelConfig(8, 8, 1, 3, True, 0.2, 12, 12)
+# an encoder deeper than its decoder
+DEEP_ENCODER_LAYOUT = ModelConfig(8, 8, 3, 1, False, 0.2, 12, 12)
 
 
 def mixed_pairs():
@@ -273,7 +277,8 @@ def test_decode_argmax_ties_take_smallest_id():
 
 def test_gradients_match_finite_differences():
     batch = make_batch(mixed_pairs())
-    for config in (BASE_LAYOUT, SMALL_LAYOUT):
+    layouts = (BASE_LAYOUT, SMALL_LAYOUT, DEEP_DECODER_LAYOUT, DEEP_ENCODER_LAYOUT)
+    for config in layouts:
         params = check_weights(config)
         _, grads = loss_and_gradients(params, config, batch)
         coords = sample_coordinates(params, 120, seed=7)

@@ -316,6 +316,32 @@ def test_checkpoint_bitflip_detected(tmp_path):
         load_checkpoint(tmp_path / "flip.ckpt")
 
 
+def test_checkpoint_save_and_load_do_not_copy_the_parameters(tmp_path):
+    import tracemalloc
+
+    # about 10 MB of parameters, almost all of it in the two embeddings
+    config = ModelConfig(64, 8, 1, 1, True, 0.0, 9000, 9000)
+    ckpt = ModelCheckpoint(
+        config=config, params=init_params(config, seed=0),
+        src_vocab_fingerprint="aaa", tgt_vocab_fingerprint="bbb",
+    )
+    size = sum(arr.nbytes for arr in ckpt.params.values())
+    assert size > 9_000_000
+    tracemalloc.start()
+    try:
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 0.5 * size  # no joined payload, no tensor copies
+    assert load_peak < 2.5 * size  # the file bytes plus the returned tensors
+    assert loaded.fingerprint == ckpt.fingerprint
+
+
 def test_fingerprint_tracks_parameters_not_history():
     a = make_ckpt(seed=0)
     b = make_ckpt(seed=0, history=({"epoch": 1, "train_loss": 1.0, "val_perplexity": 2.0},))
