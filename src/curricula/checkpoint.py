@@ -21,11 +21,12 @@ import os
 import struct
 import tempfile
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointCorruptError, CheckpointFormatError
+from .errors import CheckpointCorruptError, CheckpointFormatError, ConfigError
 from .seq2seq import ModelConfig
 
 MAGIC = b"CURR"
@@ -154,6 +155,17 @@ class _Reader:
         return struct.unpack("<B", self.take(1))[0]
 
 
+def _parse(path, section: str, raw: memoryview, decode):
+    """decode(bytes of a section), any failure a CheckpointFormatError naming
+    the section with the original exception as its cause."""
+    try:
+        return decode(bytes(raw))
+    except (ValueError, TypeError, KeyError, ConfigError) as exc:
+        raise CheckpointFormatError(
+            f"checkpoint {path} has a malformed {section} section: {exc!r}"
+        ) from exc
+
+
 def load_checkpoint(path) -> ModelCheckpoint:
     data = memoryview(Path(path).read_bytes())
     if len(data) < len(MAGIC) + 2 + 32:
@@ -177,24 +189,26 @@ def load_checkpoint(path) -> ModelCheckpoint:
     if r.pos != len(payload):
         raise CheckpointCorruptError(f"checkpoint {path} has trailing bytes")
 
-    config = ModelConfig(**json.loads(bytes(config_b)))
-    vocab = json.loads(bytes(vocab_b))
+    config = _parse(path, "config", config_b, lambda d: ModelConfig(**json.loads(d)))
+    src_fp, tgt_fp = _parse(
+        path, "vocab", vocab_b, lambda d: itemgetter("src", "tgt")(json.loads(d))
+    )
+    history = _parse(path, "history", history_b, lambda d: tuple(json.loads(d)))
     pr = _Reader(params_b)
     count = pr.u32()
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = str(pr.take(pr.u16()), "utf-8")
+        name = _parse(path, "parameter", pr.take(pr.u16()), lambda d: str(d, "utf-8"))
         ndim = pr.u8()
         shape = tuple(pr.u32() for _ in range(ndim))
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(pr.take(n * 8), dtype="<f8").reshape(shape).copy()
         params[name] = arr
-    history = tuple(json.loads(bytes(history_b)))
     ckpt = ModelCheckpoint(
         config=config,
         params=params,
-        src_vocab_fingerprint=vocab["src"],
-        tgt_vocab_fingerprint=vocab["tgt"],
+        src_vocab_fingerprint=src_fp,
+        tgt_vocab_fingerprint=tgt_fp,
         history=history,
         version=version,
     )

@@ -6,7 +6,12 @@ decoding. The point is full determinism for a fixed seed and gradients
 that can be checked against finite differences.
 
 Layout of one LSTM layer: gate pre-activations are `x @ Wx + h_prev @ Wh + b`
-with the 4H columns ordered [input, forget, output, candidate]. One layer
+with the 4H columns ordered [input, forget, output, candidate]. The cell
+turns them into the gates in place and the backward pass keeps that one
+(B, T, 4H) array as its `GATES` cache. The three sigmoid gates are one fused
+(B, 3H) slice computed as `0.5 * (1 + tanh(x / 2))`: tanh saturates at +-1
+instead of overflowing, so no input, however large, raises a floating-point
+warning or leaves [0, 1], and no sign mask is needed. One layer
 function (`_lstm_forward`, stepping the one cell `_lstm_cell`), with an
 optional mask and optional attention, and its one reverse pass
 (`_lstm_backward`, gate derivatives in `_lstm_cell_backward`) serve every
@@ -204,15 +209,6 @@ class ForwardResult:
     log_probs: np.ndarray  # (B, T, V) base-2 log-probabilities
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 _BLOCK_ROWS = 8
 
 
@@ -274,15 +270,19 @@ _INVARIANT = _Mode(
 
 
 def _lstm_cell(a, c):
-    """Gates and new state from pre-activations a (B, 4H) and cell state c."""
+    """Overwrites pre-activations a (B, 4H) with the gates [i, f, o, g] and
+    returns (gates, tanh(c_new), c_new, h_new) for cell state c."""
     hdim = c.shape[1]
-    i = _sigmoid(a[:, :hdim])
-    f = _sigmoid(a[:, hdim : 2 * hdim])
-    o = _sigmoid(a[:, 2 * hdim : 3 * hdim])
-    g = np.tanh(a[:, 3 * hdim :])
+    s = a[:, : 3 * hdim]  # sigmoid(x) = (1 + tanh(x / 2)) / 2
+    s *= 0.5
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    np.tanh(a[:, 3 * hdim :], out=a[:, 3 * hdim :])
+    i, f, o, g = (a[:, k * hdim : (k + 1) * hdim] for k in range(4))
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
-    return i, f, o, g, tanh_c, c_new, o * tanh_c
+    return a, tanh_c, c_new, o * tanh_c
 
 
 def _attention_alpha(qs, kwk, v, mask, mode):
@@ -323,7 +323,7 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, mask=None, attn=None):
             alpha = _attention_alpha(mode.matmul(h, Wq), kwk, v, src_mask, mode)
             ctx = mode.context(alpha, K)
             a = a + mode.matmul(ctx, Wx[din:])
-        i, f, o, g, tanh_c, c_new, h_new = _lstm_cell(a + mode.matmul(h, Wh), c)
+        gates, tanh_c, c_new, h_new = _lstm_cell(a + mode.matmul(h, Wh), c)
         if mask is not None:
             m = mask[:, t : t + 1]
             h = m * h_new + (1.0 - m) * h
@@ -332,32 +332,33 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, mask=None, attn=None):
             h, c = h_new, c_new
         hs[:, t] = h
         if mode.backward:
-            step = (i, f, o, g, tanh_c, c)  # c: post-carry cell state
+            step = (gates, tanh_c, c)  # c: post-carry cell state
             saved.append(step + (alpha, ctx) if attn is not None else step)
     if not mode.backward:
         return hs, (h, c), None
-    names = ("I", "F", "O", "G", "TC", "C", "A", "CTX")
+    names = ("GATES", "TC", "C", "A", "CTX")
     cache = dict(zip(names, (np.stack(seq, axis=1) for seq in zip(*saved))))
     cache.update(X=X, H=hs, h0=h0, c0=c0, mask=mask, attn=attn)
     return hs, (h, c), cache
 
 
-def _lstm_cell_backward(da, dh, dc, i, f, o, g, tanh_c, c_prev):
+def _lstm_cell_backward(da, dh, dc, gates, tanh_c, c_prev):
     """Reverse of one `_lstm_cell` step from the gradients on its new h and c.
 
     Writes the pre-activation gradients into `da` (B, 4H) and returns the
     gradient on the previous cell state.
     """
     hdim = dh.shape[1]
-    d_o = dh * tanh_c
+    i, f, o, g = (gates[:, k * hdim : (k + 1) * hdim] for k in range(4))
     d_c = dc + dh * o * (1.0 - tanh_c * tanh_c)
-    d_i = d_c * g
-    d_g = d_c * i
-    d_f = d_c * c_prev
-    da[:, :hdim] = d_i * i * (1.0 - i)
-    da[:, hdim : 2 * hdim] = d_f * f * (1.0 - f)
-    da[:, 2 * hdim : 3 * hdim] = d_o * o * (1.0 - o)
-    da[:, 3 * hdim :] = d_g * (1.0 - g * g)
+    np.multiply(d_c, g, out=da[:, :hdim])
+    np.multiply(d_c, c_prev, out=da[:, hdim : 2 * hdim])
+    np.multiply(dh, tanh_c, out=da[:, 2 * hdim : 3 * hdim])
+    s = gates[:, : 3 * hdim]  # (d * s) * (1 - s) over the sigmoid gates
+    d_s = da[:, : 3 * hdim]
+    d_s *= s
+    d_s *= 1.0 - s
+    da[:, 3 * hdim :] = (d_c * i) * (1.0 - g * g)
     return d_c * f
 
 
@@ -372,8 +373,7 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
     hidden state, which is why this loop cannot be collapsed across time.
     """
     X, mask, attn = cache["X"], cache["mask"], cache["attn"]
-    gi, gf, go, gg = cache["I"], cache["F"], cache["O"], cache["G"]
-    tc, cs, hs = cache["TC"], cache["C"], cache["H"]
+    gates, tc, cs, hs = cache["GATES"], cache["TC"], cache["C"], cache["H"]
     h0, c0 = cache["h0"], cache["c0"]
     bsz, tlen, din = X.shape
     hdim = hs.shape[2]
@@ -394,8 +394,7 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
             dc, dc_carry = dc * m, dc * (1.0 - m)
         da = d_gates[:, t]
         dc_next = _lstm_cell_backward(
-            da, dh, dc, gi[:, t], gf[:, t], go[:, t], gg[:, t], tc[:, t],
-            cs[:, t - 1] if t > 0 else c0,
+            da, dh, dc, gates[:, t], tc[:, t], cs[:, t - 1] if t > 0 else c0,
         )
         dh_next = da @ Wh.T
         if attn is not None:

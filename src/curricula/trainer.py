@@ -56,6 +56,9 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam's moments per tensor and step count. `adam_step` updates the `m`
+    and `v` arrays in place, and the state it returns shares them."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
@@ -105,7 +108,12 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update over norm-clipped gradients."""
+    """One bias-corrected Adam update over norm-clipped gradients.
+
+    Updates `state.m` and `state.v` in place, and the returned state shares
+    them. The new parameters are fresh arrays; `params` and `grads` are
+    never written.
+    """
     if set(params) != set(grads) or any(
         params[k].shape != grads[k].shape for k in params
     ):
@@ -118,20 +126,23 @@ def adam_step(
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
     for k in params:
-        g = grads[k]
-        m = b1 * state.m[k] + (1.0 - b1) * g
-        v = b2 * state.v[k] + (1.0 - b2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        new_params[k] = params[k] - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + config.epsilon
-        )
-        new_m[k] = m
-        new_v[k] = v
-    return new_params, AdamState(m=new_m, v=new_v, t=t)
+        # each line keeps the operation order of the out-of-place formula
+        g, m, v = grads[k], state.m[k], state.v[k]
+        tmp = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += tmp  # m = b1 * m + (1 - b1) * g
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v *= b2
+        v += tmp  # v = b2 * v + (1 - b2) * (g * g)
+        np.sqrt(np.divide(v, bias2, out=tmp), out=tmp)
+        tmp += config.epsilon
+        step = np.divide(m, bias1)
+        step *= config.learning_rate
+        step /= tmp  # lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        new_params[k] = np.subtract(params[k], step, out=step)
+    return new_params, AdamState(m=state.m, v=state.v, t=t)
 
 
 def train_epoch(

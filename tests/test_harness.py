@@ -1,12 +1,16 @@
+import hashlib
+import json
 import math
 import shutil
+import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from curricula.cli import main as cli_main
 from curricula.checkpoint import load_checkpoint
-from curricula.errors import ConfigError
+from curricula.errors import CheckpointFormatError, ConfigError
 from curricula.evaluate import EvalResult
 from curricula.metrics import ScoreTable
 from curricula.harness import (
@@ -27,6 +31,7 @@ from curricula.harness import (
     toy_alphabet,
 )
 from curricula.ordering import Strategy, table_one_strategies
+from curricula.seq2seq import ModelConfig
 from curricula.trainer import TrainConfig
 
 
@@ -518,3 +523,53 @@ def test_cli_bad_input_exits_with_its_error_code(
     capsys.readouterr()
     assert cli_main(argv.format(tmp=tmp_path).split()) == code
     assert message in capsys.readouterr().err
+
+
+_CONFIG = asdict(ModelConfig(4, 4, 1, 1, False, 0.0, 6, 6))
+_ONE_TENSOR = struct.pack("<IH1sBI", 1, 1, b"w", 1, 1) + bytes(8)  # w = [0.0]
+
+
+def crafted_checkpoint(
+    path, config=json.dumps(_CONFIG).encode(), vocab=b'{"src":"a","tgt":"b"}',
+    params=_ONE_TENSOR, history=b"[]",
+):
+    """A checkpoint file from raw section bytes, with a valid trailing hash."""
+    payload = b"CURR" + struct.pack("<H", 1) + b"".join(
+        struct.pack("<Q", len(section)) + section
+        for section in (config, vocab, params, history)
+    )
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+@pytest.mark.parametrize(
+    "sections, section, cause",
+    [
+        pytest.param(
+            {"config": json.dumps({**_CONFIG, "bogus": 1}).encode()},
+            "config", TypeError, id="config-unknown-key",
+        ),
+        pytest.param(
+            {"config": b'{"embed_dim": "\xff"}'}, "config", UnicodeDecodeError,
+            id="config-not-utf8",
+        ),
+        pytest.param({"vocab": b'{"tgt":"b"}'}, "vocab", KeyError, id="vocab-no-src"),
+        pytest.param({"history": b"5"}, "history", TypeError, id="history-not-a-list"),
+        pytest.param(
+            {"params": struct.pack("<IH2sBI", 1, 2, b"\xff\xfe", 1, 1) + bytes(8)},
+            "parameter", UnicodeDecodeError, id="tensor-name-not-utf8",
+        ),
+    ],
+)
+def test_malformed_checkpoint_section_is_a_format_error(
+    tmp_path, cli_corpus, capsys, sections, section, cause
+):
+    crafted_checkpoint(tmp_path / "ok.ckpt")  # the unaltered sections load
+    assert load_checkpoint(tmp_path / "ok.ckpt").params["w"].tolist() == [0.0]
+    crafted_checkpoint(tmp_path / "m.ckpt", **sections)
+    with pytest.raises(CheckpointFormatError, match=f"malformed {section} section") as err:
+        load_checkpoint(tmp_path / "m.ckpt")
+    assert isinstance(err.value.__cause__, cause)
+    capsys.readouterr()
+    argv = ["eval", "--corpus-dir", str(cli_corpus), "--ckpt", str(tmp_path / "m.ckpt")]
+    assert cli_main(argv) == 3
+    assert f"malformed {section} section" in capsys.readouterr().err

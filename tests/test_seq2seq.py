@@ -17,6 +17,7 @@ from curricula.seq2seq import (
     make_batch,
     parameter_count,
     parameter_shapes,
+    _lstm_cell,
 )
 from oracles import finite_difference_check, sample_coordinates
 
@@ -99,6 +100,45 @@ def test_init_bounds_and_forget_bias():
 def test_zero_dimension_rejected():
     with pytest.raises(ConfigError):
         ModelConfig(0, 8, 1, 1, False, 0.0, 12, 12)
+
+
+# ---------------------------------------------------------------------------
+# LSTM cell
+# ---------------------------------------------------------------------------
+
+def reference_sigmoid(x):
+    """The masked, overflow-free sigmoid the cell computed before its tanh form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_cell_sigmoid_gates_match_the_stable_reference():
+    sweep = np.concatenate(
+        [np.linspace(-50.0, 50.0, 20001), [800.0, -800.0, 1e308, -1e308, 0.0, -0.0]]
+    )
+    hdim = sweep.size
+    gates = _lstm_cell(np.tile(sweep, 4)[None, :], np.zeros((1, hdim)))[0]
+    ref = reference_sigmoid(sweep)
+    bound = 2 * np.finfo(np.float64).eps  # absolute, fixed from the dtype
+    for k in range(3):  # input, forget and output gates
+        assert np.abs(gates[0, k * hdim : (k + 1) * hdim] - ref).max() <= bound
+    assert np.array_equal(gates[0, 3 * hdim :], np.tanh(sweep))
+
+
+def test_cell_saturates_without_floating_point_errors():
+    hdim = 4
+    a = np.array([[1e3] * 4 * hdim, [-1e3] * 4 * hdim, [1e3, -1e3] * 2 * hdim])
+    c = np.array([[1e3] * hdim, [-1e3] * hdim, [0.0] * hdim])
+    with np.errstate(all="raise"):
+        gates, tanh_c, c_new, h_new = _lstm_cell(a, c)
+    sig = gates[:, : 3 * hdim]
+    assert np.all((sig >= 0.0) & (sig <= 1.0))
+    assert np.all(np.abs(gates[:, 3 * hdim :]) <= 1.0)
+    assert np.all(np.isfinite(c_new)) and np.all(np.abs(h_new) <= 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ from curricula.trainer import (
     AdamState,
     TrainConfig,
     adam_step,
+    clip_gradients,
     fit,
+    global_grad_norm,
     train_epoch,
     validation_perplexity,
 )
@@ -82,6 +84,52 @@ def test_adam_clips_large_gradients():
     )
     # after clipping to norm 1, the two updates coincide
     assert clipped_step["w"][0] == unit_step["w"][0]
+
+
+def reference_adam_step(params, grads, state, config):
+    """Adam written out of place, one temporary per operation."""
+    grads = clip_gradients(grads, config.clip_norm)
+    t = state.t + 1
+    b1, b2 = config.beta1, config.beta2
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    new_params, new_m, new_v = {}, {}, {}
+    for k in params:
+        g = grads[k]
+        m = b1 * state.m[k] + (1.0 - b1) * g
+        v = b2 * state.v[k] + (1.0 - b2) * (g * g)
+        m_hat = m / bias1
+        v_hat = v / bias2
+        new_params[k] = params[k] - config.learning_rate * m_hat / (
+            np.sqrt(v_hat) + config.epsilon
+        )
+        new_m[k] = m
+        new_v[k] = v
+    return new_params, AdamState(m=new_m, v=new_v, t=t)
+
+
+def test_adam_matches_the_out_of_place_reference_bit_for_bit():
+    config = TrainConfig(learning_rate=1e-3)
+    params = init_params(ModelConfig.preset("small", 30, 30), seed=0)
+    state, ref_state = AdamState.fresh(params), AdamState.fresh(params)
+    rng = np.random.default_rng(0)
+    clipped = []
+    for scale in (1e-3, 10.0, 2e-3):  # the 10.0 step is clipped
+        grads = {k: rng.normal(scale=scale, size=p.shape) for k, p in params.items()}
+        clipped.append(global_grad_norm(grads) > config.clip_norm)
+        before = {k: (params[k].tobytes(), grads[k].tobytes()) for k in params}
+        m_arrays, v_arrays = dict(state.m), dict(state.v)
+        new_params, state = adam_step(params, grads, state, config)
+        ref_params, ref_state = reference_adam_step(params, grads, ref_state, config)
+        assert state.t == ref_state.t
+        for k in params:
+            assert state.m[k] is m_arrays[k] and state.v[k] is v_arrays[k], k
+            assert new_params[k].tobytes() == ref_params[k].tobytes(), k
+            assert state.m[k].tobytes() == ref_state.m[k].tobytes(), k
+            assert state.v[k].tobytes() == ref_state.v[k].tobytes(), k
+            assert (params[k].tobytes(), grads[k].tobytes()) == before[k], k
+        params = new_params
+    assert clipped == [False, True, False]
 
 
 def test_adam_shape_mismatch_rejected():
