@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointCorruptError, CheckpointFormatError, ConfigError
-from .seq2seq import ModelConfig
+from .seq2seq import ModelConfig, parameter_shapes
 
 MAGIC = b"CURR"
 FORMAT_VERSION = 1
@@ -204,6 +204,16 @@ def load_checkpoint(path) -> ModelCheckpoint:
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(pr.take(n * 8), dtype="<f8").reshape(shape).copy()
         params[name] = arr
+    expected = parameter_shapes(config)
+    found = [(name, arr.shape) for name, arr in params.items()]
+    for k in range(max(len(found), len(expected))):
+        got, wanted = found[k : k + 1], expected[k : k + 1]
+        if got != wanted:
+            raise CheckpointFormatError(
+                f"checkpoint {path} does not fit its config: tensor {k} is "
+                f"{got[0] if got else 'missing'}, the config wants "
+                f"{wanted[0] if wanted else 'none'}"
+            )
     ckpt = ModelCheckpoint(
         config=config,
         params=params,

@@ -8,18 +8,28 @@ that can be checked against finite differences.
 Layout of one LSTM layer: gate pre-activations are `x @ Wx + h_prev @ Wh + b`
 with the 4H columns ordered [input, forget, output, candidate]. The cell
 turns them into the gates in place and the backward pass keeps that one
-(B, T, 4H) array as its `GATES` cache. The three sigmoid gates are one fused
-(B, 3H) slice computed as `0.5 * (1 + tanh(x / 2))`: tanh saturates at +-1
-instead of overflowing, so no input, however large, raises a floating-point
-warning or leaves [0, 1], and no sign mask is needed. One layer
-function (`_lstm_forward`, stepping the one cell `_lstm_cell`), with an
-optional mask and optional attention, and its one reverse pass
-(`_lstm_backward`, gate derivatives in `_lstm_cell_backward`) serve every
-layer of both layouts: the mask makes encoder layers carry their state
-through PAD positions unchanged, and attention feeds the first decoder layer
-of the attention layout. One stack walker (`_lstm_stack`) runs the encoder
-and the decoder for training, scoring and decoding, and one reverse walker
+array, a row per live position (see below), as its `GATES` cache. The three
+sigmoid gates are one fused (B, 3H) slice computed as
+`0.5 * (1 + tanh(x / 2))`: tanh saturates at +-1 instead of overflowing, so
+no input, however large, raises a floating-point warning or leaves [0, 1],
+and no sign mask is needed. One layer function (`_lstm_forward`, stepping
+the one cell `_lstm_cell`), with optional attention, and its one reverse
+pass (`_lstm_backward`, gate derivatives in `_lstm_cell_backward`) serve
+every layer of both layouts; attention feeds the first decoder layer of the
+attention layout. One stack walker (`_lstm_stack`) runs the encoder and the
+decoder for training, scoring and decoding, and one reverse walker
 (`_lstm_stack_backward`) runs back through either.
+
+A layer runs only the live positions of its batch, those before each row's
+end (`_Steps`). The stack orders the rows longest first once, so the rows
+live at step t are a leading block, and the cell, `h @ Wh`, the attention
+read and their reverse run on that block alone. A row that has ended keeps
+its state, which is its final state; there is no mask arithmetic. Values per
+position are packed step after step, so the input product and the weight
+gradients cover live positions only. Outputs (zero where no step ran), final
+states and gradients come back in the caller's row order. Columns past
+every row's end are dropped before the pass, so no result depends on a PAD
+position or on the PAD embeddings, and extra PAD columns change no bit.
 
 Inference is batch-invariant: a pair's scores and greedy tokens have the
 same bits whether it is run alone or in any batch, in any row, next to any
@@ -51,7 +61,7 @@ Masks depend only on (seed, shapes), never on parameter values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -105,10 +115,6 @@ class ModelConfig:
             )
         embed, hidden, enc, dec, attn, drop = _PRESETS[name]
         return cls(embed, hidden, enc, dec, attn, drop, src_vocab_size, tgt_vocab_size)
-
-
-def preset_names() -> tuple[str, ...]:
-    return tuple(_PRESETS)
 
 
 def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -269,9 +275,10 @@ _INVARIANT = _Mode(
 )
 
 
-def _lstm_cell(a, c):
+def _lstm_cell(a, c, c_new=None, tanh_c=None, h_new=None):
     """Overwrites pre-activations a (B, 4H) with the gates [i, f, o, g] and
-    returns (gates, tanh(c_new), c_new, h_new) for cell state c."""
+    returns (gates, tanh(c_new), c_new, h_new) for cell state c, writing the
+    last three into the arrays given for them."""
     hdim = c.shape[1]
     s = a[:, : 3 * hdim]  # sigmoid(x) = (1 + tanh(x / 2)) / 2
     s *= 0.5
@@ -280,9 +287,10 @@ def _lstm_cell(a, c):
     s *= 0.5
     np.tanh(a[:, 3 * hdim :], out=a[:, 3 * hdim :])
     i, f, o, g = (a[:, k * hdim : (k + 1) * hdim] for k in range(4))
-    c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    return a, tanh_c, c_new, o * tanh_c
+    c_new = np.multiply(f, c, out=c_new)
+    c_new += i * g
+    tanh_c = np.tanh(c_new, out=tanh_c)
+    return a, tanh_c, c_new, np.multiply(o, tanh_c, out=h_new)
 
 
 def _attention_alpha(qs, kwk, v, mask, mode):
@@ -297,49 +305,128 @@ def _attention_alpha(qs, kwk, v, mask, mode):
     return np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
 
 
-def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, mask=None, attn=None):
-    """Run one LSTM layer over a full (B, T, Din) input sequence.
+@dataclass(frozen=True)
+class _Steps:
+    """The live positions of a (B, T) layout, which is all a layer runs.
 
-    With `mask` (B, T), state updates at masked-off steps are skipped
-    (carried through), so trailing PAD never alters a row's state.
+    Rows run longest first: sorted row r is caller row `order[r]`, and at
+    step t the leading `live[t]` sorted rows are live. Values per position
+    are packed step after step into (N, ...) arrays, N the number of live
+    positions, step t owning rows `start[t]` to `start[t] + live[t]`. A
+    layer keeps its states in one (B + N, H) array: the sorted initial
+    states, then each position's new state. Step t reads its previous states
+    from rows `prev[t]` on, `previous` lists that row for every position,
+    and `final` the row of each caller row's last state.
+    When every row is live at every step, `order`, `inverse` and `pos` are
+    None and `final` and `previous` are slices: the packing is a transpose
+    and nothing is gathered.
+    """
+
+    bsz: int
+    tlen: int
+    order: np.ndarray | None  # caller row of each sorted row
+    inverse: np.ndarray | None  # sorted row of each caller row
+    live: list[int]
+    start: list[int]
+    prev: list[int]
+    pos: np.ndarray | None  # flat caller position b * T + t of each packed one
+    final: np.ndarray | slice
+    previous: np.ndarray | slice
+
+
+def _steps(lengths, bsz: int, tlen: int) -> _Steps:
+    """The live positions of a (B, T) layout whose row b runs lengths[b]
+    steps (every step without `lengths`)."""
+    if lengths is None or lengths.min() >= tlen:
+        start = [t * bsz for t in range(tlen)]
+        npos = tlen * bsz
+        return _Steps(bsz, tlen, None, None, [bsz] * tlen, start, start, None,
+                      slice(npos, npos + bsz), slice(0, npos))
+    order = np.argsort(-lengths, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(bsz)
+    sorted_lengths = lengths[order]
+    # (step, sorted row) of every live position, step after step
+    t, r = np.nonzero(np.arange(sorted_lengths[0])[:, None] < sorted_lengths)
+    live = np.bincount(t, minlength=sorted_lengths[0])
+    start = np.cumsum(live) - live
+    base = np.concatenate([[0], bsz + start])  # state row before step t, per t
+    pos, previous = order[r] * tlen + t, base[t] + r
+    final = base[lengths] + inverse
+    if np.array_equal(order, np.arange(bsz)):  # rows already longest first
+        order = inverse = None
+    return _Steps(bsz, tlen, order, inverse, live.tolist(), start.tolist(),
+                  base[:-1].tolist(), pos, final, previous)
+
+
+def _reorder(x, rows):
+    """x[rows], or x itself when `rows` is None."""
+    return x if rows is None else x[rows]
+
+
+def _pack(x, steps):
+    """(B, T, ...) caller layout -> (N, ...) live positions, step after step."""
+    if steps.pos is None:
+        return x.swapaxes(0, 1).reshape(-1, *x.shape[2:])
+    return x.reshape(-1, *x.shape[2:])[steps.pos]
+
+
+def _unpack(xp, steps):
+    """Inverse of `_pack`, zero at the positions no step ran."""
+    tail = xp.shape[1:]
+    if steps.pos is None:
+        return xp.reshape(steps.tlen, steps.bsz, *tail).swapaxes(0, 1)
+    out = np.zeros((steps.bsz * steps.tlen, *tail))
+    out[steps.pos] = xp
+    return out.reshape(steps.bsz, steps.tlen, *tail)
+
+
+def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
+    """Run one LSTM layer over a (B, T, Din) input, at the live positions
+    of `steps` only: a row stops at its last step and keeps its state.
+
     With `attn = (Wq, v, K, kwk, src_mask)`, step t also reads a context
     attended over encoder outputs K (`kwk` is K @ Wk) with the layer's
     previous hidden state as query, through the rows of Wx below Din.
-    Returns (outputs (B, T, H), (hT, cT), cache).
+    Returns (outputs (B, T, H), (hT, cT), cache): the outputs are zero
+    where no step ran, and (hT, cT) is each row's state after its last step.
     """
-    bsz, tlen, din = X.shape
-    hdim = Wh.shape[0]
-    xw = mode.matmul(X.reshape(bsz * tlen, din), Wx[:din]).reshape(
-        bsz, tlen, 4 * hdim
-    ) + b
-    hs = np.empty((bsz, tlen, hdim))  # post-carry hidden states
-    saved = []  # per step, what the backward pass reads
-    h, c = h0, c0
+    din = X.shape[2]
+    bsz, hdim = steps.bsz, Wh.shape[0]
+    xp = _pack(X, steps)
+    gates = mode.matmul(xp, Wx[:din])  # pre-activations, made gates in place
+    gates += b
+    npos = len(gates)
+    hs = np.empty((bsz + npos, hdim))  # initial states, then each new one
+    cs = np.empty_like(hs)
+    hs[:bsz] = _reorder(h0, steps.order)
+    cs[:bsz] = _reorder(c0, steps.order)
+    tc = np.empty((npos, hdim)) if mode.backward else None
     if attn is not None:
-        Wq, v, K, kwk, src_mask = attn
-    for t in range(tlen):
-        a = xw[:, t]
-        if attn is not None:
-            alpha = _attention_alpha(mode.matmul(h, Wq), kwk, v, src_mask, mode)
-            ctx = mode.context(alpha, K)
-            a = a + mode.matmul(ctx, Wx[din:])
-        gates, tanh_c, c_new, h_new = _lstm_cell(a + mode.matmul(h, Wh), c)
-        if mask is not None:
-            m = mask[:, t : t + 1]
-            h = m * h_new + (1.0 - m) * h
-            c = m * c_new + (1.0 - m) * c
-        else:
-            h, c = h_new, c_new
-        hs[:, t] = h
+        Wq, v = attn[:2]
+        K, kwk, src_mask = (_reorder(x, steps.order) for x in attn[2:])
         if mode.backward:
-            step = (gates, tanh_c, c)  # c: post-carry cell state
-            saved.append(step + (alpha, ctx) if attn is not None else step)
+            alphas, ctxs = np.empty((npos, K.shape[1])), np.empty((npos, hdim))
+    for t, n in enumerate(steps.live):
+        cur = slice(steps.start[t], steps.start[t] + n)
+        prev = slice(steps.prev[t], steps.prev[t] + n)
+        new = slice(bsz + cur.start, bsz + cur.stop)
+        a, h = gates[cur], hs[prev]
+        if attn is not None:
+            alpha = _attention_alpha(mode.matmul(h, Wq), kwk[:n], v, src_mask[:n], mode)
+            ctx = mode.context(alpha, K[:n])
+            a += mode.matmul(ctx, Wx[din:])
+            if mode.backward:
+                alphas[cur], ctxs[cur] = alpha, ctx
+        a += mode.matmul(h, Wh)
+        _lstm_cell(a, cs[prev], cs[new], None if tc is None else tc[cur], hs[new])
+    out, final = _unpack(hs[bsz:], steps), (hs[steps.final], cs[steps.final])
     if not mode.backward:
-        return hs, (h, c), None
-    names = ("GATES", "TC", "C", "A", "CTX")
-    cache = dict(zip(names, (np.stack(seq, axis=1) for seq in zip(*saved))))
-    cache.update(X=X, H=hs, h0=h0, c0=c0, mask=mask, attn=attn)
-    return hs, (h, c), cache
+        return out, final, None
+    cache = dict(steps=steps, X=xp, GATES=gates, TC=tc, H=hs, C=cs, attn=None)
+    if attn is not None:
+        cache.update(attn=(Wq, v, K, kwk), A=alphas, CTX=ctxs)
+    return out, final, cache
 
 
 def _lstm_cell_backward(da, dh, dc, gates, tanh_c, c_prev):
@@ -363,73 +450,68 @@ def _lstm_cell_backward(da, dh, dc, gates, tanh_c, c_prev):
 
 
 def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
-    """Reverse-mode pass for `_lstm_forward`.
+    """Reverse-mode pass for `_lstm_forward`, over the same live positions.
 
-    dH carries the gradient every consumer put on the output sequence;
-    dhT/dcT the gradient on the final state. Returns
-    (dX, dWx, dWh, db, dh0, dc0, d_attn), where d_attn is None without
-    attention and otherwise (dWq, dv, dK, d_kwk), matching the forward's
-    `attn`. The attention query gradient lands on the previous step's
-    hidden state, which is why this loop cannot be collapsed across time.
+    dH carries the gradient every consumer put on the output sequence (None:
+    no consumer); dhT/dcT the gradient on the final state, which a row's
+    last step receives. Returns (dX, dWx, dWh, db, dh0, dc0, d_attn), where
+    d_attn is None without attention and otherwise (dWq, dv, dK, d_kwk),
+    matching the forward's `attn`. The attention query gradient lands on
+    the previous step's hidden state, which is why this loop cannot be
+    collapsed across time.
     """
-    X, mask, attn = cache["X"], cache["mask"], cache["attn"]
-    gates, tc, cs, hs = cache["GATES"], cache["TC"], cache["C"], cache["H"]
-    h0, c0 = cache["h0"], cache["c0"]
-    bsz, tlen, din = X.shape
-    hdim = hs.shape[2]
-    h_prev = np.concatenate([h0[:, None, :], hs[:, :-1]], axis=1)
+    steps, xp, gates, tc, hs, cs = (
+        cache[k] for k in ("steps", "X", "GATES", "TC", "H", "C")
+    )
+    din = xp.shape[1]
+    d_gates = np.empty_like(gates)
+    d_out = None if dH is None else _pack(dH, steps)
+    # per sorted row, the gradient on its latest state (a copy, written
+    # below); a finished row's waits untouched until the loop reaches its end
+    dh_next, dc_next = (np.array(_reorder(x, steps.order)) for x in (dhT, dcT))
+    WhT = np.ascontiguousarray(Wh.T)
+    attn = cache["attn"]
     if attn is not None:
-        Wq, v, K, kwk, _ = attn
-        dWq, dv, dK, d_kwk = (np.zeros_like(x) for x in (Wq, v, K, kwk))
-    d_gates = np.zeros((bsz, tlen, 4 * hdim))
-    dh_next = np.array(dhT, copy=True)
-    dc_next = np.array(dcT, copy=True)
-    for t in reversed(range(tlen)):
-        dh = dH[:, t] + dh_next
-        dc = dc_next
-        dh_carry = dc_carry = 0.0
-        if mask is not None:
-            m = mask[:, t : t + 1]
-            dh, dh_carry = dh * m, dh * (1.0 - m)
-            dc, dc_carry = dc * m, dc * (1.0 - m)
-        da = d_gates[:, t]
-        dc_next = _lstm_cell_backward(
-            da, dh, dc, gates[:, t], tc[:, t], cs[:, t - 1] if t > 0 else c0,
+        Wq, v, K, kwk = attn
+        dK, d_kwk, dv = np.zeros_like(K), np.zeros_like(kwk), np.zeros_like(v)
+        dqs = np.empty((len(gates), Wh.shape[0]))
+    for t in reversed(range(len(steps.live))):
+        n = steps.live[t]
+        cur = slice(steps.start[t], steps.start[t] + n)
+        prev = slice(steps.prev[t], steps.prev[t] + n)
+        dh = dh_next[:n] if d_out is None else d_out[cur] + dh_next[:n]
+        da = d_gates[cur]
+        dc_next[:n] = _lstm_cell_backward(
+            da, dh, dc_next[:n], gates[cur], tc[cur], cs[prev]
         )
-        dh_next = da @ Wh.T
+        np.matmul(da, WhT, out=dh_next[:n])
         if attn is not None:
             # context path back through the attention read
             dctx = da @ Wx[din:].T
-            alpha = cache["A"][:, t]
-            dalpha = np.einsum("bh,bsh->bs", dctx, K)
-            dK += alpha[:, :, None] * dctx[:, None, :]
+            alpha = cache["A"][cur]
+            dalpha = np.einsum("bh,bsh->bs", dctx, K[:n])
+            dK[:n] += alpha[:, :, None] * dctx[:, None, :]
             inner = (alpha * dalpha).sum(axis=1, keepdims=True)
             de = alpha * (dalpha - inner)
-            q = h_prev[:, t]
-            u = np.tanh((q @ Wq)[:, None, :] + kwk)
+            u = np.tanh((hs[prev] @ Wq)[:, None, :] + kwk[:n])
             dv += np.einsum("bs,bsa->a", de, u)
             dz = de[:, :, None] * (1.0 - u * u) * v
-            dqs = dz.sum(axis=1)
-            d_kwk += dz
-            dWq += q.T @ dqs
-            dh_next = dh_next + dqs @ Wq.T
-        # carries are zero in an unmasked layer; the plain layer adds them
-        # anyway and the attention layer does not, which fixes the sign of
-        # a zero gradient (-0.0 + 0.0 is +0.0) the same way in every run
-        if mask is not None or attn is None:
-            dc_next = dc_next + dc_carry
-            dh_next = dh_next + dh_carry
-    flat = d_gates.reshape(bsz * tlen, 4 * hdim)
-    dWx = X.reshape(bsz * tlen, din).T @ flat
-    dWh = h_prev.reshape(bsz * tlen, hdim).T @ flat
-    db = flat.sum(axis=0)
-    dX = (flat @ Wx[:din].T).reshape(X.shape)
+            d_kwk[:n] += dz
+            dq = dz.sum(axis=1, out=dqs[cur])
+            dh_next[:n] += dq @ Wq.T
+    h_prev = hs[steps.previous]  # each position's previous hidden state
+    dWx = np.empty_like(Wx)
+    np.matmul(xp.T, d_gates, out=dWx[:din])
+    dWh = h_prev.T @ d_gates
+    db = d_gates.sum(axis=0)
+    dX = _unpack(d_gates @ Wx[:din].T, steps)
     d_attn = None
     if attn is not None:
-        ctx_grad = cache["CTX"].reshape(bsz * tlen, -1).T @ flat
-        dWx = np.concatenate([dWx, ctx_grad])
-        d_attn = (dWq, dv, dK, d_kwk)
-    return dX, dWx, dWh, db, dh_next, dc_next, d_attn
+        np.matmul(cache["CTX"].T, d_gates, out=dWx[din:])
+        dK, d_kwk = (_reorder(x, steps.inverse) for x in (dK, d_kwk))
+        d_attn = (h_prev.T @ dqs, dv, dK, d_kwk)
+    dh0, dc0 = (_reorder(x, steps.inverse) for x in (dh_next, dc_next))
+    return dX, dWx, dWh, db, dh0, dc0, d_attn
 
 
 def _dropout_mask(rng, shape, p):
@@ -446,21 +528,23 @@ def _check_batch_ids(config: ModelConfig, batch: Batch) -> None:
 
 
 def _lstm_stack(
-    params, prefix, inp, states, mode, mask=None, attn=None, rng=None, p=0.0
+    params, prefix, inp, states, mode, lengths=None, attn=None, rng=None, p=0.0
 ):
     """Layers `<prefix>0..n-1` over a (B, T, D) input, layer l starting from
-    states[l] = (h0, c0). `mask` reaches every layer, `attn` the first.
+    states[l] = (h0, c0). Row b runs its first lengths[b] steps (every step
+    without `lengths`), in every layer; `attn` reaches the first layer.
 
     With `rng`, each layer's output draws its dropout mask in layer order.
     Returns (top-layer outputs after dropout, final (h, c) per layer,
     caches, dropout masks).
     """
+    steps = _steps(lengths, *inp.shape[:2])
     finals, caches, drops = [], [], []
     for layer, (h0, c0) in enumerate(states):
         name = f"{prefix}{layer}"
         hs, final, cache = _lstm_forward(
             params[f"{name}_Wx"], params[f"{name}_Wh"], params[f"{name}_b"],
-            inp, h0, c0, mode, mask, attn if layer == 0 else None,
+            inp, h0, c0, mode, steps, attn if layer == 0 else None,
         )
         drop = _dropout_mask(rng, hs.shape, p) if rng is not None else None
         finals.append(final)
@@ -471,42 +555,43 @@ def _lstm_stack(
 
 
 def _lstm_stack_backward(params, prefix, caches, drops, d_top, d_finals, grads):
-    """Reverse-mode pass for `_lstm_stack`; adds weight gradients to `grads`.
+    """Reverse-mode pass for `_lstm_stack`; puts the weight gradients in
+    `grads`.
 
-    d_top is the gradient on the stack's output (after dropout) and
-    d_finals[l] the (dh, dc) on layer l's final state. Returns (gradient
-    on the stack's input, per-layer (dh0, dc0), the first layer's d_attn).
+    d_top is the gradient on the stack's output (after dropout; None when
+    nothing consumed it) and d_finals[l] the (dh, dc) on layer l's final
+    state. Returns (gradient on the stack's input, per-layer (dh0, dc0), the
+    first layer's d_attn).
     """
     d_out = d_top
     d_inits = [None] * len(caches)
     for layer in reversed(range(len(caches))):
-        if drops[layer] is not None:
+        if drops[layer] is not None and d_out is not None:
             d_out = d_out * drops[layer]
         name = f"{prefix}{layer}"
         d_out, dWx, dWh, db, dh0, dc0, d_attn = _lstm_backward(
             params[f"{name}_Wx"], params[f"{name}_Wh"], caches[layer], d_out,
             *d_finals[layer],
         )
-        grads[f"{name}_Wx"] += dWx
-        grads[f"{name}_Wh"] += dWh
-        grads[f"{name}_b"] += db
+        grads[f"{name}_Wx"], grads[f"{name}_Wh"], grads[f"{name}_b"] = dWx, dWh, db
         d_inits[layer] = (dh0, dc0)
     return d_out, d_inits, d_attn
 
 
-def _encode(params, config, src, src_bool, mode, rng=None, p=0.0):
-    """Encoder stack over (B, S) ids from zero states, carrying state through
-    PAD; returns `_lstm_stack`'s outputs plus the decoder's `attn` or None."""
+def _encode(params, config, src, lengths, mode, rng=None, p=0.0):
+    """Encoder stack over (B, S) ids whose row b holds lengths[b] tokens,
+    from zero states; returns `_lstm_stack`'s outputs plus the decoder's
+    `attn` or None."""
     zeros = np.zeros((src.shape[0], config.hidden_dim))
     top, finals, caches, drops = _lstm_stack(
         params, "enc", params["src_embed"][src],
-        [(zeros, zeros)] * config.encoder_layers,
-        mode, src_bool.astype(np.float64), None, rng, p,
+        [(zeros, zeros)] * config.encoder_layers, mode, lengths, None, rng, p,
     )
     attn = None
     if config.use_attention:
         kwk = mode.matmul(top, params["attn_Wk"])
-        attn = (params["attn_Wq"], params["attn_v"], top, kwk, src_bool)
+        src_mask = np.arange(src.shape[1])[None, :] < lengths[:, None]
+        attn = (params["attn_Wq"], params["attn_v"], top, kwk, src_mask)
     return top, finals, caches, drops, attn
 
 
@@ -522,6 +607,13 @@ def _run_forward(params, config, batch, dropout_on, seed, mode):
     """Full teacher-forced pass. Returns (ForwardResult, cache-for-backward),
     the cache None unless `mode.backward`."""
     _check_batch_ids(config, batch)
+    # columns past every row's end are PAD throughout: none of them is run
+    batch = replace(
+        batch,
+        src=batch.src[:, : max(int(batch.src_lengths.max()), 1)],
+        tgt_in=batch.tgt_in[:, : int(batch.tgt_lengths.max())],
+        tgt_out=batch.tgt_out[:, : int(batch.tgt_lengths.max())],
+    )
     bsz, tlen = batch.tgt_in.shape
     hdim = config.hidden_dim
     p = config.dropout_p if dropout_on else 0.0
@@ -532,11 +624,11 @@ def _run_forward(params, config, batch, dropout_on, seed, mode):
     )
 
     enc_top, enc_finals, enc_caches, enc_drops, attn = _encode(
-        params, config, batch.src, batch.src != PAD_ID, mode, rng, p
+        params, config, batch.src, batch.src_lengths, mode, rng, p
     )
     top, _, dec_caches, dec_drops = _lstm_stack(
         params, "dec", params["tgt_embed"][batch.tgt_in],
-        _decoder_init(config, enc_finals), mode, None, attn, rng, p,
+        _decoder_init(config, enc_finals), mode, batch.tgt_lengths, attn, rng, p,
     )
 
     logits = (
@@ -585,23 +677,24 @@ def forward_teacher_forced(
 def loss_and_gradients(
     params, config: ModelConfig, batch: Batch, dropout_on: bool = False, seed: int = 0
 ):
-    """Forward pass plus exact gradients of the mean loss w.r.t. every tensor."""
+    """Forward pass plus exact gradients of the mean loss w.r.t. every tensor,
+    returned in the order of `params`."""
     result, cache = _run_forward(params, config, batch, dropout_on, seed, _TRAINING)
     batch = cache["batch"]
     bsz, tlen = batch.tgt_in.shape
     hdim = config.hidden_dim
 
-    dlogits = cache["softmax"].copy()
+    dlogits = cache["softmax"]  # made the logits' gradient in place
     rows = np.arange(bsz)[:, None]
     cols = np.arange(tlen)[None, :]
     dlogits[rows, cols, batch.tgt_out] -= 1.0
     dlogits *= cache["tgt_mask"][:, :, None] / (cache["total_tokens"] * LN2)
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     flat = dlogits.reshape(bsz * tlen, -1)
-    top = cache["top"]
-    grads["out_W"] += top.reshape(bsz * tlen, hdim).T @ flat
-    grads["out_b"] += flat.sum(axis=0)
+    grads = {
+        "out_W": cache["top"].reshape(bsz * tlen, hdim).T @ flat,
+        "out_b": flat.sum(axis=0),
+    }
     d_top = (flat @ params["out_W"].T).reshape(bsz, tlen, hdim)
 
     zeros = np.zeros((bsz, hdim))
@@ -609,6 +702,7 @@ def loss_and_gradients(
         params, "dec", *cache["dec"], d_top,
         [(zeros, zeros)] * config.decoder_layers, grads,
     )
+    grads["tgt_embed"] = np.zeros_like(params["tgt_embed"])
     np.add.at(grads["tgt_embed"], batch.tgt_in, d_y)
 
     # decoder initial states credit their encoder layers, top decoder layer first
@@ -620,19 +714,21 @@ def loss_and_gradients(
         d_final = d_enc_final[min(layer, config.encoder_layers - 1)]
         d_final[0] += d_dec_init[layer][0]
         d_final[1] += d_dec_init[layer][1]
-    enc_top = cache["enc_top"]
-    d_enc_top = np.zeros_like(enc_top)
+    d_enc_top = None  # without attention nothing reads the encoder outputs
     if d_attn is not None:
+        enc_top = cache["enc_top"]
         dWq, dv, dK, d_kwk = d_attn
-        grads["attn_Wq"] += dWq
-        grads["attn_Wk"] += np.einsum("bsh,bsa->ha", enc_top, d_kwk)
-        grads["attn_v"] += dv
-        d_enc_top += dK + np.matmul(d_kwk, params["attn_Wk"].T)
+        grads["attn_Wq"] = dWq
+        grads["attn_Wk"] = enc_top.reshape(-1, hdim).T @ d_kwk.reshape(-1, hdim)
+        grads["attn_v"] = dv
+        d_enc_top = dK + np.matmul(d_kwk, params["attn_Wk"].T)
     d_x, _, _ = _lstm_stack_backward(
         params, "enc", *cache["enc"], d_enc_top, d_enc_final, grads
     )
+    grads["src_embed"] = np.zeros_like(params["src_embed"])
     np.add.at(grads["src_embed"], batch.src, d_x)
 
+    grads = {name: grads[name] for name in params}
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient in tensor {name}")
@@ -681,8 +777,7 @@ def greedy_decode(
     if src.min() < 0 or src.max() >= config.src_vocab_size:
         raise EncodingError("source ids outside the model's source vocabulary")
     mode = _INVARIANT
-    src_bool = np.arange(src.shape[1])[None, :] < lengths[:, None]
-    _, enc_finals, _, _, attn = _encode(params, config, src, src_bool, mode)
+    _, enc_finals, _, _, attn = _encode(params, config, src, lengths, mode)
     states = _decoder_init(config, enc_finals)
     rows = np.arange(len(sources))  # output row of each live batch row
     tokens = np.full(len(sources), BOS_ID)

@@ -81,10 +81,13 @@ class EpochStats:
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
+    """Euclidean norm over all tensors, summed in dict order. Each sum of
+    squares is numpy's own reduction, not BLAS, whose bits depend on its
+    thread count."""
     total = 0.0
-    for name in grads:
-        g = grads[name]
-        total += float(np.dot(g.ravel(), g.ravel()))
+    for g in grads.values():
+        flat = g.ravel()
+        total += float(np.einsum("i,i->", flat, flat))
     return math.sqrt(total)
 
 

@@ -21,6 +21,7 @@ from curricula.harness import (
     corrupt_targets,
     emit_report,
     generate_toy_corpus,
+    load_corpus_dir,
     load_spec,
     report_from_tsv,
     report_to_markdown,
@@ -31,7 +32,7 @@ from curricula.harness import (
     toy_alphabet,
 )
 from curricula.ordering import Strategy, table_one_strategies
-from curricula.seq2seq import ModelConfig
+from curricula.seq2seq import ModelConfig, parameter_shapes
 from curricula.trainer import TrainConfig
 
 
@@ -525,13 +526,25 @@ def test_cli_bad_input_exits_with_its_error_code(
     assert message in capsys.readouterr().err
 
 
+def tensor_section(entries):
+    """The parameter section for (name, shape) entries, every value 0.0."""
+    chunks = [struct.pack("<I", len(entries))]
+    for name, shape in entries:
+        name_b = name.encode()
+        header = f"<H{len(name_b)}sB{len(shape)}I"
+        chunks.append(struct.pack(header, len(name_b), name_b, len(shape), *shape))
+        chunks.append(bytes(8 * math.prod(shape)))
+    return b"".join(chunks)
+
+
 _CONFIG = asdict(ModelConfig(4, 4, 1, 1, False, 0.0, 6, 6))
-_ONE_TENSOR = struct.pack("<IH1sBI", 1, 1, b"w", 1, 1) + bytes(8)  # w = [0.0]
+_TENSORS = parameter_shapes(ModelConfig(**_CONFIG))
+_ONE_TENSOR = tensor_section([("w", (1,))])  # w = [0.0]
 
 
 def crafted_checkpoint(
     path, config=json.dumps(_CONFIG).encode(), vocab=b'{"src":"a","tgt":"b"}',
-    params=_ONE_TENSOR, history=b"[]",
+    params=tensor_section(_TENSORS), history=b"[]",
 ):
     """A checkpoint file from raw section bytes, with a valid trailing hash."""
     payload = b"CURR" + struct.pack("<H", 1) + b"".join(
@@ -564,7 +577,7 @@ def test_malformed_checkpoint_section_is_a_format_error(
     tmp_path, cli_corpus, capsys, sections, section, cause
 ):
     crafted_checkpoint(tmp_path / "ok.ckpt")  # the unaltered sections load
-    assert load_checkpoint(tmp_path / "ok.ckpt").params["w"].tolist() == [0.0]
+    assert load_checkpoint(tmp_path / "ok.ckpt").params["out_b"].tolist() == [0.0] * 6
     crafted_checkpoint(tmp_path / "m.ckpt", **sections)
     with pytest.raises(CheckpointFormatError, match=f"malformed {section} section") as err:
         load_checkpoint(tmp_path / "m.ckpt")
@@ -573,3 +586,40 @@ def test_malformed_checkpoint_section_is_a_format_error(
     argv = ["eval", "--corpus-dir", str(cli_corpus), "--ckpt", str(tmp_path / "m.ckpt")]
     assert cli_main(argv) == 3
     assert f"malformed {section} section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tensors, message",
+    [
+        pytest.param(lambda t: [("w", (1,))], "tensor 0 is ('w', (1,))", id="one-tensor-w"),
+        pytest.param(lambda t: t[:-1], "tensor 9 is missing", id="missing-tensor"),
+        pytest.param(
+            lambda t: t[:-1] + [("out_b", (5,))], "tensor 9 is ('out_b', (5,))",
+            id="wrong-shape",
+        ),
+        pytest.param(
+            lambda t: t + [("extra", (2,))],
+            "tensor 10 is ('extra', (2,)), the config wants none", id="extra-tensor",
+        ),
+    ],
+)
+def test_checkpoint_tensors_must_fit_the_config(
+    tmp_path, cli_corpus, capsys, tensors, message
+):
+    # the corpus's vocabularies, so that only the tensors are wrong
+    data = load_corpus_dir(cli_corpus)
+    config = ModelConfig(4, 4, 1, 1, False, 0.0, len(data.src_vocab), len(data.tgt_vocab))
+    vocab = {"src": data.src_vocab.fingerprint(), "tgt": data.tgt_vocab.fingerprint()}
+    path = tmp_path / "m.ckpt"
+    crafted_checkpoint(
+        path, config=json.dumps(asdict(config)).encode(),
+        vocab=json.dumps(vocab).encode(),
+        params=tensor_section(tensors(parameter_shapes(config))),
+    )
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoint(path)
+    assert message in str(err.value)
+    capsys.readouterr()
+    argv = ["eval", "--corpus-dir", str(cli_corpus), "--ckpt", str(path)]
+    assert cli_main(argv) == 3
+    assert message in capsys.readouterr().err

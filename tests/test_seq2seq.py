@@ -156,11 +156,12 @@ def test_fresh_init_loss_near_uniform():
     assert abs(loss - math.log2(10)) / math.log2(10) < 0.15
 
 
-def test_extra_pad_columns_do_not_change_losses():
-    def pad_cols(arr, n):
-        filler = np.full((arr.shape[0], n), PAD_ID, dtype=arr.dtype)
-        return np.concatenate([arr, filler], axis=1)
+def pad_cols(arr, n):
+    filler = np.full((arr.shape[0], n), PAD_ID, dtype=arr.dtype)
+    return np.concatenate([arr, filler], axis=1)
 
+
+def test_extra_pad_columns_do_not_change_losses():
     for config in (BASE_LAYOUT, SMALL_LAYOUT):
         params = check_weights(config)
         b1 = make_batch(mixed_pairs())
@@ -467,3 +468,54 @@ def test_greedy_tokens_do_not_depend_on_the_batch(preset, n):
     short = pairs[::3]
     out = greedy_decode(params, config, [p.src_ids for p in short], 5)
     assert out == [seen[0][p.index][:5] for p in short]
+
+
+# ---------------------------------------------------------------------------
+# PAD positions: never run, never read
+# ---------------------------------------------------------------------------
+
+def ragged_setup(preset):
+    """Initial weights and a batch whose rows end at different steps."""
+    config, _, pairs = invariance_setup(preset, 6 if preset == "base" else 12)
+    return config, init_params(config, seed=5), make_batch(pairs)
+
+
+def assert_same_training_bits(a, b):
+    (ra, ga), (rb, gb) = a, b
+    assert ra.mean_loss == rb.mean_loss
+    assert np.array_equal(ra.pair_losses, rb.pair_losses)
+    assert list(ga) == list(gb)
+    for name in ga:
+        assert np.array_equal(ga[name], gb[name]), name
+
+
+@pytest.mark.parametrize("preset", ["tiny", "small", "base"])
+def test_pad_embeddings_are_never_read(preset):
+    config, params, batch = ragged_setup(preset)
+    poisoned = {k: v.copy() for k, v in params.items()}
+    poisoned["src_embed"][PAD_ID] = np.nan
+    poisoned["tgt_embed"][PAD_ID] = np.nan
+    for dropout_on in (False, True):
+        assert_same_training_bits(
+            loss_and_gradients(params, config, batch, dropout_on, seed=3),
+            loss_and_gradients(poisoned, config, batch, dropout_on, seed=3),
+        )
+    clean = forward_teacher_forced(params, config, batch)
+    assert np.array_equal(
+        forward_teacher_forced(poisoned, config, batch).pair_losses, clean.pair_losses
+    )
+
+
+@pytest.mark.parametrize("preset", ["tiny", "small", "base"])
+def test_trailing_pad_columns_change_no_training_bit(preset):
+    config, params, batch = ragged_setup(preset)
+    wider = Batch(
+        pad_cols(batch.src, 3), batch.src_lengths,
+        pad_cols(batch.tgt_in, 3), pad_cols(batch.tgt_out, 3),
+        batch.tgt_lengths, batch.indices,
+    )
+    for dropout_on in (False, True):
+        assert_same_training_bits(
+            loss_and_gradients(params, config, batch, dropout_on, seed=3),
+            loss_and_gradients(params, config, wider, dropout_on, seed=3),
+        )

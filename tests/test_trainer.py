@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +134,29 @@ def test_adam_matches_the_out_of_place_reference_bit_for_bit():
             assert (params[k].tobytes(), grads[k].tobytes()) == before[k], k
         params = new_params
     assert clipped == [False, True, False]
+
+
+_NORM_BITS = """
+import numpy as np
+from curricula.trainer import global_grad_norm
+rng = np.random.default_rng(7)
+grads = {"a": rng.standard_normal((512, 256)), "b": rng.standard_normal(131072)}
+print(global_grad_norm(grads).hex())
+"""
+
+
+def test_gradient_norm_bits_do_not_depend_on_blas_threads():
+    # a BLAS dot product over 262,144 elements splits its sum by thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    bits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _NORM_BITS], env=env,
+                             capture_output=True, text=True, check=True)
+        bits.append(run.stdout.strip())
+    assert bits[0] == bits[1]
 
 
 def test_adam_shape_mismatch_rejected():
