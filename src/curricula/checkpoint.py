@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -194,26 +195,34 @@ def load_checkpoint(path) -> ModelCheckpoint:
         path, "vocab", vocab_b, lambda d: itemgetter("src", "tgt")(json.loads(d))
     )
     history = _parse(path, "history", history_b, lambda d: tuple(json.loads(d)))
+    expected = parameter_shapes(config)
     pr = _Reader(params_b)
     count = pr.u32()
     params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = _parse(path, "parameter", pr.take(pr.u16()), lambda d: str(d, "utf-8"))
-        ndim = pr.u8()
-        shape = tuple(pr.u32() for _ in range(ndim))
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(pr.take(n * 8), dtype="<f8").reshape(shape).copy()
-        params[name] = arr
-    expected = parameter_shapes(config)
-    found = [(name, arr.shape) for name, arr in params.items()]
-    for k in range(max(len(found), len(expected))):
-        got, wanted = found[k : k + 1], expected[k : k + 1]
+    # each header must be the config's before its data is read, so no bogus
+    # shape ever reaches numpy
+    for k in range(max(count, len(expected))):
+        got = []
+        if k < count:
+            raw = pr.take(pr.u16())
+            name = _parse(path, "parameter", raw, lambda d: str(d, "utf-8"))
+            ndim = pr.u8()
+            got = [(name, tuple(pr.u32() for _ in range(ndim)))]
+        wanted = expected[k : k + 1]
         if got != wanted:
             raise CheckpointFormatError(
                 f"checkpoint {path} does not fit its config: tensor {k} is "
                 f"{got[0] if got else 'missing'}, the config wants "
                 f"{wanted[0] if wanted else 'none'}"
             )
+        name, shape = got[0]
+        raw = pr.take(8 * math.prod(shape))
+        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if pr.pos != len(params_b):
+        raise CheckpointFormatError(
+            f"checkpoint {path} has a malformed parameter section: "
+            f"{len(params_b) - pr.pos} bytes after its last tensor"
+        )
     ckpt = ModelCheckpoint(
         config=config,
         params=params,

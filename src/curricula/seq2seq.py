@@ -43,8 +43,18 @@ amount of padding. Two things would otherwise leak the batch into a row:
   Sums over padded axes (attention denominator and context over source
   positions, a pair's loss over target positions) therefore run strictly
   left to right, where trailing exact zeros change nothing.
-Training keeps plain numpy (`_TRAINING`): its loss is a batch mean, and its
-bits are pinned by every checkpoint trained so far.
+The first layer of each stack reads only token embeddings, so its input
+product depends on the id alone. Inference therefore takes it from a
+per-call table (`_IdTable`) that projects each distinct id once, when the
+call first sees it, and gathers its rows straight into the packed gate
+array: a scoring call projects the ids of its batch, and greedy decoding
+keeps one table for all its steps, so a step whose tokens are all known
+runs no input product. Since `_rows_matmul` gives a row the same bits
+whatever rows share its call, a table row carries exactly the bits of the
+per-position product.
+Training keeps plain numpy (`_TRAINING`): its loss is a batch mean, its
+bits are pinned by every checkpoint trained so far, and the weight gradient
+needs the embedded input anyway.
 
 Attention is additive: score(q, k) = v . tanh(q @ Wq + k @ Wk), softmaxed
 over the non-PAD source positions of each pair. The query is the previous
@@ -218,8 +228,9 @@ class ForwardResult:
 _BLOCK_ROWS = 8
 
 
-def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """`a @ w` for a 2-D `w`, in fixed blocks of `_BLOCK_ROWS` rows of `a`.
+def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """`a @ w` for a 2-D `w`, in fixed blocks of `_BLOCK_ROWS` rows of `a`,
+    written into the (rows, N) array `out` when one is given.
 
     Leading axes of `a` are flattened into rows. The last block is
     zero-padded, so every BLAS call has the shape (_BLOCK_ROWS, K) @ (K, N)
@@ -227,7 +238,8 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     rows = a.reshape(-1, a.shape[-1])
     m = rows.shape[0]
-    out = np.empty((m, w.shape[1]))
+    if out is None:
+        out = np.empty((m, w.shape[1]))
     full = m - m % _BLOCK_ROWS
     for start in range(0, full, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
@@ -293,9 +305,11 @@ def _lstm_cell(a, c, c_new=None, tanh_c=None, h_new=None):
     return a, tanh_c, c_new, np.multiply(o, tanh_c, out=h_new)
 
 
-def _attention_alpha(qs, kwk, v, mask, mode):
-    """Masked additive-attention weights; PAD positions are exactly zero."""
-    u = np.tanh(qs[:, None, :] + kwk)
+def _attention_alpha(qs, kwk, v, mask, mode, u=None):
+    """Masked additive-attention weights; PAD positions are exactly zero.
+    u = tanh(q @ Wq + k @ Wk) is written into the array `u` when one is given."""
+    u = np.add(qs[:, None, :], kwk, out=u)
+    np.tanh(u, out=u)
     e = mode.score(u, v)
     neg = np.where(mask, e, -np.inf)
     peak = neg.max(axis=1, keepdims=True)
@@ -381,20 +395,58 @@ def _unpack(xp, steps):
     return out.reshape(steps.bsz, steps.tlen, *tail)
 
 
+class _IdTable:
+    """The first-layer input products `embed[id] @ Wx[:E]` of the token ids
+    that one inference call has seen, a row per distinct id, projected when
+    the id is first seen. `_rows_matmul` is row-invariant, so a row carries
+    the bits the per-position product would. Only ids seen have a row.
+    """
+
+    def __init__(self, embed, Wx):
+        self.embed, self.W = embed, Wx[: embed.shape[1]]
+        self.slot = np.full(len(embed), -1)  # table row of each id, -1 if none
+        self.rows = np.empty((0, Wx.shape[1]))  # the first `size` rows are used
+        self.size = 0
+
+    def gather(self, ids):
+        """The products of (N,) ids in a new (N, 4H) array, projecting the
+        ids not seen before."""
+        # the distinct unseen ids, ascending (np.unique would import numpy.ma)
+        new = np.flatnonzero(np.bincount(ids[self.slot[ids] < 0]))
+        if new.size:
+            size = self.size + new.size
+            if size > len(self.rows):  # double, so that growing copies little
+                room = min(max(size, 2 * len(self.rows)), len(self.embed))
+                grown = np.empty((room, self.rows.shape[1]))
+                grown[: self.size] = self.rows[: self.size]
+                self.rows = grown
+            _rows_matmul(self.embed[new], self.W, out=self.rows[self.size : size])
+            self.slot[new] = np.arange(self.size, size)
+            self.size = size
+        return np.take(self.rows, self.slot[ids], axis=0)
+
+
 def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
     """Run one LSTM layer over a (B, T, Din) input, at the live positions
     of `steps` only: a row stops at its last step and keeps its state.
 
+    X may instead be a pair (ids, table) of (B, T) token ids and the
+    `_IdTable` that holds their input products: the first layer in
+    inference gets its input product ready-made this way.
     With `attn = (Wq, v, K, kwk, src_mask)`, step t also reads a context
     attended over encoder outputs K (`kwk` is K @ Wk) with the layer's
-    previous hidden state as query, through the rows of Wx below Din.
+    previous hidden state as query, through the last H rows of Wx.
     Returns (outputs (B, T, H), (hT, cT), cache): the outputs are zero
     where no step ran, and (hT, cT) is each row's state after its last step.
     """
-    din = X.shape[2]
     bsz, hdim = steps.bsz, Wh.shape[0]
-    xp = _pack(X, steps)
-    gates = mode.matmul(xp, Wx[:din])  # pre-activations, made gates in place
+    # pre-activations, made gates in place
+    if isinstance(X, tuple):
+        ids, table = X
+        gates = table.gather(_pack(ids, steps))
+    else:
+        xp = _pack(X, steps)
+        gates = mode.matmul(xp, Wx[: xp.shape[1]])
     gates += b
     npos = len(gates)
     hs = np.empty((bsz + npos, hdim))  # initial states, then each new one
@@ -404,18 +456,23 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
     tc = np.empty((npos, hdim)) if mode.backward else None
     if attn is not None:
         Wq, v = attn[:2]
+        Wc = Wx[-hdim:]  # the rows that read the context
         K, kwk, src_mask = (_reorder(x, steps.order) for x in attn[2:])
         if mode.backward:
             alphas, ctxs = np.empty((npos, K.shape[1])), np.empty((npos, hdim))
+            us = np.empty((npos, *K.shape[1:]))
     for t, n in enumerate(steps.live):
         cur = slice(steps.start[t], steps.start[t] + n)
         prev = slice(steps.prev[t], steps.prev[t] + n)
         new = slice(bsz + cur.start, bsz + cur.stop)
         a, h = gates[cur], hs[prev]
         if attn is not None:
-            alpha = _attention_alpha(mode.matmul(h, Wq), kwk[:n], v, src_mask[:n], mode)
+            alpha = _attention_alpha(
+                mode.matmul(h, Wq), kwk[:n], v, src_mask[:n], mode,
+                us[cur] if mode.backward else None,
+            )
             ctx = mode.context(alpha, K[:n])
-            a += mode.matmul(ctx, Wx[din:])
+            a += mode.matmul(ctx, Wc)
             if mode.backward:
                 alphas[cur], ctxs[cur] = alpha, ctx
         a += mode.matmul(h, Wh)
@@ -425,7 +482,7 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
         return out, final, None
     cache = dict(steps=steps, X=xp, GATES=gates, TC=tc, H=hs, C=cs, attn=None)
     if attn is not None:
-        cache.update(attn=(Wq, v, K, kwk), A=alphas, CTX=ctxs)
+        cache.update(attn=(Wq, v, K, kwk), A=alphas, CTX=ctxs, U=us)
     return out, final, cache
 
 
@@ -493,7 +550,7 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
             dK[:n] += alpha[:, :, None] * dctx[:, None, :]
             inner = (alpha * dalpha).sum(axis=1, keepdims=True)
             de = alpha * (dalpha - inner)
-            u = np.tanh((hs[prev] @ Wq)[:, None, :] + kwk[:n])
+            u = cache["U"][cur]
             dv += np.einsum("bs,bsa->a", de, u)
             dz = de[:, :, None] * (1.0 - u * u) * v
             d_kwk[:n] += dz
@@ -527,18 +584,30 @@ def _check_batch_ids(config: ModelConfig, batch: Batch) -> None:
         raise EncodingError("target ids outside the model's target vocabulary")
 
 
-def _lstm_stack(
-    params, prefix, inp, states, mode, lengths=None, attn=None, rng=None, p=0.0
-):
-    """Layers `<prefix>0..n-1` over a (B, T, D) input, layer l starting from
-    states[l] = (h0, c0). Row b runs its first lengths[b] steps (every step
-    without `lengths`), in every layer; `attn` reaches the first layer.
+_EMBED = {"enc": "src_embed", "dec": "tgt_embed"}
 
+
+def _lstm_stack(
+    params, prefix, ids, states, mode, lengths=None, attn=None, rng=None, p=0.0,
+    table=None,
+):
+    """Layers `<prefix>0..n-1` over the embeddings of (B, T) token ids, layer
+    l starting from states[l] = (h0, c0). Row b runs its first lengths[b]
+    steps (every step without `lengths`), in every layer; `attn` reaches the
+    first layer.
+
+    Training embeds the ids and runs `X @ Wx`, whose X the weight gradient
+    needs. Inference takes the first layer's input product from `table`, the
+    `_IdTable` of the stack's embeddings (a new one when None).
     With `rng`, each layer's output draws its dropout mask in layer order.
     Returns (top-layer outputs after dropout, final (h, c) per layer,
     caches, dropout masks).
     """
-    steps = _steps(lengths, *inp.shape[:2])
+    steps = _steps(lengths, *ids.shape)
+    embed = params[_EMBED[prefix]]
+    if not mode.backward and table is None:
+        table = _IdTable(embed, params[f"{prefix}0_Wx"])
+    inp = embed[ids] if mode.backward else (ids, table)
     finals, caches, drops = [], [], []
     for layer, (h0, c0) in enumerate(states):
         name = f"{prefix}{layer}"
@@ -584,8 +653,8 @@ def _encode(params, config, src, lengths, mode, rng=None, p=0.0):
     `attn` or None."""
     zeros = np.zeros((src.shape[0], config.hidden_dim))
     top, finals, caches, drops = _lstm_stack(
-        params, "enc", params["src_embed"][src],
-        [(zeros, zeros)] * config.encoder_layers, mode, lengths, None, rng, p,
+        params, "enc", src, [(zeros, zeros)] * config.encoder_layers, mode,
+        lengths, None, rng, p,
     )
     attn = None
     if config.use_attention:
@@ -627,8 +696,8 @@ def _run_forward(params, config, batch, dropout_on, seed, mode):
         params, config, batch.src, batch.src_lengths, mode, rng, p
     )
     top, _, dec_caches, dec_drops = _lstm_stack(
-        params, "dec", params["tgt_embed"][batch.tgt_in],
-        _decoder_init(config, enc_finals), mode, batch.tgt_lengths, attn, rng, p,
+        params, "dec", batch.tgt_in, _decoder_init(config, enc_finals), mode,
+        batch.tgt_lengths, attn, rng, p,
     )
 
     logits = (
@@ -781,9 +850,11 @@ def greedy_decode(
     states = _decoder_init(config, enc_finals)
     rows = np.arange(len(sources))  # output row of each live batch row
     tokens = np.full(len(sources), BOS_ID)
+    table = _IdTable(params["tgt_embed"], params["dec0_Wx"])  # for the whole call
     for _ in range(max_len):
-        y = params["tgt_embed"][tokens][:, None, :]
-        top, states, _, _ = _lstm_stack(params, "dec", y, states, mode, attn=attn)
+        top, states, _, _ = _lstm_stack(
+            params, "dec", tokens[:, None], states, mode, attn=attn, table=table
+        )
         logits = mode.matmul(top[:, 0], params["out_W"]) + params["out_b"]
         logits[:, [PAD_ID, BOS_ID]] = -np.inf
         tokens = logits.argmax(axis=1)

@@ -588,6 +588,18 @@ def test_malformed_checkpoint_section_is_a_format_error(
     assert f"malformed {section} section" in capsys.readouterr().err
 
 
+def test_parameter_section_must_end_at_its_last_tensor(tmp_path, cli_corpus, capsys):
+    path = tmp_path / "m.ckpt"
+    crafted_checkpoint(path, params=tensor_section(_TENSORS) + b"junk")
+    message = "malformed parameter section: 4 bytes after its last tensor"
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+    capsys.readouterr()
+    argv = ["eval", "--corpus-dir", str(cli_corpus), "--ckpt", str(path)]
+    assert cli_main(argv) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "tensors, message",
     [

@@ -17,7 +17,9 @@ from curricula.seq2seq import (
     make_batch,
     parameter_count,
     parameter_shapes,
+    _IdTable,
     _lstm_cell,
+    _rows_matmul,
 )
 from oracles import finite_difference_check, sample_coordinates
 
@@ -139,6 +141,18 @@ def test_cell_saturates_without_floating_point_errors():
     assert np.all((sig >= 0.0) & (sig <= 1.0))
     assert np.all(np.abs(gates[:, 3 * hdim :]) <= 1.0)
     assert np.all(np.isfinite(c_new)) and np.all(np.abs(h_new) <= 1.0)
+
+
+def test_id_table_rows_are_the_per_position_products():
+    config = ModelConfig.preset("small", 12, 12)
+    params = {k: 8.0 * v for k, v in init_params(config, seed=2).items()}
+    embed, Wx = params["tgt_embed"], params["dec0_Wx"]
+    table = _IdTable(embed, Wx)
+    # new ids, known ones, and every id of the vocabulary
+    for ids in ([5, 3, 5, 7], [3, 3], list(range(12))[::-1], [9]):
+        ids = np.array(ids)
+        assert np.array_equal(table.gather(ids), _rows_matmul(embed[ids], Wx))
+    assert table.size == 12 and len(table.rows) == 12  # one row per id, no more
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +482,28 @@ def test_greedy_tokens_do_not_depend_on_the_batch(preset, n):
     short = pairs[::3]
     out = greedy_decode(params, config, [p.src_ids for p in short], 5)
     assert out == [seen[0][p.index][:5] for p in short]
+
+
+@pytest.mark.parametrize("preset, n", [("tiny", 32), ("small", 32), ("base", 12)])
+def test_greedy_tokens_are_the_teacher_forced_argmax(preset, n):
+    # decoding and scoring feed the first decoder layer in different ways:
+    # one step per call against all steps of a batch at once
+    config, params, pairs = invariance_setup(preset, n)
+    budget = 12
+    decoded = greedy_decode(params, config, [p.src_ids for p in pairs], budget)
+    assert min(len(t) for t in decoded) < budget  # some rows stop at EOS
+    forced = [
+        EncodedPair(p.index, p.src_ids, (BOS_ID, *t), (*t, EOS_ID), FP, FP)
+        for p, t in zip(pairs, decoded)
+    ]
+    log_probs = forward_teacher_forced(params, config, make_batch(forced)).log_probs
+    allowed = [i for i in range(config.tgt_vocab_size) if i not in (PAD_ID, BOS_ID)]
+    for row, tokens in enumerate(decoded):
+        # the token at each position, then EOS where the row stopped early
+        emitted = tokens + ([EOS_ID] if len(tokens) < budget else [])
+        for pos, token in enumerate(emitted):
+            best = log_probs[row, pos, allowed].max()
+            assert log_probs[row, pos, token] == best, (row, pos)
 
 
 # ---------------------------------------------------------------------------
