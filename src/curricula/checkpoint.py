@@ -10,7 +10,14 @@ Each parameter tensor is stored as u16 name length + name, u8 ndim,
 u32 dims, then raw float64 data. The checkpoint's identity fingerprint is
 the sha256 of the config+vocab+parameter sections only, so editing the
 training history does not change which model this is; the trailing hash
-covers the whole file and guards against truncation or bit rot.
+covers the whole file and guards against truncation or bit rot. The JSON
+sections are canonical: sorted keys, no whitespace, as `_json_bytes` writes
+them, so a file loads only if it re-serializes to its own bytes.
+
+A load reads the file once, front to back, and holds one copy of the
+tensors: each is read straight into its own array and hashed as it passes.
+Defects are reported in a fixed order: a bad magic first, then a failed
+content hash, then any other defect of the structure.
 """
 
 from __future__ import annotations
@@ -129,85 +136,159 @@ def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
         raise
 
 
+# Tensors and skipped bytes are read this many at a time, so each piece is
+# hashed while it is still in cache.
+_CHUNK = 1 << 20
+
+
 class _Reader:
-    """Reads a memoryview front to back; every slice it returns is a view."""
+    """Reads a checkpoint's payload front to back from an open file.
 
-    def __init__(self, data: memoryview):
-        self.data = data
+    Every byte read feeds the content hash, and the bytes of the config,
+    vocab and parameter sections feed the identity hash too. No read goes
+    past the end of the current section, so a length from the file is
+    checked against the bytes the file holds before anything is read or
+    allocated for it.
+    """
+
+    def __init__(self, fh, path, size: int):
+        self.fh, self.path = fh, path
         self.pos = 0
+        self.end = self.size = size  # end of the section, end of the payload
+        self.content = hashlib.sha256()
+        self.identity = hashlib.sha256()
+        self.hashes = (self.content,)
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise CheckpointCorruptError("checkpoint is truncated")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+    @property
+    def left(self) -> int:
+        return self.end - self.pos
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
+    def _need(self, n: int) -> None:
+        if n > self.left:
+            raise CheckpointCorruptError(f"checkpoint {self.path} is truncated")
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def _passed(self, buf, n: int) -> None:
+        for h in self.hashes:
+            h.update(buf)
+        self.pos += len(buf)
+        if len(buf) != n:  # the file is shorter than it was when opened
+            raise CheckpointCorruptError(f"checkpoint {self.path} is truncated")
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def take(self, n: int) -> bytes:
+        self._need(n)
+        data = self.fh.read(n)
+        self._passed(data, n)
+        return data
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def section(self, identity: bool) -> int:
+        """Start the next section: read its length, bound reads by it and
+        return it."""
+        self.end, self.hashes = self.size, (self.content,)
+        (n,) = self.unpack("<Q")
+        self._need(n)
+        self.end = self.pos + n
+        if identity:
+            self.hashes = (self.content, self.identity)
+        return n
+
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A new float64 array of `shape` read straight from the file; it is
+        allocated only once its bytes are known to be in the section."""
+        self._need(8 * math.prod(shape))
+        arr = np.empty(shape, dtype="<f8")
+        view = arr.reshape(-1).view(np.uint8)
+        for start in range(0, len(view), _CHUNK):
+            part = view[start : start + _CHUNK]
+            n = self.fh.readinto(part)
+            self._passed(part[:n], len(part))
+        return arr
+
+    def verify(self) -> None:
+        """Hash what is left of the payload, then check the trailing hash."""
+        self.hashes = (self.content,)
+        while self.pos < self.size:
+            chunk = self.fh.read(min(_CHUNK, self.size - self.pos))
+            if not chunk:
+                break
+            self._passed(chunk, len(chunk))
+        if self.fh.read(32) != self.content.digest():
+            raise CheckpointCorruptError(
+                f"checkpoint {self.path} fails its content hash"
+            )
 
 
-def _parse(path, section: str, raw: memoryview, decode):
+def _parse(path, section: str, raw: bytes, decode, encode=None):
     """decode(bytes of a section), any failure a CheckpointFormatError naming
-    the section with the original exception as its cause."""
+    the section with the original exception as its cause. With `encode`, the
+    bytes must also be `_json_bytes(encode(value))`, the only encoding
+    `save_checkpoint` writes."""
     try:
-        return decode(bytes(raw))
+        value = decode(raw)
     except (ValueError, TypeError, KeyError, ConfigError) as exc:
         raise CheckpointFormatError(
             f"checkpoint {path} has a malformed {section} section: {exc!r}"
         ) from exc
+    if encode is not None and _json_bytes(encode(value)) != raw:
+        raise CheckpointFormatError(
+            f"checkpoint {path} has a malformed {section} section: "
+            "its JSON is not in canonical form"
+        )
+    return value
 
 
 def load_checkpoint(path) -> ModelCheckpoint:
-    data = memoryview(Path(path).read_bytes())
-    if len(data) < len(MAGIC) + 2 + 32:
-        raise CheckpointCorruptError(f"checkpoint {path} is truncated")
-    payload, digest = data[:-32], data[-32:]
-    if payload[: len(MAGIC)] != MAGIC:
-        raise CheckpointFormatError(f"{path} is not a checkpoint (bad magic)")
-    if hashlib.sha256(payload).digest() != digest:
-        raise CheckpointCorruptError(f"checkpoint {path} fails its content hash")
-    r = _Reader(payload)
-    r.take(len(MAGIC))
-    version = r.u16()
+    """Read a checkpoint file once, front to back, holding one copy of its
+    tensors. A bad magic is reported first, then a failed content hash, then
+    any other defect."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size - 32
+        if size < len(MAGIC) + 2:
+            raise CheckpointCorruptError(f"checkpoint {path} is truncated")
+        r = _Reader(fh, path, size)
+        if r.take(len(MAGIC)) != MAGIC:
+            raise CheckpointFormatError(f"{path} is not a checkpoint (bad magic)")
+        try:
+            ckpt = _read_payload(r, path)
+        except (CheckpointFormatError, CheckpointCorruptError):
+            r.verify()  # a damaged file is reported as damaged
+            raise
+        r.verify()
+    ckpt._fingerprint = r.identity.hexdigest()
+    return ckpt
+
+
+def _read_payload(r: _Reader, path) -> ModelCheckpoint:
+    """The payload after the magic, up to the trailing hash."""
+    (version,) = r.unpack("<H")
     if version != FORMAT_VERSION:
         raise CheckpointFormatError(
             f"unsupported checkpoint version {version}; supported: {FORMAT_VERSION}"
         )
-    config_b = r.take(r.u64())
-    vocab_b = r.take(r.u64())
-    params_b = r.take(r.u64())
-    history_b = r.take(r.u64())
-    if r.pos != len(payload):
-        raise CheckpointCorruptError(f"checkpoint {path} has trailing bytes")
-
-    config = _parse(path, "config", config_b, lambda d: ModelConfig(**json.loads(d)))
-    src_fp, tgt_fp = _parse(
-        path, "vocab", vocab_b, lambda d: itemgetter("src", "tgt")(json.loads(d))
+    config = _parse(
+        path, "config", r.take(r.section(identity=True)),
+        lambda d: ModelConfig(**json.loads(d)), asdict,
     )
-    history = _parse(path, "history", history_b, lambda d: tuple(json.loads(d)))
+    src_fp, tgt_fp = _parse(
+        path, "vocab", r.take(r.section(identity=True)),
+        lambda d: itemgetter("src", "tgt")(json.loads(d)),
+        lambda fps: {"src": fps[0], "tgt": fps[1]},
+    )
+    r.section(identity=True)
     expected = parameter_shapes(config)
-    pr = _Reader(params_b)
-    count = pr.u32()
+    (count,) = r.unpack("<I")
     params: dict[str, np.ndarray] = {}
     # each header must be the config's before its data is read, so no bogus
     # shape ever reaches numpy
     for k in range(max(count, len(expected))):
         got = []
         if k < count:
-            raw = pr.take(pr.u16())
-            name = _parse(path, "parameter", raw, lambda d: str(d, "utf-8"))
-            ndim = pr.u8()
-            got = [(name, tuple(pr.u32() for _ in range(ndim)))]
+            (n,) = r.unpack("<H")
+            name = _parse(path, "parameter", r.take(n), lambda d: str(d, "utf-8"))
+            (ndim,) = r.unpack("<B")
+            got = [(name, r.unpack(f"<{ndim}I"))]
         wanted = expected[k : k + 1]
         if got != wanted:
             raise CheckpointFormatError(
@@ -216,21 +297,14 @@ def load_checkpoint(path) -> ModelCheckpoint:
                 f"{wanted[0] if wanted else 'none'}"
             )
         name, shape = got[0]
-        raw = pr.take(8 * math.prod(shape))
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if pr.pos != len(params_b):
+        params[name] = r.array(shape)
+    if r.left:
         raise CheckpointFormatError(
             f"checkpoint {path} has a malformed parameter section: "
-            f"{len(params_b) - pr.pos} bytes after its last tensor"
+            f"{r.left} bytes after its last tensor"
         )
-    ckpt = ModelCheckpoint(
-        config=config,
-        params=params,
-        src_vocab_fingerprint=src_fp,
-        tgt_vocab_fingerprint=tgt_fp,
-        history=history,
-        version=version,
-    )
-    # the sections the content hash just verified are the fingerprint's input
-    ckpt._fingerprint = _identity((config_b, vocab_b, params_b))
-    return ckpt
+    history_b = r.take(r.section(identity=False))
+    history = _parse(path, "history", history_b, lambda d: tuple(json.loads(d)), list)
+    if r.pos != r.size:
+        raise CheckpointCorruptError(f"checkpoint {path} has trailing bytes")
+    return ModelCheckpoint(config, params, src_fp, tgt_fp, history, version)

@@ -235,20 +235,32 @@ def score_corpus(
 
 
 # Rows per batched call. Any size gives the same bits; these were chosen by
-# measurement at the three presets.
+# measurement at the three presets. A scoring chunk also stops before its
+# rows times its longest source or target exceed _SCORE_POSITIONS, which
+# bounds the memory of one call on long pairs.
 _SCORE_CHUNK = 64
+_SCORE_POSITIONS = 1024
 _DECODE_CHUNK = 32
 
 
-def _chunks(keys, size: int):
-    """Positions sorted by key, cut into runs of at most `size`. The key's
-    first field is a group that no run straddles."""
+def _chunks(keys, size: int, positions: float = math.inf):
+    """Indices sorted by key, cut into runs of at most `size` whose length
+    times their largest key field after the first stays within `positions`
+    (a longer key runs alone). The key's first field is a group that no run
+    straddles."""
     chunk: list[int] = []
+    widest = 0  # the run's largest key field after the first
     for i in sorted(range(len(keys)), key=keys.__getitem__):
-        if chunk and (len(chunk) == size or keys[i][0] != keys[chunk[0]][0]):
+        width = max(keys[i][1:])
+        if chunk and (
+            len(chunk) == size
+            or keys[i][0] != keys[chunk[0]][0]
+            or (len(chunk) + 1) * max(widest, width) > positions
+        ):
             yield chunk
-            chunk = []
+            chunk, widest = [], 0
         chunk.append(i)
+        widest = max(widest, width)
     if chunk:
         yield chunk
 
@@ -257,7 +269,8 @@ def corpus_cross_entropy(params, config, pairs) -> tuple[np.ndarray, np.ndarray]
     """Per-pair (cross-entropy, token count) arrays, in input order.
 
     Pairs are sorted by length and scored in chunks of up to `_SCORE_CHUNK`
-    through `forward_teacher_forced`, whose per-row losses do not depend on
+    rows and `_SCORE_POSITIONS` padded positions through
+    `forward_teacher_forced`, whose per-row losses do not depend on
     the batch. A pair's entropy therefore has the bits that
     `pair_cross_entropy` (this function on one pair) gives, and corpus-level
     aggregates built from it agree bit-for-bit with the per-pair metric.
@@ -265,7 +278,7 @@ def corpus_cross_entropy(params, config, pairs) -> tuple[np.ndarray, np.ndarray]
     entropies = np.empty(len(pairs))
     token_counts = np.array([float(len(p.tgt_out_ids)) for p in pairs])
     keys = [(0, len(p.src_ids), len(p.tgt_out_ids)) for p in pairs]
-    for chunk in _chunks(keys, _SCORE_CHUNK):
+    for chunk in _chunks(keys, _SCORE_CHUNK, _SCORE_POSITIONS):
         batch = make_batch([pairs[i] for i in chunk])
         result = forward_teacher_forced(params, config, batch, dropout_on=False, seed=0)
         entropies[chunk] = result.pair_losses

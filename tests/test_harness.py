@@ -543,7 +543,8 @@ _ONE_TENSOR = tensor_section([("w", (1,))])  # w = [0.0]
 
 
 def crafted_checkpoint(
-    path, config=json.dumps(_CONFIG).encode(), vocab=b'{"src":"a","tgt":"b"}',
+    path, config=json.dumps(_CONFIG, sort_keys=True, separators=(",", ":")).encode(),
+    vocab=b'{"src":"a","tgt":"b"}',
     params=tensor_section(_TENSORS), history=b"[]",
 ):
     """A checkpoint file from raw section bytes, with a valid trailing hash."""
@@ -624,8 +625,9 @@ def test_checkpoint_tensors_must_fit_the_config(
     vocab = {"src": data.src_vocab.fingerprint(), "tgt": data.tgt_vocab.fingerprint()}
     path = tmp_path / "m.ckpt"
     crafted_checkpoint(
-        path, config=json.dumps(asdict(config)).encode(),
-        vocab=json.dumps(vocab).encode(),
+        path,
+        config=json.dumps(asdict(config), sort_keys=True, separators=(",", ":")).encode(),
+        vocab=json.dumps(vocab, sort_keys=True, separators=(",", ":")).encode(),
         params=tensor_section(tensors(parameter_shapes(config))),
     )
     with pytest.raises(CheckpointFormatError) as err:

@@ -256,6 +256,37 @@ def test_scoring_is_read_only(toy_data, tiny_checkpoint):
     assert before == after
 
 
+def test_scoring_chunks_stay_within_the_padded_position_cap(
+    tiny_checkpoint, monkeypatch
+):
+    from curricula import metrics
+    from curricula.corpus import BOS_ID, EncodedPair
+
+    # 64 rows of 31 target tokens would pad to 1,984 positions in one chunk
+    ckpt = tiny_checkpoint
+    fps = (ckpt.src_vocab_fingerprint, ckpt.tgt_vocab_fingerprint)
+    rng = np.random.default_rng(0)
+    pairs = []
+    for i in range(64):
+        src = tuple(int(x) for x in rng.integers(4, 10, size=5 + i % 20))
+        tgt = tuple(int(x) for x in rng.integers(4, 10, size=30))
+        pairs.append(EncodedPair(i, src, (BOS_ID,) + tgt, tgt + (EOS_ID,), *fps))
+    shapes = []
+    forward = metrics.forward_teacher_forced
+
+    def recording(params, config, batch, **kwargs):
+        shapes.append((batch.src.shape, batch.tgt_out.shape))
+        return forward(params, config, batch, **kwargs)
+
+    monkeypatch.setattr(metrics, "forward_teacher_forced", recording)
+    entropies, _ = metrics.corpus_cross_entropy(ckpt.params, ckpt.config, pairs)
+    assert sum(src[0] for src, _ in shapes) == 64 and len(shapes) == 2
+    for (rows, s), (_, t) in shapes:
+        assert rows * max(s, t) <= metrics._SCORE_POSITIONS
+    alone = [metrics.pair_cross_entropy(ckpt, p) for p in pairs]
+    assert list(entropies) == alone
+
+
 def test_score_table_file_round_trip(tmp_path, toy_data, tiny_checkpoint):
     table = score_corpus(tiny_checkpoint, toy_data["train_enc"][:4], "xent")
     table.save(tmp_path / "scores.txt")
