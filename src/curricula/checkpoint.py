@@ -6,6 +6,9 @@ File layout (all integers little-endian):
     (config JSON, vocab-fingerprint JSON, parameter tensors, history JSON)
     | trailing 32-byte sha256 of everything before it
 
+The version is always `FORMAT_VERSION`: the writer packs it, and a file
+with any other version is rejected.
+
 Each parameter tensor is stored as u16 name length + name, u8 ndim,
 u32 dims, then raw float64 data. The checkpoint's identity fingerprint is
 the sha256 of the config+vocab+parameter sections only, so editing the
@@ -50,7 +53,6 @@ class ModelCheckpoint:
     src_vocab_fingerprint: str
     tgt_vocab_fingerprint: str
     history: tuple[dict, ...] = ()
-    version: int = FORMAT_VERSION
     _fingerprint: str | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -103,7 +105,7 @@ def _sections(ckpt: ModelCheckpoint) -> tuple[list, list, list, list]:
 def _payload_chunks(ckpt: ModelCheckpoint):
     """Every buffer of the file before its trailing hash, in order."""
     yield MAGIC
-    yield struct.pack("<H", ckpt.version)
+    yield struct.pack("<H", FORMAT_VERSION)
     for section in _sections(ckpt):
         yield struct.pack("<Q", sum(len(chunk) for chunk in section))
         yield from section
@@ -307,4 +309,4 @@ def _read_payload(r: _Reader, path) -> ModelCheckpoint:
     history = _parse(path, "history", history_b, lambda d: tuple(json.loads(d)), list)
     if r.pos != r.size:
         raise CheckpointCorruptError(f"checkpoint {path} has trailing bytes")
-    return ModelCheckpoint(config, params, src_fp, tgt_fp, history, version)
+    return ModelCheckpoint(config, params, src_fp, tgt_fp, history)

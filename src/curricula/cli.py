@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
+from .corpus import read_text
 from .errors import ConfigError, DataError, NumericalError
 from .harness import (
     FILE_KEYS,
@@ -45,11 +46,11 @@ from .trainer import TrainConfig
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", type=float, default=1e-5)
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--max-epochs", type=int, default=10)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--clip-norm", type=float, default=5.0)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -143,7 +144,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = report_from_tsv(Path(args.run_dir, "report.tsv").read_text("utf-8"))
+    report = report_from_tsv(read_text(Path(args.run_dir, "report.tsv")))
     if args.out:
         emit_report(report, args.format, args.out)
         print(f"report written to {args.out}")
@@ -162,17 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="generate a toy corpus or load+filter files")
     p.add_argument("--toy", choices=["copy", "reverse", "digit-translation"])
-    p.add_argument("--size", type=int, default=200)
-    p.add_argument("--vocab", type=int, default=12)
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--size", type=int, default=CorpusSpec.size)
+    p.add_argument("--vocab", type=int, default=CorpusSpec.vocab)
+    p.add_argument("--min-len", type=int, default=CorpusSpec.min_len)
+    p.add_argument("--max-len", type=int, default=CorpusSpec.max_len)
     p.add_argument("--seed", type=int, default=0)
     for key in FILE_KEYS:
         p.add_argument("--" + key.replace("_", "-"))
-    p.add_argument("--filter-min", type=int, default=5)
-    p.add_argument("--filter-max", type=int, default=60)
+    p.add_argument("--filter-min", type=int, default=CorpusSpec.filter_min)
+    p.add_argument("--filter-max", type=int, default=CorpusSpec.filter_max)
     p.add_argument("--take", type=int)
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=int, default=CorpusSpec.min_count)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_corpus)
 

@@ -47,8 +47,6 @@ class SentencePair:
 @dataclass(frozen=True)
 class ParallelCorpus:
     pairs: tuple[SentencePair, ...]
-    src_name: str = "src"
-    tgt_name: str = "tgt"
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -77,7 +75,6 @@ class Vocabulary:
 
     id_to_token: tuple[str, ...]
     frequencies: tuple[int, ...]
-    min_count: int = 1
     _token_to_id: dict = field(init=False, repr=False, compare=False)
     _fingerprint: str | None = field(
         default=None, init=False, repr=False, compare=False
@@ -141,7 +138,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_text(path))
 
     def fingerprint(self) -> str:
         if self._fingerprint is None:
@@ -170,16 +167,22 @@ def _tokenize_line(line: str) -> tuple[str, ...]:
     return tuple(line.split())
 
 
+def read_text(path, error: type[Exception] = DataError) -> str:
+    """The text of a UTF-8 file; other bytes raise `error` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_lines(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     if text.endswith("\n"):
         text = text[:-1]
     return text.split("\n") if text else []
 
 
-def load_parallel_corpus(
-    src_path, tgt_path, src_name: str | None = None, tgt_name: str | None = None
-) -> ParallelCorpus:
+def load_parallel_corpus(src_path, tgt_path) -> ParallelCorpus:
     """Read two line-aligned text files into a whitespace-tokenized corpus."""
     src_lines = _read_lines(src_path)
     tgt_lines = _read_lines(tgt_path)
@@ -194,13 +197,9 @@ def load_parallel_corpus(
         tgt_tokens = _tokenize_line(t)
         for tok in src_tokens + tgt_tokens:
             if tok in SPECIAL_TOKENS:
-                raise DataError(f"reserved token {tok!r} appears in line {i}")
+                raise DataError(f"reserved token {tok!r} appears in line {i + 1}")
         pairs.append(SentencePair(i, src_tokens, tgt_tokens))
-    return ParallelCorpus(
-        tuple(pairs),
-        src_name or Path(src_path).stem,
-        tgt_name or Path(tgt_path).stem,
-    )
+    return ParallelCorpus(tuple(pairs))
 
 
 def write_corpus(corpus: ParallelCorpus, src_path, tgt_path) -> None:
@@ -240,7 +239,7 @@ def filter_corpus(
         raise EmptyCorpusError(
             f"no pairs left after filtering to lengths [{min_len}, {max_len}]"
         )
-    return ParallelCorpus(tuple(kept), corpus.src_name, corpus.tgt_name)
+    return ParallelCorpus(tuple(kept))
 
 
 def truncate_corpus(corpus: ParallelCorpus, k: int) -> ParallelCorpus:
@@ -249,7 +248,7 @@ def truncate_corpus(corpus: ParallelCorpus, k: int) -> ParallelCorpus:
         raise ConfigError(f"k must be >= 1, got {k}")
     if k >= len(corpus):
         return corpus
-    return ParallelCorpus(corpus.pairs[:k], corpus.src_name, corpus.tgt_name)
+    return ParallelCorpus(corpus.pairs[:k])
 
 
 def build_vocab(corpus: ParallelCorpus, side: str, min_count: int) -> Vocabulary:
@@ -273,7 +272,7 @@ def build_vocab(corpus: ParallelCorpus, side: str, min_count: int) -> Vocabulary
     )
     tokens = list(SPECIAL_TOKENS) + [tok for tok, _ in eligible]
     freqs = [0, 0, 0, 0] + [n for _, n in eligible]
-    return Vocabulary(tuple(tokens), tuple(freqs), min_count=min_count)
+    return Vocabulary(tuple(tokens), tuple(freqs))
 
 
 def encode_pair(

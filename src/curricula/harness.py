@@ -31,6 +31,7 @@ from .corpus import (
     encode_corpus,
     filter_corpus,
     load_parallel_corpus,
+    read_text,
     truncate_corpus,
     write_corpus,
 )
@@ -39,7 +40,6 @@ from .errors import ConfigError, CurriculaError, DataError
 from .evaluate import evaluate_model
 from .metrics import ScoreTable, length_scores, score_corpus
 from .ordering import (
-    OrderingPlan,
     Strategy,
     make_ordering,
     parse_strategy,
@@ -117,10 +117,9 @@ def generate_toy_corpus(
         pairs.append(SentencePair(len(pairs), src, _toy_target(task, src)))
     n_train = int(size * 0.8)
     n_val = int(size * 0.1)
-    names = {"src_name": f"{task}-src", "tgt_name": f"{task}-tgt"}
-    train = ParallelCorpus(tuple(pairs[:n_train]), **names)
-    val = ParallelCorpus(tuple(pairs[n_train : n_train + n_val]), **names)
-    test = ParallelCorpus(tuple(pairs[n_train + n_val :]), **names)
+    train = ParallelCorpus(tuple(pairs[:n_train]))
+    val = ParallelCorpus(tuple(pairs[n_train : n_train + n_val]))
+    test = ParallelCorpus(tuple(pairs[n_train + n_val :]))
     return train, val, test
 
 
@@ -149,7 +148,7 @@ def corrupt_targets(
             out.append(SentencePair(pair.index, pair.src_tokens, tgt))
         else:
             out.append(pair)
-    return ParallelCorpus(tuple(out), corpus.src_name, corpus.tgt_name)
+    return ParallelCorpus(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +290,11 @@ def spec_from_text(text: str) -> ExperimentSpec:
     # working seeds always derive from the experiment seed, so the spec file
     # has no train.seed key
     train = TrainConfig(
-        learning_rate=pop("train.learning_rate", 1e-5, float),
-        batch_size=pop("train.batch_size", 128, int),
-        max_epochs=pop("train.max_epochs", 10, int),
-        patience=pop("train.patience", 5, int),
-        clip_norm=pop("train.clip_norm", 5.0, float),
-        seed=0,
+        learning_rate=pop("train.learning_rate", TrainConfig.learning_rate, float),
+        batch_size=pop("train.batch_size", TrainConfig.batch_size, int),
+        max_epochs=pop("train.max_epochs", TrainConfig.max_epochs, int),
+        patience=pop("train.patience", TrainConfig.patience, int),
+        clip_norm=pop("train.clip_norm", TrainConfig.clip_norm, float),
     )
     seed = pop("seed", 0, int)
     output_dir = pop("output_dir")
@@ -316,7 +314,7 @@ def spec_from_text(text: str) -> ExperimentSpec:
 
 
 def load_spec(path) -> ExperimentSpec:
-    return spec_from_text(Path(path).read_text(encoding="utf-8"))
+    return spec_from_text(read_text(path, ConfigError))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import ModelCheckpoint
-from .corpus import EncodedPair, ParallelCorpus, SentencePair
+from .corpus import EncodedPair, ParallelCorpus, SentencePair, read_text
 from .errors import ConfigError, DataError, FingerprintError
 from .seq2seq import forward_teacher_forced, greedy_decode, make_batch
 
@@ -102,7 +102,7 @@ class ScoreTable:
 
     @classmethod
     def load(cls, path) -> "ScoreTable":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_text(path))
 
 
 def _check_fingerprints(model: ModelCheckpoint, pair: EncodedPair) -> None:
@@ -185,12 +185,10 @@ def _bleu_against_reference(decoded, pair: EncodedPair) -> float:
     return sentence_bleu(decoded, pair.tgt_out_ids[:-1])  # strip EOS
 
 
-def pair_bleu(
-    model: ModelCheckpoint, pair: EncodedPair, max_decode_len: int | None = None
-) -> float:
+def pair_bleu(model: ModelCheckpoint, pair: EncodedPair) -> float:
     """Sentence BLEU of the model's greedy translation against the reference."""
     _check_fingerprints(model, pair)
-    (decoded,) = decode_pairs(model.params, model.config, [pair], max_decode_len)
+    (decoded,) = decode_pairs(model.params, model.config, [pair])
     return _bleu_against_reference(decoded, pair)
 
 
@@ -204,12 +202,7 @@ def length_scores(corpus: ParallelCorpus, side: str) -> ScoreTable:
     )
 
 
-def score_corpus(
-    model: ModelCheckpoint,
-    pairs,
-    metric: str,
-    max_decode_len: int | None = None,
-) -> ScoreTable:
+def score_corpus(model: ModelCheckpoint, pairs, metric: str) -> ScoreTable:
     """Score every encoded pair with one model-based metric.
 
     Pairs are independent of each other, and each gets the bits that
@@ -222,7 +215,7 @@ def score_corpus(
     for pair in pairs:
         _check_fingerprints(model, pair)
     if metric == "bleu":
-        decoded = decode_pairs(model.params, model.config, pairs, max_decode_len)
+        decoded = decode_pairs(model.params, model.config, pairs)
         values = [_bleu_against_reference(d, p) for d, p in zip(decoded, pairs)]
     else:
         entropies, _ = corpus_cross_entropy(model.params, model.config, pairs)

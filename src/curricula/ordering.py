@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import read_text
 from .errors import ConfigError, CoverageError, DataError, MetricMismatchError
 from .metrics import ScoreTable
 from .rng import make_rng
@@ -35,14 +36,12 @@ class Strategy:
 
     kind: shuffle_every_epoch | shuffle_once | length | ppl | bleu.
     Metric kinds carry a direction (and a side, for length); shuffle kinds
-    may pin their own seed, otherwise the seed passed to `make_ordering`
-    applies.
+    draw from the seed passed to `make_ordering`.
     """
 
     kind: str
     side: str | None = None
     direction: str | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind in ("shuffle_every_epoch", "shuffle_once"):
@@ -146,7 +145,10 @@ class OrderingPlan:
         head = lines[0].split(" ")
         if len(head) != 5 or " ".join(head[:2]) != ORDER_HEADER:
             raise DataError(f"bad ordering plan header: {lines[0]!r}")
-        strategy = parse_strategy(head[2])
+        try:
+            strategy = parse_strategy(head[2])
+        except ConfigError as exc:
+            raise DataError(f"ordering plan line 1: {exc}") from exc
         perms, number = [], 1
         try:
             seed, epochs = int(head[3]), int(head[4])
@@ -166,7 +168,7 @@ class OrderingPlan:
 
     @classmethod
     def load(cls, path) -> "OrderingPlan":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_text(path))
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
@@ -202,7 +204,6 @@ def make_ordering(
         raise ConfigError("corpus_indices must be non-empty")
     if len(set(indices.tolist())) != indices.size:
         raise ConfigError("corpus_indices contains duplicates")
-    effective_seed = strategy.seed if strategy.seed is not None else seed
 
     required = strategy.required_metric
     if required is not None:
@@ -227,25 +228,22 @@ def make_ordering(
         perm = _sorted_permutation(scores, indices, strategy.direction == "desc")
         perms = tuple(perm for _ in range(num_epochs))
     elif strategy.kind == "shuffle_once":
-        rng = make_rng("order", "shuffle_once", effective_seed)
+        rng = make_rng("order", "shuffle_once", seed)
         perm = rng.permutation(indices)
         perms = tuple(perm for _ in range(num_epochs))
     else:  # shuffle_every_epoch
         perms = tuple(
-            make_rng("order", "shuffle_every_epoch", effective_seed, "epoch", e)
+            make_rng("order", "shuffle_every_epoch", seed, "epoch", e)
             .permutation(indices)
             for e in range(num_epochs)
         )
-    return OrderingPlan(
-        strategy=strategy, seed=effective_seed, epoch_permutations=perms
-    )
+    return OrderingPlan(strategy=strategy, seed=seed, epoch_permutations=perms)
 
 
 @dataclass
 class BatchSchedule:
     """Each epoch's permutation chunked sequentially into minibatches."""
 
-    batch_size: int
     epochs: tuple[tuple[np.ndarray, ...], ...]
 
 
@@ -259,7 +257,7 @@ def schedule_batches(plan: OrderingPlan, batch_size: int) -> BatchSchedule:
             perm[i : i + batch_size] for i in range(0, len(perm), batch_size)
         )
         epochs.append(batches)
-    return BatchSchedule(batch_size=batch_size, epochs=tuple(epochs))
+    return BatchSchedule(epochs=tuple(epochs))
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,10 @@ class ModelConfig:
             self.src_vocab_size,
             self.tgt_vocab_size,
         )
+        if any(type(d) is not int for d in dims):
+            raise ConfigError(f"model dimensions must be integers: {self}")
+        if type(self.use_attention) is not bool:
+            raise ConfigError(f"use_attention must be a bool: {self}")
         if any(d < 1 for d in dims):
             raise ConfigError(f"all model dimensions must be >= 1: {self}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -189,7 +193,6 @@ class Batch:
     tgt_in: np.ndarray  # (B, T)
     tgt_out: np.ndarray  # (B, T)
     tgt_lengths: np.ndarray  # (B,)
-    indices: np.ndarray  # (B,) corpus indices
 
     @property
     def size(self) -> int:
@@ -207,15 +210,13 @@ def make_batch(pairs: list[EncodedPair] | tuple[EncodedPair, ...]) -> Batch:
     tgt_out = np.full((b, t), PAD_ID, dtype=np.int64)
     src_lengths = np.zeros(b, dtype=np.int64)
     tgt_lengths = np.zeros(b, dtype=np.int64)
-    indices = np.zeros(b, dtype=np.int64)
     for i, p in enumerate(pairs):
         src[i, : len(p.src_ids)] = p.src_ids
         tgt_in[i, : len(p.tgt_in_ids)] = p.tgt_in_ids
         tgt_out[i, : len(p.tgt_out_ids)] = p.tgt_out_ids
         src_lengths[i] = len(p.src_ids)
         tgt_lengths[i] = len(p.tgt_out_ids)
-        indices[i] = p.index
-    return Batch(src, src_lengths, tgt_in, tgt_out, tgt_lengths, indices)
+    return Batch(src, src_lengths, tgt_in, tgt_out, tgt_lengths)
 
 
 @dataclass
@@ -331,31 +332,26 @@ class _Steps:
     states, then each position's new state. Step t reads its previous states
     from rows `prev[t]` on, `previous` lists that row for every position,
     and `final` the row of each caller row's last state.
-    When every row is live at every step, `order`, `inverse` and `pos` are
-    None and `final` and `previous` are slices: the packing is a transpose
-    and nothing is gathered.
     """
 
     bsz: int
     tlen: int
-    order: np.ndarray | None  # caller row of each sorted row
-    inverse: np.ndarray | None  # sorted row of each caller row
+    order: np.ndarray  # caller row of each sorted row
+    inverse: np.ndarray  # sorted row of each caller row
     live: list[int]
     start: list[int]
     prev: list[int]
-    pos: np.ndarray | None  # flat caller position b * T + t of each packed one
-    final: np.ndarray | slice
-    previous: np.ndarray | slice
+    pos: np.ndarray  # flat caller position b * T + t of each packed one
+    final: np.ndarray
+    previous: np.ndarray
 
 
 def _steps(lengths, bsz: int, tlen: int) -> _Steps:
     """The live positions of a (B, T) layout whose row b runs lengths[b]
-    steps (every step without `lengths`)."""
-    if lengths is None or lengths.min() >= tlen:
-        start = [t * bsz for t in range(tlen)]
-        npos = tlen * bsz
-        return _Steps(bsz, tlen, None, None, [bsz] * tlen, start, start, None,
-                      slice(npos, npos + bsz), slice(0, npos))
+    steps, or every row T steps without `lengths`, the rows then staying
+    in their order."""
+    if lengths is None:
+        lengths = np.full(bsz, tlen)
     order = np.argsort(-lengths, kind="stable")
     inverse = np.empty_like(order)
     inverse[order] = np.arange(bsz)
@@ -367,29 +363,18 @@ def _steps(lengths, bsz: int, tlen: int) -> _Steps:
     base = np.concatenate([[0], bsz + start])  # state row before step t, per t
     pos, previous = order[r] * tlen + t, base[t] + r
     final = base[lengths] + inverse
-    if np.array_equal(order, np.arange(bsz)):  # rows already longest first
-        order = inverse = None
     return _Steps(bsz, tlen, order, inverse, live.tolist(), start.tolist(),
                   base[:-1].tolist(), pos, final, previous)
 
 
-def _reorder(x, rows):
-    """x[rows], or x itself when `rows` is None."""
-    return x if rows is None else x[rows]
-
-
 def _pack(x, steps):
     """(B, T, ...) caller layout -> (N, ...) live positions, step after step."""
-    if steps.pos is None:
-        return x.swapaxes(0, 1).reshape(-1, *x.shape[2:])
     return x.reshape(-1, *x.shape[2:])[steps.pos]
 
 
 def _unpack(xp, steps):
     """Inverse of `_pack`, zero at the positions no step ran."""
     tail = xp.shape[1:]
-    if steps.pos is None:
-        return xp.reshape(steps.tlen, steps.bsz, *tail).swapaxes(0, 1)
     out = np.zeros((steps.bsz * steps.tlen, *tail))
     out[steps.pos] = xp
     return out.reshape(steps.bsz, steps.tlen, *tail)
@@ -451,13 +436,13 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
     npos = len(gates)
     hs = np.empty((bsz + npos, hdim))  # initial states, then each new one
     cs = np.empty_like(hs)
-    hs[:bsz] = _reorder(h0, steps.order)
-    cs[:bsz] = _reorder(c0, steps.order)
+    hs[:bsz] = h0[steps.order]
+    cs[:bsz] = c0[steps.order]
     tc = np.empty((npos, hdim)) if mode.backward else None
     if attn is not None:
         Wq, v = attn[:2]
         Wc = Wx[-hdim:]  # the rows that read the context
-        K, kwk, src_mask = (_reorder(x, steps.order) for x in attn[2:])
+        K, kwk, src_mask = (x[steps.order] for x in attn[2:])
         if mode.backward:
             alphas, ctxs = np.empty((npos, K.shape[1])), np.empty((npos, hdim))
             us = np.empty((npos, *K.shape[1:]))
@@ -523,9 +508,9 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
     din = xp.shape[1]
     d_gates = np.empty_like(gates)
     d_out = None if dH is None else _pack(dH, steps)
-    # per sorted row, the gradient on its latest state (a copy, written
-    # below); a finished row's waits untouched until the loop reaches its end
-    dh_next, dc_next = (np.array(_reorder(x, steps.order)) for x in (dhT, dcT))
+    # per sorted row, the gradient on its latest state; a finished row's
+    # waits untouched until the loop reaches its end
+    dh_next, dc_next = dhT[steps.order], dcT[steps.order]
     WhT = np.ascontiguousarray(Wh.T)
     attn = cache["attn"]
     if attn is not None:
@@ -565,9 +550,8 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
     d_attn = None
     if attn is not None:
         np.matmul(cache["CTX"].T, d_gates, out=dWx[din:])
-        dK, d_kwk = (_reorder(x, steps.inverse) for x in (dK, d_kwk))
-        d_attn = (h_prev.T @ dqs, dv, dK, d_kwk)
-    dh0, dc0 = (_reorder(x, steps.inverse) for x in (dh_next, dc_next))
+        d_attn = (h_prev.T @ dqs, dv, dK[steps.inverse], d_kwk[steps.inverse])
+    dh0, dc0 = dh_next[steps.inverse], dc_next[steps.inverse]
     return dX, dWx, dWh, db, dh0, dc0, d_attn
 
 

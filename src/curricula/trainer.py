@@ -30,13 +30,15 @@ __all__ = [
     "load_checkpoint",
 ]
 
+# Adam's moment decay rates and the term that keeps its denominator positive
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 128
     max_epochs: int = 10
     patience: int = 5
@@ -125,7 +127,7 @@ def adam_step(
         raise StructuralError("optimizer state does not match the parameters")
     grads = clip_gradients(grads, config.clip_norm)
     t = state.t + 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = BETA1, BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     new_params: dict[str, np.ndarray] = {}
@@ -140,7 +142,7 @@ def adam_step(
         v *= b2
         v += tmp  # v = b2 * v + (1 - b2) * (g * g)
         np.sqrt(np.divide(v, bias2, out=tmp), out=tmp)
-        tmp += config.epsilon
+        tmp += EPSILON
         step = np.divide(m, bias1)
         step *= config.learning_rate
         step /= tmp  # lr * (m / bias1) / (sqrt(v / bias2) + eps)

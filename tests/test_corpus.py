@@ -180,6 +180,13 @@ def test_vocab_file_round_trip(tmp_path, toy_data):
     assert loaded.fingerprint() == vocab.fingerprint()
 
 
+@pytest.mark.parametrize("min_count", [1, 2, 3])
+def test_saved_vocab_loads_equal(tmp_path, toy_data, min_count):
+    vocab = build_vocab(toy_data["train"], "source", min_count)
+    vocab.save(tmp_path / "v.vocab")
+    assert Vocabulary.load(tmp_path / "v.vocab") == vocab
+
+
 def test_vocab_rejects_bad_header():
     with pytest.raises(DataError):
         Vocabulary.from_text("NOT-A-VOCAB v9\n")

@@ -465,6 +465,7 @@ def cli_corpus(tmp_path_factory):
 _REPORT_HEAD = "strategy\tscorer\tepochs\ttest_ppl\ttest_bleu\n"
 _ORDER = "order --corpus-dir {tmp}/corpus --epochs 1 --out {tmp}/plan.txt --strategy"
 _TRAIN = "train --corpus-dir {tmp}/corpus --plan {tmp}/plan.txt --out {tmp}/m.ckpt"
+_SCORE = "score --corpus-dir {tmp}/corpus --metric length --out {tmp}/s.txt"
 
 
 @pytest.mark.parametrize(
@@ -489,6 +490,15 @@ _TRAIN = "train --corpus-dir {tmp}/corpus --plan {tmp}/plan.txt --out {tmp}/m.ck
         pytest.param(
             {"plan.txt": "CURRICULA-ORDER v1 shuffle_once 0 one\n0 1\n"},
             _TRAIN, 3, "plan line 1", id="plan-epochs",
+        ),
+        pytest.param(
+            {"plan.txt": "CURRICULA-ORDER v1 length:source 0 1\n0 1\n"},
+            _TRAIN, 3, "ordering plan line 1: cannot parse strategy token",
+            id="plan-strategy",
+        ),
+        pytest.param(
+            {"corpus/train.src": "a b\nc <pad>\n", "corpus/train.tgt": "b a\nc d\n"},
+            _SCORE, 3, "reserved token '<pad>' appears in line 2", id="corpus-reserved-token",
         ),
         pytest.param(
             {"run/report.tsv": _REPORT_HEAD + "Random\tnone\t2\t1.5\n"},
@@ -526,6 +536,46 @@ def test_cli_bad_input_exits_with_its_error_code(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, content, argv, code",
+    [
+        pytest.param("corpus/train.src", None, _SCORE, 3, id="corpus"),
+        pytest.param("corpus/src.vocab", None, _SCORE, 3, id="vocabulary"),
+        pytest.param(
+            "scores.txt", b"CURRICULA-SCORES v1 length:source none\n0\t\xff\n",
+            _ORDER + " length --side source --direction asc --scores {tmp}/scores.txt",
+            3, id="score-table",
+        ),
+        pytest.param(
+            "plan.txt", b"CURRICULA-ORDER v1 shuffle_once 0 1\n0 \xff\n", _TRAIN, 3,
+            id="plan",
+        ),
+        pytest.param(
+            "run/report.tsv", b"# seed\t\xff\n", "report --run-dir {tmp}/run", 3,
+            id="report",
+        ),
+        pytest.param(
+            "bad.spec", b"CURRICULA-SPEC v1\n# \xff\n", "experiment --spec {tmp}/bad.spec",
+            2, id="spec",
+        ),
+    ],
+)
+def test_cli_file_that_is_not_utf8_exits_with_its_error_code(
+    tmp_path, cli_corpus, capsys, name, content, argv, code
+):
+    shutil.copytree(cli_corpus, tmp_path / "corpus")
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if content is None:  # one byte that is not UTF-8 in the file's second line
+        lines = path.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        content = b"\n".join(lines)
+    path.write_bytes(content)
+    capsys.readouterr()
+    assert cli_main(argv.format(tmp=tmp_path).split()) == code
+    assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+
 def tensor_section(entries):
     """The parameter section for (name, shape) entries, every value 0.0."""
     chunks = [struct.pack("<I", len(entries))]
@@ -540,6 +590,11 @@ def tensor_section(entries):
 _CONFIG = asdict(ModelConfig(4, 4, 1, 1, False, 0.0, 6, 6))
 _TENSORS = parameter_shapes(ModelConfig(**_CONFIG))
 _ONE_TENSOR = tensor_section([("w", (1,))])  # w = [0.0]
+
+
+def config_section(**changes) -> bytes:
+    """The canonical config section of `_CONFIG` with `changes` applied."""
+    return json.dumps({**_CONFIG, **changes}, sort_keys=True, separators=(",", ":")).encode()
 
 
 def crafted_checkpoint(
@@ -565,6 +620,14 @@ def crafted_checkpoint(
         pytest.param(
             {"config": b'{"embed_dim": "\xff"}'}, "config", UnicodeDecodeError,
             id="config-not-utf8",
+        ),
+        pytest.param(
+            {"config": config_section(hidden_dim=4.0)}, "config", ConfigError,
+            id="config-float-dimension",
+        ),
+        pytest.param(
+            {"config": config_section(decoder_layers=True)}, "config", ConfigError,
+            id="config-bool-dimension",
         ),
         pytest.param({"vocab": b'{"tgt":"b"}'}, "vocab", KeyError, id="vocab-no-src"),
         pytest.param({"history": b"5"}, "history", TypeError, id="history-not-a-list"),

@@ -67,12 +67,6 @@ def test_shuffle_epoch_streams_share_prefix_across_run_lengths():
         assert np.array_equal(a, b)
 
 
-def test_strategy_seed_field_overrides_call_seed():
-    pinned = make_ordering(Strategy("shuffle_once", seed=123), None, range(10), 1, seed=0)
-    direct = make_ordering(Strategy("shuffle_once"), None, range(10), 1, seed=123)
-    assert np.array_equal(pinned.epoch_permutations[0], direct.epoch_permutations[0])
-
-
 def test_metric_strategy_requires_matching_table():
     with pytest.raises(MetricMismatchError):
         make_ordering(Strategy("ppl", direction="asc"), None, (0, 1), 1)

@@ -182,7 +182,7 @@ def test_extra_pad_columns_do_not_change_losses():
         b2 = Batch(
             pad_cols(b1.src, 3), b1.src_lengths,
             pad_cols(b1.tgt_in, 2), pad_cols(b1.tgt_out, 2),
-            b1.tgt_lengths, b1.indices,
+            b1.tgt_lengths,
         )
         r1 = forward_teacher_forced(params, config, b1)
         r2 = forward_teacher_forced(params, config, b2)
@@ -548,7 +548,7 @@ def test_trailing_pad_columns_change_no_training_bit(preset):
     wider = Batch(
         pad_cols(batch.src, 3), batch.src_lengths,
         pad_cols(batch.tgt_in, 3), pad_cols(batch.tgt_out, 3),
-        batch.tgt_lengths, batch.indices,
+        batch.tgt_lengths,
     )
     for dropout_on in (False, True):
         assert_same_training_bits(

@@ -27,6 +27,9 @@ from curricula.seq2seq import (
     make_batch,
 )
 from curricula.trainer import (
+    BETA1,
+    BETA2,
+    EPSILON,
     AdamState,
     TrainConfig,
     adam_step,
@@ -94,7 +97,7 @@ def reference_adam_step(params, grads, state, config):
     """Adam written out of place, one temporary per operation."""
     grads = clip_gradients(grads, config.clip_norm)
     t = state.t + 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = BETA1, BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     new_params, new_m, new_v = {}, {}, {}
@@ -105,7 +108,7 @@ def reference_adam_step(params, grads, state, config):
         m_hat = m / bias1
         v_hat = v / bias2
         new_params[k] = params[k] - config.learning_rate * m_hat / (
-            np.sqrt(v_hat) + config.epsilon
+            np.sqrt(v_hat) + EPSILON
         )
         new_m[k] = m
         new_v[k] = v
