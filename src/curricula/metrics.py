@@ -229,8 +229,9 @@ def score_corpus(model: ModelCheckpoint, pairs, metric: str) -> ScoreTable:
 
 # Rows per batched call. Any size gives the same bits; these were chosen by
 # measurement at the three presets. A scoring chunk also stops before its
-# rows times its longest source or target exceed _SCORE_POSITIONS, which
-# bounds the memory of one call on long pairs.
+# rows times its longest source or target exceed _SCORE_POSITIONS, and a
+# decoding chunk before its rows times its longest source do, which bounds
+# the memory of one call on long pairs.
 _SCORE_CHUNK = 64
 _SCORE_POSITIONS = 1024
 _DECODE_CHUNK = 32
@@ -283,8 +284,9 @@ def decode_pairs(params, config, pairs, max_decode_len: int | None = None):
 
     Each pair's budget is `max_decode_len`, or `default_decode_len` of its
     source. Pairs are sorted by budget and source length and decoded in
-    chunks of up to `_DECODE_CHUNK` that share one budget; a pair's tokens do
-    not depend on its chunk.
+    chunks of up to `_DECODE_CHUNK` rows and `_SCORE_POSITIONS` padded source
+    positions that share one budget; a pair's tokens do not depend on its
+    chunk.
     """
     budgets = [
         max_decode_len if max_decode_len is not None
@@ -293,7 +295,7 @@ def decode_pairs(params, config, pairs, max_decode_len: int | None = None):
     ]
     decoded: list[list[int]] = [[] for _ in pairs]
     keys = [(b, len(p.src_ids)) for b, p in zip(budgets, pairs)]
-    for chunk in _chunks(keys, _DECODE_CHUNK):
+    for chunk in _chunks(keys, _DECODE_CHUNK, _SCORE_POSITIONS):
         sources = [pairs[i].src_ids for i in chunk]
         out = greedy_decode(params, config, sources, budgets[chunk[0]])
         for i, tokens in zip(chunk, out):

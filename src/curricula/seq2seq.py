@@ -34,11 +34,17 @@ position or on the PAD embeddings, and extra PAD columns change no bit.
 Inference is batch-invariant: a pair's scores and greedy tokens have the
 same bits whether it is run alone or in any batch, in any row, next to any
 amount of padding. Two things would otherwise leak the batch into a row:
-- The BLAS picks its kernel by shape (GEMV for one row, a small-matrix
-  kernel for small products, blocked GEMM above), and the kernels round
-  differently. `_rows_matmul` therefore runs every matmul whose row count
-  depends on the batch in fixed blocks of `_BLOCK_ROWS` rows, zero-padding
-  the last block, so every call has the same shape.
+- The BLAS picks its kernel by shape (GEMV for one row, an unpacked
+  small-matrix kernel for small products, blocked GEMM above), and the
+  kernels round differently. Every matmul whose row count depends on the
+  batch therefore goes through `_rows_matmul`, which never sends the BLAS
+  fewer than `_BLOCK_ROWS` rows, zero-padding the last block. A product
+  whose `_BLOCK_ROWS`-row call is small, or whose width is not a multiple
+  of `_COLUMN_BLOCK`, runs in blocks of `_BLOCK_ROWS` rows, so every call
+  has one shape and one kernel. Any other product runs blocked GEMM at
+  every row count, which gives a row the same bits however many rows share
+  the call, so its full blocks go to the BLAS in one call that packs the
+  weight once, not once per block.
 - numpy's pairwise summation regroups terms when the summed length changes.
   Sums over padded axes (attention denominator and context over source
   positions, a pair's loss over target positions) therefore run strictly
@@ -114,6 +120,8 @@ class ModelConfig:
             raise ConfigError(f"model dimensions must be integers: {self}")
         if type(self.use_attention) is not bool:
             raise ConfigError(f"use_attention must be a bool: {self}")
+        if type(self.dropout_p) is not float:
+            raise ConfigError(f"dropout_p must be a float: {self}")
         if any(d < 1 for d in dims):
             raise ConfigError(f"all model dimensions must be >= 1: {self}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -227,24 +235,40 @@ class ForwardResult:
 
 
 _BLOCK_ROWS = 8
+# OpenBLAS runs a product of at most _SMALL_PRODUCT multiply-adds through an
+# unpacked small-matrix kernel, and a larger one through blocked GEMM; the
+# two round differently. Blocked GEMM gives a row the same bits whatever the
+# row count only when N is a multiple of _COLUMN_BLOCK: narrower last column
+# blocks round by row count. Measured with OpenBLAS 0.3.31 (SkylakeX
+# kernels) for K up to 1,024 and N up to 4,100, at 8 to 1,032 rows, under 1
+# and 2 threads.
+_SMALL_PRODUCT = 100**3
+_COLUMN_BLOCK = 8
 
 
 def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
-    """`a @ w` for a 2-D `w`, in fixed blocks of `_BLOCK_ROWS` rows of `a`,
-    written into the (rows, N) array `out` when one is given.
+    """`a @ w` for a 2-D `w`, written into the (rows, N) array `out` when one
+    is given, with each row's bits independent of the other rows.
 
-    Leading axes of `a` are flattened into rows. The last block is
-    zero-padded, so every BLAS call has the shape (_BLOCK_ROWS, K) @ (K, N)
-    and a row's result does not depend on how many rows share the call.
+    Leading axes of `a` are flattened into rows. No BLAS call gets fewer than
+    `_BLOCK_ROWS` rows: the rows past the last full block go in one
+    zero-padded block. When a `_BLOCK_ROWS`-row call already runs blocked
+    GEMM over whole column blocks, every full block goes in one call, since
+    that kernel gives a row the same bits for any row count. Otherwise each
+    block is its own call, so every call has the shape (_BLOCK_ROWS, K) @ (K, N).
     """
     rows = a.reshape(-1, a.shape[-1])
     m = rows.shape[0]
     if out is None:
         out = np.empty((m, w.shape[1]))
     full = m - m % _BLOCK_ROWS
-    for start in range(0, full, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        np.matmul(rows[start:stop], w, out=out[start:stop])
+    k, n = w.shape
+    if _BLOCK_ROWS * k * n > _SMALL_PRODUCT and n % _COLUMN_BLOCK == 0:
+        np.matmul(rows[:full], w, out=out[:full])
+    else:
+        for start in range(0, full, _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            np.matmul(rows[start:stop], w, out=out[start:stop])
     if full < m:
         tail = np.zeros((_BLOCK_ROWS, rows.shape[1]))
         tail[: m - full] = rows[full:]
@@ -331,12 +355,15 @@ class _Steps:
     layer keeps its states in one (B + N, H) array: the sorted initial
     states, then each position's new state. Step t reads its previous states
     from rows `prev[t]` on, `previous` lists that row for every position,
-    and `final` the row of each caller row's last state.
+    and `final` the row of each caller row's last state. `ordered` says that
+    the caller's rows already run longest first (`order` is the identity),
+    as a decoding step's always do.
     """
 
     bsz: int
     tlen: int
     order: np.ndarray  # caller row of each sorted row
+    ordered: bool
     inverse: np.ndarray  # sorted row of each caller row
     live: list[int]
     start: list[int]
@@ -363,7 +390,8 @@ def _steps(lengths, bsz: int, tlen: int) -> _Steps:
     base = np.concatenate([[0], bsz + start])  # state row before step t, per t
     pos, previous = order[r] * tlen + t, base[t] + r
     final = base[lengths] + inverse
-    return _Steps(bsz, tlen, order, inverse, live.tolist(), start.tolist(),
+    ordered = bool((lengths[1:] <= lengths[:-1]).all())
+    return _Steps(bsz, tlen, order, ordered, inverse, live.tolist(), start.tolist(),
                   base[:-1].tolist(), pos, final, previous)
 
 
@@ -442,7 +470,9 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
     if attn is not None:
         Wq, v = attn[:2]
         Wc = Wx[-hdim:]  # the rows that read the context
-        K, kwk, src_mask = (x[steps.order] for x in attn[2:])
+        K, kwk, src_mask = attn[2:]
+        if not steps.ordered:  # a decoding step reads the keys in place
+            K, kwk, src_mask = (x[steps.order] for x in (K, kwk, src_mask))
         if mode.backward:
             alphas, ctxs = np.empty((npos, K.shape[1])), np.empty((npos, hdim))
             us = np.empty((npos, *K.shape[1:]))

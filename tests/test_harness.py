@@ -629,6 +629,14 @@ def crafted_checkpoint(
             {"config": config_section(decoder_layers=True)}, "config", ConfigError,
             id="config-bool-dimension",
         ),
+        pytest.param(
+            {"config": config_section(dropout_p=0)}, "config", ConfigError,
+            id="config-int-dropout",
+        ),
+        pytest.param(
+            {"config": config_section(dropout_p=False)}, "config", ConfigError,
+            id="config-bool-dropout",
+        ),
         pytest.param({"vocab": b'{"tgt":"b"}'}, "vocab", KeyError, id="vocab-no-src"),
         pytest.param({"history": b"5"}, "history", TypeError, id="history-not-a-list"),
         pytest.param(

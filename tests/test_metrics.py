@@ -287,6 +287,44 @@ def test_scoring_chunks_stay_within_the_padded_position_cap(
     assert list(entropies) == alone
 
 
+def test_decoding_chunks_stay_within_the_source_position_cap(monkeypatch):
+    import tracemalloc
+
+    from curricula import metrics
+    from curricula.corpus import BOS_ID, EncodedPair
+    from curricula.seq2seq import ModelConfig, greedy_decode, init_params
+
+    # 32 rows of 45-60 source tokens would pad to 1,920 positions in one chunk
+    config = ModelConfig.preset("base", 24, 24)
+    params = init_params(config, seed=5)
+    rng = np.random.default_rng(0)
+    pairs = []
+    for i in range(64):
+        src = tuple(int(x) for x in rng.integers(4, 24, size=45 + i % 16))
+        tgt = tuple(int(x) for x in rng.integers(4, 24, size=5))
+        pairs.append(EncodedPair(i, src, (BOS_ID,) + tgt, tgt + (EOS_ID,), "s", "t"))
+    chunks = []
+    decode = metrics.greedy_decode
+
+    def recording(params, config, sources, max_len):
+        chunks.append((len(sources), max(len(s) for s in sources)))
+        return decode(params, config, sources, max_len)
+
+    monkeypatch.setattr(metrics, "greedy_decode", recording)
+    tracemalloc.start()
+    try:
+        decoded = metrics.decode_pairs(params, config, pairs, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(rows for rows, _ in chunks) == 64
+    for rows, width in chunks:
+        assert rows * width <= metrics._SCORE_POSITIONS
+    # measured: chunks of 32 rows peak at 68.9 MB, capped chunks at 36.3 MB
+    assert peak < 48e6
+    assert decoded == greedy_decode(params, config, [p.src_ids for p in pairs], 2)
+
+
 def test_score_table_file_round_trip(tmp_path, toy_data, tiny_checkpoint):
     table = score_corpus(tiny_checkpoint, toy_data["train_enc"][:4], "xent")
     table.save(tmp_path / "scores.txt")

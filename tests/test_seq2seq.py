@@ -1,4 +1,9 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +107,13 @@ def test_init_bounds_and_forget_bias():
 def test_zero_dimension_rejected():
     with pytest.raises(ConfigError):
         ModelConfig(0, 8, 1, 1, False, 0.0, 12, 12)
+
+
+@pytest.mark.parametrize("dropout_p", [0, False])
+def test_dropout_that_is_not_a_float_rejected(dropout_p):
+    # 0 and False compare equal to 0.0 but serialize, and so fingerprint, apart
+    with pytest.raises(ConfigError, match="dropout_p must be a float"):
+        ModelConfig(8, 8, 1, 1, False, dropout_p, 12, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +433,51 @@ def test_backward_deterministic():
 # ---------------------------------------------------------------------------
 # batch invariance: a pair's bits do not depend on the batch it rides in
 # ---------------------------------------------------------------------------
+
+# the preset products, a narrow vocabulary's projection, and two shapes just
+# above the small-product bound: one that runs as one call, and one whose
+# width is not a whole number of column blocks
+ROWS_MATMUL_SHAPES = [(512, 2048), (512, 512), (512, 24), (128, 512), (32, 128),
+                      (300, 424), (300, 420)]
+ROWS_MATMUL_COUNTS = [1, 7, 8, 9, 80, 88, 96, 704, 1030]
+
+
+def rows_matmul_digest():
+    """Checks that every row of a `_rows_matmul` call has the bits of that
+    row computed alone, and returns the sha256 of every result."""
+    rng = np.random.default_rng(11)
+    digest = hashlib.sha256()
+    for shape in ROWS_MATMUL_SHAPES:
+        w = rng.standard_normal(shape)
+        a = rng.standard_normal((max(ROWS_MATMUL_COUNTS), shape[0]))
+        alone = np.concatenate([_rows_matmul(row[None], w) for row in a])
+        for m in ROWS_MATMUL_COUNTS:
+            together = _rows_matmul(a[:m], w)
+            assert np.array_equal(together, alone[:m]), (shape, m)
+            digest.update(together.tobytes())
+    return digest.hexdigest()
+
+
+def test_rows_matmul_rows_have_their_bits_alone():
+    rows_matmul_digest()
+
+
+def test_rows_matmul_bits_do_not_depend_on_blas_threads():
+    # tier-1 leaves the BLAS thread count to the machine; perfbench pins 1
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (
+        str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH"),
+    )))
+    script = "import test_seq2seq; print(test_seq2seq.rows_matmul_digest())"
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
+
 
 def invariance_setup(preset, n):
     """Scaled-up random weights, so that greedy outputs vary by source and
