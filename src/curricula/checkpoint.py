@@ -4,23 +4,33 @@ File layout (all integers little-endian):
 
     magic "CURR" | version u16 | four length-prefixed sections
     (config JSON, vocab-fingerprint JSON, parameter tensors, history JSON)
-    | trailing 32-byte sha256 of everything before it
+    | trailing 32-byte content hash
 
 The version is always `FORMAT_VERSION`: the writer packs it, and a file
-with any other version is rejected.
+with any other version is rejected before its content hash is checked,
+since what the hash covers is fixed by the version.
 
 Each parameter tensor is stored as u16 name length + name, u8 ndim,
-u32 dims, then raw float64 data. The checkpoint's identity fingerprint is
-the sha256 of the config+vocab+parameter sections only, so editing the
-training history does not change which model this is; the trailing hash
-covers the whole file and guards against truncation or bit rot. The JSON
-sections are canonical: sorted keys, no whitespace, as `_json_bytes` writes
-them, so a file loads only if it re-serializes to its own bytes.
+u32 dims, then raw float64 data. Two sha256 hashes cover the file, and each
+byte feeds exactly one of them, so a save or a load hashes every byte once:
+
+- the identity fingerprint covers the config, vocab and parameter sections
+  only, so editing the training history does not change which model this is;
+- the trailing content hash covers the magic, the version, the four section
+  lengths, the 32-byte identity digest and the history section. Through the
+  identity digest it covers the whole file, and it guards against
+  truncation or bit rot.
+
+The JSON sections are canonical: sorted keys, no whitespace, as
+`_json_bytes` writes them, so a file loads only if it re-serializes to its
+own bytes.
 
 A load reads the file once, front to back, and holds one copy of the
 tensors: each is read straight into its own array and hashed as it passes.
-Defects are reported in a fixed order: a bad magic first, then a failed
-content hash, then any other defect of the structure.
+Defects are reported in a fixed order: a bad magic or an unsupported
+version first, then a failed content hash, then any other defect of the
+structure. A section length that runs past the end of the file is reported
+as truncation, as the sections the content hash covers cannot be found.
 """
 
 from __future__ import annotations
@@ -41,7 +51,9 @@ from .errors import CheckpointCorruptError, CheckpointFormatError, ConfigError
 from .seq2seq import ModelConfig, parameter_shapes
 
 MAGIC = b"CURR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# the config, vocab and parameter sections, which the fingerprint covers
+_IDENTITY_SECTIONS = 3
 
 
 @dataclass
@@ -60,17 +72,9 @@ class ModelCheckpoint:
     @property
     def fingerprint(self) -> str:
         if self._fingerprint is None:
-            identity = _sections(self)[:3]  # config, vocab, parameters
-            self._fingerprint = _identity(c for section in identity for c in section)
+            for _ in _file_chunks(self):  # sets the fingerprint as it passes
+                pass
         return self._fingerprint
-
-
-def _identity(chunks) -> str:
-    # hashed buffer by buffer: joining them would copy every tensor again
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()
 
 
 def _json_bytes(obj) -> bytes:
@@ -102,35 +106,42 @@ def _sections(ckpt: ModelCheckpoint) -> tuple[list, list, list, list]:
     )
 
 
-def _payload_chunks(ckpt: ModelCheckpoint):
-    """Every buffer of the file before its trailing hash, in order."""
-    yield MAGIC
-    yield struct.pack("<H", FORMAT_VERSION)
-    for section in _sections(ckpt):
-        yield struct.pack("<Q", sum(len(chunk) for chunk in section))
-        yield from section
+def _file_chunks(ckpt: ModelCheckpoint):
+    """Every buffer of the file, in order, its trailing hash last. Each byte
+    feeds one hash, and once the identity sections have passed, their digest
+    becomes the checkpoint's fingerprint."""
+    head = MAGIC + struct.pack("<H", FORMAT_VERSION)
+    content, identity = hashlib.sha256(head), hashlib.sha256()
+    yield head
+    for n, section in enumerate(_sections(ckpt)):
+        length = struct.pack("<Q", sum(len(chunk) for chunk in section))
+        content.update(length)
+        yield length
+        if n == _IDENTITY_SECTIONS:  # the history
+            content.update(identity.digest())
+            ckpt._fingerprint = identity.hexdigest()
+        for chunk in section:
+            (identity if n < _IDENTITY_SECTIONS else content).update(chunk)
+            yield chunk
+    yield content.digest()
 
 
 def checkpoint_bytes(ckpt: ModelCheckpoint) -> bytes:
-    payload = b"".join(_payload_chunks(ckpt))
-    return payload + hashlib.sha256(payload).digest()
+    return b"".join(_file_chunks(ckpt))
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
     """Write atomically: temp file in the same directory, then rename.
 
     The buffers are hashed and written one by one, so the tensors are
-    never copied into one payload.
+    never copied into one payload. The save sets the checkpoint's
+    fingerprint.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            digest = hashlib.sha256()
-            for chunk in _payload_chunks(ckpt):
-                digest.update(chunk)
-                fh.write(chunk)
-            fh.write(digest.digest())
+            fh.writelines(_file_chunks(ckpt))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -146,8 +157,9 @@ _CHUNK = 1 << 20
 class _Reader:
     """Reads a checkpoint's payload front to back from an open file.
 
-    Every byte read feeds the content hash, and the bytes of the config,
-    vocab and parameter sections feed the identity hash too. No read goes
+    Each byte read feeds one hash: the bytes of the config, vocab and
+    parameter sections feed the identity hash, all others the content hash,
+    which takes the identity digest after the history's length. No read goes
     past the end of the current section, so a length from the file is
     checked against the bytes the file holds before anything is read or
     allocated for it.
@@ -157,9 +169,9 @@ class _Reader:
         self.fh, self.path = fh, path
         self.pos = 0
         self.end = self.size = size  # end of the section, end of the payload
-        self.content = hashlib.sha256()
+        self.sections = 0  # sections started
         self.identity = hashlib.sha256()
-        self.hashes = (self.content,)
+        self.content = self.hash = hashlib.sha256()  # `hash`: fed what is read
 
     @property
     def left(self) -> int:
@@ -170,8 +182,7 @@ class _Reader:
             raise CheckpointCorruptError(f"checkpoint {self.path} is truncated")
 
     def _passed(self, buf, n: int) -> None:
-        for h in self.hashes:
-            h.update(buf)
+        self.hash.update(buf)
         self.pos += len(buf)
         if len(buf) != n:  # the file is shorter than it was when opened
             raise CheckpointCorruptError(f"checkpoint {self.path} is truncated")
@@ -185,15 +196,18 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def section(self, identity: bool) -> int:
+    def section(self) -> int:
         """Start the next section: read its length, bound reads by it and
         return it."""
-        self.end, self.hashes = self.size, (self.content,)
+        self.end, self.hash = self.size, self.content
         (n,) = self.unpack("<Q")
         self._need(n)
         self.end = self.pos + n
-        if identity:
-            self.hashes = (self.content, self.identity)
+        self.sections += 1
+        if self.sections > _IDENTITY_SECTIONS:  # the history
+            self.content.update(self.identity.digest())
+        else:
+            self.hash = self.identity
         return n
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -208,14 +222,20 @@ class _Reader:
             self._passed(part[:n], len(part))
         return arr
 
+    def skip(self) -> None:
+        """Hash what is left of the current section without keeping it."""
+        while self.left:
+            self.take(min(_CHUNK, self.left))
+
     def verify(self) -> None:
-        """Hash what is left of the payload, then check the trailing hash."""
-        self.hashes = (self.content,)
-        while self.pos < self.size:
-            chunk = self.fh.read(min(_CHUNK, self.size - self.pos))
-            if not chunk:
-                break
-            self._passed(chunk, len(chunk))
+        """Hash what is left of the payload, finding the sections not yet
+        started by their lengths, then check the trailing hash."""
+        self.skip()
+        while self.sections <= _IDENTITY_SECTIONS:
+            self.section()
+            self.skip()
+        self.end, self.hash = self.size, self.content
+        self.skip()  # bytes after the history, which no writer leaves
         if self.fh.read(32) != self.content.digest():
             raise CheckpointCorruptError(
                 f"checkpoint {self.path} fails its content hash"
@@ -243,8 +263,8 @@ def _parse(path, section: str, raw: bytes, decode, encode=None):
 
 def load_checkpoint(path) -> ModelCheckpoint:
     """Read a checkpoint file once, front to back, holding one copy of its
-    tensors. A bad magic is reported first, then a failed content hash, then
-    any other defect."""
+    tensors. A bad magic or version is reported first, then a failed content
+    hash, then any other defect."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size - 32
         if size < len(MAGIC) + 2:
@@ -252,6 +272,11 @@ def load_checkpoint(path) -> ModelCheckpoint:
         r = _Reader(fh, path, size)
         if r.take(len(MAGIC)) != MAGIC:
             raise CheckpointFormatError(f"{path} is not a checkpoint (bad magic)")
+        (version,) = r.unpack("<H")
+        if version != FORMAT_VERSION:
+            raise CheckpointFormatError(
+                f"unsupported checkpoint version {version}; supported: {FORMAT_VERSION}"
+            )
         try:
             ckpt = _read_payload(r, path)
         except (CheckpointFormatError, CheckpointCorruptError):
@@ -263,22 +288,17 @@ def load_checkpoint(path) -> ModelCheckpoint:
 
 
 def _read_payload(r: _Reader, path) -> ModelCheckpoint:
-    """The payload after the magic, up to the trailing hash."""
-    (version,) = r.unpack("<H")
-    if version != FORMAT_VERSION:
-        raise CheckpointFormatError(
-            f"unsupported checkpoint version {version}; supported: {FORMAT_VERSION}"
-        )
+    """The payload after the magic and version, up to the trailing hash."""
     config = _parse(
-        path, "config", r.take(r.section(identity=True)),
+        path, "config", r.take(r.section()),
         lambda d: ModelConfig(**json.loads(d)), asdict,
     )
     src_fp, tgt_fp = _parse(
-        path, "vocab", r.take(r.section(identity=True)),
+        path, "vocab", r.take(r.section()),
         lambda d: itemgetter("src", "tgt")(json.loads(d)),
         lambda fps: {"src": fps[0], "tgt": fps[1]},
     )
-    r.section(identity=True)
+    r.section()
     expected = parameter_shapes(config)
     (count,) = r.unpack("<I")
     params: dict[str, np.ndarray] = {}
@@ -305,7 +325,7 @@ def _read_payload(r: _Reader, path) -> ModelCheckpoint:
             f"checkpoint {path} has a malformed parameter section: "
             f"{r.left} bytes after its last tensor"
         )
-    history_b = r.take(r.section(identity=False))
+    history_b = r.take(r.section())
     history = _parse(path, "history", history_b, lambda d: tuple(json.loads(d)), list)
     if r.pos != r.size:
         raise CheckpointCorruptError(f"checkpoint {path} has trailing bytes")

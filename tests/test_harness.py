@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import shutil
@@ -8,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from checkpoint_files import checkpoint_file
 from curricula.cli import main as cli_main
-from curricula.checkpoint import load_checkpoint
+from curricula.checkpoint import FORMAT_VERSION, load_checkpoint
 from curricula.errors import CheckpointFormatError, ConfigError
 from curricula.evaluate import EvalResult
 from curricula.metrics import ScoreTable
@@ -600,14 +600,10 @@ def config_section(**changes) -> bytes:
 def crafted_checkpoint(
     path, config=json.dumps(_CONFIG, sort_keys=True, separators=(",", ":")).encode(),
     vocab=b'{"src":"a","tgt":"b"}',
-    params=tensor_section(_TENSORS), history=b"[]",
+    params=tensor_section(_TENSORS), history=b"[]", version=FORMAT_VERSION,
 ):
     """A checkpoint file from raw section bytes, with a valid trailing hash."""
-    payload = b"CURR" + struct.pack("<H", 1) + b"".join(
-        struct.pack("<Q", len(section)) + section
-        for section in (config, vocab, params, history)
-    )
-    path.write_bytes(payload + hashlib.sha256(payload).digest())
+    path.write_bytes(checkpoint_file([config, vocab, params, history], version=version))
 
 
 @pytest.mark.parametrize(
@@ -658,6 +654,19 @@ def test_malformed_checkpoint_section_is_a_format_error(
     argv = ["eval", "--corpus-dir", str(cli_corpus), "--ckpt", str(tmp_path / "m.ckpt")]
     assert cli_main(argv) == 3
     assert f"malformed {section} section" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "score --metric ppl --out {tmp}/s.txt"])
+def test_version_1_checkpoint_is_refused(tmp_path, cli_corpus, capsys, command):
+    path = tmp_path / "v1.ckpt"
+    crafted_checkpoint(path, version=1)  # well formed but for its version
+    message = "unsupported checkpoint version 1; supported: 2"
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(path)
+    capsys.readouterr()
+    argv = command.format(tmp=tmp_path).split()
+    assert cli_main(argv + ["--corpus-dir", str(cli_corpus), "--ckpt", str(path)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_parameter_section_must_end_at_its_last_tensor(tmp_path, cli_corpus, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from curricula.checkpoint import (
+    FORMAT_VERSION,
     ModelCheckpoint,
     checkpoint_bytes,
     load_checkpoint,
@@ -374,15 +375,12 @@ def test_checkpoint_bad_magic_and_version(tmp_path):
     (tmp_path / "bad.ckpt").write_bytes(b"NOPE" + data[4:])
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(tmp_path / "bad.ckpt")
-    import hashlib
-    import struct
+    from checkpoint_files import checkpoint_file, split_sections
 
-    payload = data[:-32]
-    tampered = payload[:4] + struct.pack("<H", 999) + payload[6:]
-    (tmp_path / "v999.ckpt").write_bytes(tampered + hashlib.sha256(tampered).digest())
+    (tmp_path / "v999.ckpt").write_bytes(checkpoint_file(split_sections(data), version=999))
     with pytest.raises(CheckpointFormatError) as err:
         load_checkpoint(tmp_path / "v999.ckpt")
-    assert "999" in str(err.value) and "1" in str(err.value)
+    assert "999" in str(err.value) and str(FORMAT_VERSION) in str(err.value)
 
 
 def test_checkpoint_bitflip_detected(tmp_path):
