@@ -46,9 +46,10 @@ amount of padding. Two things would otherwise leak the batch into a row:
   the call, so its full blocks go to the BLAS in one call that packs the
   weight once, not once per block.
 - numpy's pairwise summation regroups terms when the summed length changes.
-  Sums over padded axes (attention denominator and context over source
-  positions, a pair's loss over target positions) therefore run strictly
-  left to right, where trailing exact zeros change nothing.
+  Sums over padded axes (attention denominator and the context's share of
+  the gates over source positions, a pair's loss over target positions)
+  therefore run strictly left to right, where trailing exact zeros change
+  nothing.
 The first layer of each stack reads only token embeddings, so its input
 product depends on the id alone. Inference therefore takes it from a
 per-call table (`_IdTable`) that projects each distinct id once, when the
@@ -66,7 +67,14 @@ Attention is additive: score(q, k) = v . tanh(q @ Wq + k @ Wk), softmaxed
 over the non-PAD source positions of each pair. The query is the previous
 hidden state of the first decoder layer, and the resulting context vector is
 concatenated to that layer's input embedding — the same layer both asks and
-consumes, which keeps the recurrence self-contained.
+consumes, which keeps the recurrence self-contained. The context is a
+weighted sum of the keys K, so its share of the gates is
+`ctx @ Wc = sum_s alpha_s * (K_s @ Wc)`, Wc being the last H rows of that
+layer's Wx. The layer therefore never forms the context: both key
+projections, `kwk = K @ Wk` and `kwc = K @ Wc`, are made once per call, in
+the decoder's row order, and each step adds its weighted `kwc` rows into its
+gates. A decoding step streams no context weight, and training finishes the
+Wc and K gradients from `d_kwc` outside the layer, as it does for Wk.
 
 Dropout (inverted, rate p) is applied to every layer's output sequence where
 it is consumed from above: as the next layer's input, as attention keys
@@ -292,7 +300,17 @@ class _Mode:
     matmul: Callable  # (..., K) @ (K, N) over a batch-dependent number of rows
     score: Callable  # (B, S, H) . (H,) -> (B, S)
     total: Callable  # (B, S, ...) -> (B, ...), summed over positions
-    context: Callable  # (B, S) weights . (B, S, H) values -> (B, H)
+    context: Callable  # adds (B, S) weights . (B, S, 4H) kwc into (B, 4H) gates
+
+
+def _add_left(gates, alpha, kwc):
+    """gates += sum over s of alpha[:, s] * kwc[:, s], strictly left to right,
+    so that a zero weight adds an exact zero; no (B, S, 4H) temporary."""
+    term = np.empty_like(gates)
+    for s in range(alpha.shape[1]):
+        # alpha[:, s, None] * kwc[:, s], one product per element, in a
+        # loop that runs faster than the broadcasting multiply
+        gates += np.einsum("b,bg->bg", alpha[:, s], kwc[:, s], out=term)
 
 
 _TRAINING = _Mode(
@@ -300,7 +318,9 @@ _TRAINING = _Mode(
     matmul=np.matmul,
     score=np.matmul,
     total=lambda x: x.sum(axis=1),
-    context=lambda alpha, values: np.einsum("bs,bsh->bh", alpha, values),
+    context=lambda gates, alpha, kwc: np.add(
+        gates, np.einsum("bs,bsg->bg", alpha, kwc), out=gates
+    ),
 )
 
 _INVARIANT = _Mode(
@@ -308,7 +328,7 @@ _INVARIANT = _Mode(
     matmul=_rows_matmul,
     score=lambda u, v: _rows_matmul(u, v.reshape(-1, 1))[..., 0],
     total=_sum_left,
-    context=lambda alpha, values: _sum_left(alpha[:, :, None] * values),
+    context=_add_left,
 )
 
 
@@ -355,15 +375,12 @@ class _Steps:
     layer keeps its states in one (B + N, H) array: the sorted initial
     states, then each position's new state. Step t reads its previous states
     from rows `prev[t]` on, `previous` lists that row for every position,
-    and `final` the row of each caller row's last state. `ordered` says that
-    the caller's rows already run longest first (`order` is the identity),
-    as a decoding step's always do.
+    and `final` the row of each caller row's last state.
     """
 
     bsz: int
     tlen: int
     order: np.ndarray  # caller row of each sorted row
-    ordered: bool
     inverse: np.ndarray  # sorted row of each caller row
     live: list[int]
     start: list[int]
@@ -390,8 +407,7 @@ def _steps(lengths, bsz: int, tlen: int) -> _Steps:
     base = np.concatenate([[0], bsz + start])  # state row before step t, per t
     pos, previous = order[r] * tlen + t, base[t] + r
     final = base[lengths] + inverse
-    ordered = bool((lengths[1:] <= lengths[:-1]).all())
-    return _Steps(bsz, tlen, order, ordered, inverse, live.tolist(), start.tolist(),
+    return _Steps(bsz, tlen, order, inverse, live.tolist(), start.tolist(),
                   base[:-1].tolist(), pos, final, previous)
 
 
@@ -446,9 +462,12 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
     X may instead be a pair (ids, table) of (B, T) token ids and the
     `_IdTable` that holds their input products: the first layer in
     inference gets its input product ready-made this way.
-    With `attn = (Wq, v, K, kwk, src_mask)`, step t also reads a context
-    attended over encoder outputs K (`kwk` is K @ Wk) with the layer's
-    previous hidden state as query, through the last H rows of Wx.
+    With `attn = (Wq, v, kwk, kwc, src_mask)`, step t also attends over the
+    encoder outputs K with the layer's previous hidden state as query, and
+    adds the context's share of the gates, sum_s alpha_s * (K_s @ Wc), Wc
+    being the last H rows of Wx. `kwk` is K @ Wk and `kwc` is K @ Wc, both
+    made once per call; their rows, like the mask's, are in the layer's
+    sorted row order (`steps.order`), so every step reads them in place.
     Returns (outputs (B, T, H), (hT, cT), cache): the outputs are zero
     where no step ran, and (hT, cT) is each row's state after its last step.
     """
@@ -468,14 +487,11 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
     cs[:bsz] = c0[steps.order]
     tc = np.empty((npos, hdim)) if mode.backward else None
     if attn is not None:
-        Wq, v = attn[:2]
-        Wc = Wx[-hdim:]  # the rows that read the context
-        K, kwk, src_mask = attn[2:]
-        if not steps.ordered:  # a decoding step reads the keys in place
-            K, kwk, src_mask = (x[steps.order] for x in (K, kwk, src_mask))
+        Wq, v, kwk, kwc, src_mask = attn
         if mode.backward:
-            alphas, ctxs = np.empty((npos, K.shape[1])), np.empty((npos, hdim))
-            us = np.empty((npos, *K.shape[1:]))
+            # per sorted row and step, zero where no step ran
+            alphas = np.zeros((bsz, steps.tlen, kwk.shape[1]))
+            us = np.empty((npos, *kwk.shape[1:]))
     for t, n in enumerate(steps.live):
         cur = slice(steps.start[t], steps.start[t] + n)
         prev = slice(steps.prev[t], steps.prev[t] + n)
@@ -486,10 +502,9 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
                 mode.matmul(h, Wq), kwk[:n], v, src_mask[:n], mode,
                 us[cur] if mode.backward else None,
             )
-            ctx = mode.context(alpha, K[:n])
-            a += mode.matmul(ctx, Wc)
+            mode.context(a, alpha, kwc[:n])
             if mode.backward:
-                alphas[cur], ctxs[cur] = alpha, ctx
+                alphas[:n, t] = alpha
         a += mode.matmul(h, Wh)
         _lstm_cell(a, cs[prev], cs[new], None if tc is None else tc[cur], hs[new])
     out, final = _unpack(hs[bsz:], steps), (hs[steps.final], cs[steps.final])
@@ -497,7 +512,7 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
         return out, final, None
     cache = dict(steps=steps, X=xp, GATES=gates, TC=tc, H=hs, C=cs, attn=None)
     if attn is not None:
-        cache.update(attn=(Wq, v, K, kwk), A=alphas, CTX=ctxs, U=us)
+        cache.update(attn=(Wq, v, kwk, kwc), A=alphas, U=us)
     return out, final, cache
 
 
@@ -527,8 +542,9 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
     dH carries the gradient every consumer put on the output sequence (None:
     no consumer); dhT/dcT the gradient on the final state, which a row's
     last step receives. Returns (dX, dWx, dWh, db, dh0, dc0, d_attn), where
-    d_attn is None without attention and otherwise (dWq, dv, dK, d_kwk),
-    matching the forward's `attn`. The attention query gradient lands on
+    dWx covers the input rows of Wx only, and d_attn is None without
+    attention and otherwise (dWq, dv, d_kwk, d_kwc), their rows in the order
+    of the forward's `attn`. The attention query gradient lands on
     the previous step's hidden state, which is why this loop cannot be
     collapsed across time.
     """
@@ -544,8 +560,10 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
     WhT = np.ascontiguousarray(Wh.T)
     attn = cache["attn"]
     if attn is not None:
-        Wq, v, K, kwk = attn
-        dK, d_kwk, dv = np.zeros_like(K), np.zeros_like(kwk), np.zeros_like(v)
+        Wq, v, kwk, kwc = attn
+        d_kwk, dv = np.zeros_like(kwk), np.zeros_like(v)
+        # each step's da, per sorted row and step like the forward's `A`
+        d_read = np.zeros((steps.bsz, steps.tlen, gates.shape[1]))
         dqs = np.empty((len(gates), Wh.shape[0]))
     for t in reversed(range(len(steps.live))):
         n = steps.live[t]
@@ -558,11 +576,10 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
         )
         np.matmul(da, WhT, out=dh_next[:n])
         if attn is not None:
-            # context path back through the attention read
-            dctx = da @ Wx[din:].T
-            alpha = cache["A"][cur]
-            dalpha = np.einsum("bh,bsh->bs", dctx, K[:n])
-            dK[:n] += alpha[:, :, None] * dctx[:, None, :]
+            # back through the attention read, gates += alpha . kwc
+            alpha = cache["A"][:n, t]
+            dalpha = np.einsum("bg,bsg->bs", da, kwc[:n])
+            d_read[:n, t] = da
             inner = (alpha * dalpha).sum(axis=1, keepdims=True)
             de = alpha * (dalpha - inner)
             u = cache["U"][cur]
@@ -572,15 +589,14 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
             dq = dz.sum(axis=1, out=dqs[cur])
             dh_next[:n] += dq @ Wq.T
     h_prev = hs[steps.previous]  # each position's previous hidden state
-    dWx = np.empty_like(Wx)
-    np.matmul(xp.T, d_gates, out=dWx[:din])
+    dWx = xp.T @ d_gates
     dWh = h_prev.T @ d_gates
     db = d_gates.sum(axis=0)
     dX = _unpack(d_gates @ Wx[:din].T, steps)
     d_attn = None
-    if attn is not None:
-        np.matmul(cache["CTX"].T, d_gates, out=dWx[din:])
-        d_attn = (h_prev.T @ dqs, dv, dK[steps.inverse], d_kwk[steps.inverse])
+    if attn is not None:  # d_kwc of each row sums alpha.T @ da over its steps
+        d_kwc = np.matmul(cache["A"].transpose(0, 2, 1), d_read)
+        d_attn = (h_prev.T @ dqs, dv, d_kwk, d_kwc)
     dh0, dc0 = dh_next[steps.inverse], dc_next[steps.inverse]
     return dX, dWx, dWh, db, dh0, dc0, d_attn
 
@@ -602,13 +618,12 @@ _EMBED = {"enc": "src_embed", "dec": "tgt_embed"}
 
 
 def _lstm_stack(
-    params, prefix, ids, states, mode, lengths=None, attn=None, rng=None, p=0.0,
+    params, prefix, ids, states, mode, steps, attn=None, rng=None, p=0.0,
     table=None,
 ):
     """Layers `<prefix>0..n-1` over the embeddings of (B, T) token ids, layer
-    l starting from states[l] = (h0, c0). Row b runs its first lengths[b]
-    steps (every step without `lengths`), in every layer; `attn` reaches the
-    first layer.
+    l starting from states[l] = (h0, c0). Every layer runs the live positions
+    of `steps`; `attn` reaches the first layer.
 
     Training embeds the ids and runs `X @ Wx`, whose X the weight gradient
     needs. Inference takes the first layer's input product from `table`, the
@@ -617,7 +632,6 @@ def _lstm_stack(
     Returns (top-layer outputs after dropout, final (h, c) per layer,
     caches, dropout masks).
     """
-    steps = _steps(lengths, *ids.shape)
     embed = params[_EMBED[prefix]]
     if not mode.backward and table is None:
         table = _IdTable(embed, params[f"{prefix}0_Wx"])
@@ -661,21 +675,27 @@ def _lstm_stack_backward(params, prefix, caches, drops, d_top, d_finals, grads):
     return d_out, d_inits, d_attn
 
 
-def _encode(params, config, src, lengths, mode, rng=None, p=0.0):
+def _encode(params, config, src, lengths, mode, order=None, rng=None, p=0.0):
     """Encoder stack over (B, S) ids whose row b holds lengths[b] tokens,
-    from zero states; returns `_lstm_stack`'s outputs plus the decoder's
-    `attn` or None."""
+    from zero states. Returns `_lstm_stack`'s outputs plus the decoder's
+    `attn` or None. With attention, the outputs (the keys) and `attn` have
+    their rows in the decoder's row `order`, the caller's without one, so
+    that the decoder reads them in place; `attn` holds both key projections,
+    each made once per call."""
     zeros = np.zeros((src.shape[0], config.hidden_dim))
-    top, finals, caches, drops = _lstm_stack(
+    keys, finals, caches, drops = _lstm_stack(
         params, "enc", src, [(zeros, zeros)] * config.encoder_layers, mode,
-        lengths, None, rng, p,
+        _steps(lengths, *src.shape), None, rng, p,
     )
     attn = None
     if config.use_attention:
-        kwk = mode.matmul(top, params["attn_Wk"])
+        if order is not None:
+            keys, lengths = keys[order], lengths[order]
+        kwk = mode.matmul(keys, params["attn_Wk"])
+        kwc = mode.matmul(keys, params["dec0_Wx"][-config.hidden_dim :])
         src_mask = np.arange(src.shape[1])[None, :] < lengths[:, None]
-        attn = (params["attn_Wq"], params["attn_v"], top, kwk, src_mask)
-    return top, finals, caches, drops, attn
+        attn = (params["attn_Wq"], params["attn_v"], kwk, kwc, src_mask)
+    return keys, finals, caches, drops, attn
 
 
 def _decoder_init(config, enc_finals):
@@ -706,12 +726,13 @@ def _run_forward(params, config, batch, dropout_on, seed, mode):
         else None
     )
 
-    enc_top, enc_finals, enc_caches, enc_drops, attn = _encode(
-        params, config, batch.src, batch.src_lengths, mode, rng, p
+    dec_steps = _steps(batch.tgt_lengths, bsz, tlen)
+    keys, enc_finals, enc_caches, enc_drops, attn = _encode(
+        params, config, batch.src, batch.src_lengths, mode, dec_steps.order, rng, p
     )
     top, _, dec_caches, dec_drops = _lstm_stack(
         params, "dec", batch.tgt_in, _decoder_init(config, enc_finals), mode,
-        batch.tgt_lengths, attn, rng, p,
+        dec_steps, attn, rng, p,
     )
 
     logits = (
@@ -743,7 +764,7 @@ def _run_forward(params, config, batch, dropout_on, seed, mode):
         "total_tokens": total_tokens,
         "enc": (enc_caches, enc_drops),
         "dec": (dec_caches, dec_drops),
-        "enc_top": enc_top,
+        "keys": (keys, dec_steps.inverse),
     }
     return result, cache
 
@@ -798,13 +819,19 @@ def loss_and_gradients(
         d_final[0] += d_dec_init[layer][0]
         d_final[1] += d_dec_init[layer][1]
     d_enc_top = None  # without attention nothing reads the encoder outputs
-    if d_attn is not None:
-        enc_top = cache["enc_top"]
-        dWq, dv, dK, d_kwk = d_attn
+    if d_attn is not None:  # keys and their gradients in the decoder's row order
+        keys, inverse = cache["keys"]
+        keys = keys.reshape(-1, hdim)
+        dWq, dv, d_kwk, d_kwc = d_attn
+        Wc = params["dec0_Wx"][-hdim:]
         grads["attn_Wq"] = dWq
-        grads["attn_Wk"] = enc_top.reshape(-1, hdim).T @ d_kwk.reshape(-1, hdim)
+        grads["attn_Wk"] = keys.T @ d_kwk.reshape(-1, hdim)
         grads["attn_v"] = dv
-        d_enc_top = dK + np.matmul(d_kwk, params["attn_Wk"].T)
+        grads["dec0_Wx"] = np.concatenate(
+            [grads["dec0_Wx"], keys.T @ d_kwc.reshape(-1, 4 * hdim)]
+        )
+        d_keys = np.matmul(d_kwk, params["attn_Wk"].T) + np.matmul(d_kwc, Wc.T)
+        d_enc_top = d_keys[inverse]
     d_x, _, _ = _lstm_stack_backward(
         params, "enc", *cache["enc"], d_enc_top, d_enc_final, grads
     )
@@ -860,6 +887,7 @@ def greedy_decode(
     if src.min() < 0 or src.max() >= config.src_vocab_size:
         raise EncodingError("source ids outside the model's source vocabulary")
     mode = _INVARIANT
+    # every step runs its rows in their order, so the caller's order is the decoder's
     _, enc_finals, _, _, attn = _encode(params, config, src, lengths, mode)
     states = _decoder_init(config, enc_finals)
     rows = np.arange(len(sources))  # output row of each live batch row
@@ -867,7 +895,8 @@ def greedy_decode(
     table = _IdTable(params["tgt_embed"], params["dec0_Wx"])  # for the whole call
     for _ in range(max_len):
         top, states, _, _ = _lstm_stack(
-            params, "dec", tokens[:, None], states, mode, attn=attn, table=table
+            params, "dec", tokens[:, None], states, mode, _steps(None, len(tokens), 1),
+            attn, table=table,
         )
         logits = mode.matmul(top[:, 0], params["out_W"]) + params["out_b"]
         logits[:, [PAD_ID, BOS_ID]] = -np.inf
@@ -880,6 +909,6 @@ def greedy_decode(
                 break
             rows, tokens = rows[live], tokens[live]
             states = [(h[live], c[live]) for h, c in states]
-            if attn is not None:  # keys, their projection and the source mask
+            if attn is not None:  # the key projections and the source mask
                 attn = attn[:2] + tuple(x[live] for x in attn[2:])
     return out

@@ -36,12 +36,13 @@ def environment_key() -> str:
     except (TypeError, KeyError):  # numpy < 1.26 prints its config only
         blas = "unknown"
     core = "unknown"
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
         try:
             corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
         except (OSError, AttributeError):
             continue
-        corename.restype = ctypes.c_char_p
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode()
     return f"numpy {np.__version__} | {blas} | {core}"
 
@@ -64,7 +65,9 @@ def tiny_experiment(out: Path) -> str:
     from curricula.ordering import table_one_strategies
 
     run_experiment(ExperimentSpec(
-        corpus=CorpusSpec(toy_task="reverse", size=40, vocab=8, min_len=3, max_len=6, seed=1),
+        corpus=CorpusSpec(
+            toy_task="reverse", size=40, vocab=8, min_len=3, max_len=6, seed=1
+        ),
         strategies=table_one_strategies(),
         scorer_presets=("tiny",),
         trainer_preset="tiny",
@@ -79,12 +82,15 @@ def base_scores() -> str:
     """Log-probabilities, cross-entropies and greedy tokens of an untrained
     base-preset model. The 9-digit scores an experiment persists seldom see
     a move in the last bits; the log-probabilities show every one."""
-    from curricula import ModelConfig, build_vocab, encode_corpus, generate_toy_corpus, init_params
+    from curricula import (
+        ModelConfig, build_vocab, encode_corpus, generate_toy_corpus, init_params,
+    )
     from curricula.metrics import corpus_cross_entropy, decode_pairs
     from curricula.seq2seq import forward_teacher_forced, make_batch
 
     train, _, _ = generate_toy_corpus("reverse", 30, 12, (3, 8), seed=2)
-    src_vocab, tgt_vocab = build_vocab(train, "source", 1), build_vocab(train, "target", 1)
+    src_vocab = build_vocab(train, "source", 1)
+    tgt_vocab = build_vocab(train, "target", 1)
     pairs = encode_corpus(train, src_vocab, tgt_vocab)[:8]
     config = ModelConfig.preset("base", len(src_vocab), len(tgt_vocab))
     params = init_params(config, seed=4)
@@ -149,4 +155,5 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     table = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     table[environment_key()] = pinned_digests()
-    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(table, indent=2, sort_keys=True) + "\n"
+    GOLDEN.write_text(text, encoding="utf-8")

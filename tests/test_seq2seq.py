@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,30 @@ def test_gradients_match_finite_differences_with_dropout():
         assert sum(e < 1e-4 for e in errors) >= 0.99 * len(errors)
 
 
+@pytest.mark.parametrize("dropout_on", [False, True])
+@pytest.mark.parametrize("config", [BASE_LAYOUT, DEEP_DECODER_LAYOUT],
+                         ids=["base", "deep-decoder"])
+def test_attention_gradients_match_finite_differences_everywhere(config, dropout_on):
+    # these gradients leave the layer as d_kwk and d_kwc and are finished by
+    # the caller, so every coordinate is checked, not a sample
+    batch = make_batch(mixed_pairs())
+    params = check_weights(config)
+    _, grads = loss_and_gradients(params, config, batch, dropout_on, seed=13)
+    context_rows = config.embed_dim * 4 * config.hidden_dim  # offset of dec0_Wx[E:]
+    coords = [("dec0_Wx", k) for k in range(context_rows, params["dec0_Wx"].size)]
+    for name in ("attn_Wk", "attn_Wq", "attn_v"):
+        coords += [(name, k) for k in range(params[name].size)]
+    errors = finite_difference_check(
+        params,
+        grads,
+        lambda p: forward_teacher_forced(
+            p, config, batch, dropout_on, seed=13
+        ).mean_loss,
+        coords,
+    )
+    assert max(errors) < 1e-4
+
+
 def test_unused_embedding_rows_get_zero_gradient():
     params = check_weights(SMALL_LAYOUT)
     batch = make_batch(mixed_pairs())
@@ -561,6 +586,59 @@ def test_greedy_tokens_are_the_teacher_forced_argmax(preset, n):
         for pos, token in enumerate(emitted):
             best = log_probs[row, pos, allowed].max()
             assert log_probs[row, pos, token] == best, (row, pos)
+
+
+# ---------------------------------------------------------------------------
+# what one inference call streams and holds
+# ---------------------------------------------------------------------------
+
+def test_context_weights_are_streamed_once_per_call(monkeypatch):
+    # the context reaches the gates through K @ Wc, made once per call; a
+    # product of each step's context with Wc would stream Wc at every step
+    from curricula import seq2seq
+
+    config, params, pairs = invariance_setup("base", 6)
+    params["out_b"][EOS_ID] = -30.0  # every row runs its whole budget
+    Wc = params["dec0_Wx"][config.embed_dim :]
+    products = []
+
+    def counting(a, w, out=None):
+        products.append(np.shares_memory(w, Wc))
+        return _rows_matmul(a, w, out)
+
+    monkeypatch.setattr(seq2seq, "_INVARIANT",
+                        replace(seq2seq._INVARIANT, matmul=counting))
+    out = greedy_decode(params, config, [p.src_ids for p in pairs], 9)
+    assert [len(t) for t in out] == [9] * len(pairs)
+    assert sum(products) == 1
+    products.clear()
+    forward_teacher_forced(params, config, make_batch(pairs))
+    assert sum(products) == 1
+
+
+def test_teacher_forced_scoring_peak_memory():
+    # 32 base-preset pairs of 5-10 tokens peak at about 19 MB, 5.2 MB of it
+    # the (B, S, 4H) key projection, made once in the decoder's row order; a
+    # copy of it, or a step that built a (B, S, 4H) temporary, passes 20 MB
+    import tracemalloc
+
+    from curricula.harness import generate_toy_corpus
+    from curricula.corpus import build_vocab, encode_corpus
+    from curricula.metrics import corpus_cross_entropy
+
+    train, _, _ = generate_toy_corpus("reverse", 40, 20, (5, 10), seed=1)
+    src_vocab = build_vocab(train, "source", 1)
+    tgt_vocab = build_vocab(train, "target", 1)
+    pairs = encode_corpus(train, src_vocab, tgt_vocab)[:32]
+    config = ModelConfig.preset("base", len(src_vocab), len(tgt_vocab))
+    params = init_params(config, seed=1)
+    tracemalloc.start()
+    try:
+        corpus_cross_entropy(params, config, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
