@@ -19,6 +19,7 @@ from .metrics import (
     clipped_ngram_matches,
     corpus_cross_entropy,
     decode_pairs,
+    perplexity,
 )
 
 
@@ -66,18 +67,18 @@ def corpus_bleu(candidates, references) -> float:
 def evaluate_model(
     ckpt: ModelCheckpoint, test_pairs, max_decode_len: int | None = None
 ) -> EvalResult:
-    """Test perplexity and corpus BLEU of greedy translations."""
+    """Test perplexity (inf if it overflows a float) and corpus BLEU of
+    greedy translations."""
     test_pairs = list(test_pairs)
     if not test_pairs:
         raise ConfigError("evaluate_model requires a non-empty test set")
     for pair in test_pairs:
         _check_fingerprints(ckpt, pair)
     entropies, tokens = corpus_cross_entropy(ckpt.params, ckpt.config, test_pairs)
-    perplexity = 2.0 ** float((entropies * tokens).sum() / tokens.sum())
     candidates = decode_pairs(ckpt.params, ckpt.config, test_pairs, max_decode_len)
     references = [list(pair.tgt_out_ids[:-1]) for pair in test_pairs]
     return EvalResult(
-        perplexity=perplexity,
+        perplexity=perplexity((entropies * tokens).sum() / tokens.sum()),
         bleu=corpus_bleu(candidates, references),
         pairs=len(test_pairs),
     )

@@ -123,8 +123,17 @@ def pair_cross_entropy(model: ModelCheckpoint, pair: EncodedPair) -> float:
     return float(entropies[0])
 
 
+def perplexity(cross_entropy: float) -> float:
+    """2 ** cross_entropy, or inf once that overflows a float (past 1,024
+    bits per token)."""
+    try:
+        return 2.0 ** float(cross_entropy)
+    except OverflowError:
+        return math.inf
+
+
 def pair_perplexity(model: ModelCheckpoint, pair: EncodedPair) -> float:
-    return 2.0 ** pair_cross_entropy(model, pair)
+    return perplexity(pair_cross_entropy(model, pair))
 
 
 def pair_length(pair: SentencePair, side: str) -> int:
@@ -219,7 +228,7 @@ def score_corpus(model: ModelCheckpoint, pairs, metric: str) -> ScoreTable:
         values = [_bleu_against_reference(d, p) for d, p in zip(decoded, pairs)]
     else:
         entropies, _ = corpus_cross_entropy(model.params, model.config, pairs)
-        values = [float(h) if metric == "xent" else 2.0 ** float(h) for h in entropies]
+        values = [float(h) if metric == "xent" else perplexity(h) for h in entropies]
     return ScoreTable(
         metric=metric,
         scorer_fingerprint=model.fingerprint,

@@ -53,12 +53,18 @@ amount of padding. Two things would otherwise leak the batch into a row:
 The first layer of each stack reads only token embeddings, so its input
 product depends on the id alone. Inference therefore takes it from a
 per-call table (`_IdTable`) that projects each distinct id once, when the
-call first sees it, and gathers its rows straight into the packed gate
-array: a scoring call projects the ids of its batch, and greedy decoding
-keeps one table for all its steps, so a step whose tokens are all known
-runs no input product. Since `_rows_matmul` gives a row the same bits
-whatever rows share its call, a table row carries exactly the bits of the
-per-position product.
+call first sees it. A layer projects the unseen ids of all its positions
+before its first step, and each step then takes its own rows from the
+table into a step-sized gate array, so that layer has no pre-activation
+array over every position. A scoring call thus projects the ids of its
+batch, and greedy decoding keeps one table for all its steps, so a step
+whose tokens are all known runs no input product. Since `_rows_matmul`
+gives a row the same bits whatever rows share its call, a table row
+carries exactly the bits of the per-position product.
+Inference keeps no array that only the backward pass reads: a layer drops
+its packed input once it is projected, the teacher-forced pass keeps no
+keys, and its key projections and source mask are freed once the first
+decoder layer, their last reader, has run.
 Training keeps plain numpy (`_TRAINING`): its loss is a batch mean, its
 bits are pinned by every checkpoint trained so far, and the weight gradient
 needs the embedded input anyway.
@@ -437,9 +443,9 @@ class _IdTable:
         self.rows = np.empty((0, Wx.shape[1]))  # the first `size` rows are used
         self.size = 0
 
-    def gather(self, ids):
-        """The products of (N,) ids in a new (N, 4H) array, projecting the
-        ids not seen before."""
+    def slots(self, ids):
+        """The table row of each of (N,) ids, projecting the ids not seen
+        before."""
         # the distinct unseen ids, ascending (np.unique would import numpy.ma)
         new = np.flatnonzero(np.bincount(ids[self.slot[ids] < 0]))
         if new.size:
@@ -452,7 +458,7 @@ class _IdTable:
             _rows_matmul(self.embed[new], self.W, out=self.rows[self.size : size])
             self.slot[new] = np.arange(self.size, size)
             self.size = size
-        return np.take(self.rows, self.slot[ids], axis=0)
+        return self.slot[ids]
 
 
 def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
@@ -461,7 +467,9 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
 
     X may instead be a pair (ids, table) of (B, T) token ids and the
     `_IdTable` that holds their input products: the first layer in
-    inference gets its input product ready-made this way.
+    inference gets its input product ready-made this way, projecting the
+    call's unseen ids once, and each step takes its rows from the table.
+    Only training keeps a pre-activation array for every position.
     With `attn = (Wq, v, kwk, kwc, src_mask)`, step t also attends over the
     encoder outputs K with the layer's previous hidden state as query, and
     adds the context's share of the gates, sum_s alpha_s * (K_s @ Wc), Wc
@@ -475,12 +483,15 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
     # pre-activations, made gates in place
     if isinstance(X, tuple):
         ids, table = X
-        gates = table.gather(_pack(ids, steps))
+        slots = table.slots(_pack(ids, steps))  # each position's table row
+        npos, gates, step_gates = len(slots), None, np.empty((bsz, Wh.shape[1]))
     else:
         xp = _pack(X, steps)
         gates = mode.matmul(xp, Wx[: xp.shape[1]])
-    gates += b
-    npos = len(gates)
+        if not mode.backward:  # only the weight gradient reads it again
+            xp = None
+        gates += b
+        npos = len(gates)
     hs = np.empty((bsz + npos, hdim))  # initial states, then each new one
     cs = np.empty_like(hs)
     hs[:bsz] = h0[steps.order]
@@ -496,7 +507,14 @@ def _lstm_forward(Wx, Wh, b, X, h0, c0, mode, steps, attn=None):
         cur = slice(steps.start[t], steps.start[t] + n)
         prev = slice(steps.prev[t], steps.prev[t] + n)
         new = slice(bsz + cur.start, bsz + cur.stop)
-        a, h = gates[cur], hs[prev]
+        h = hs[prev]
+        if gates is None:  # mode "clip" takes into `out` unbuffered; slots are valid
+            a = np.take(
+                table.rows, slots[cur], axis=0, out=step_gates[:n], mode="clip"
+            )
+            a += b
+        else:
+            a = gates[cur]
         if attn is not None:
             alpha = _attention_alpha(
                 mode.matmul(h, Wq), kwk[:n], v, src_mask[:n], mode,
@@ -623,7 +641,10 @@ def _lstm_stack(
 ):
     """Layers `<prefix>0..n-1` over the embeddings of (B, T) token ids, layer
     l starting from states[l] = (h0, c0). Every layer runs the live positions
-    of `steps`; `attn` reaches the first layer.
+    of `steps`. `attn` is None or a list holding the first layer's
+    attention; the stack takes it out of the list and drops it once that
+    layer has run, so that a caller that keeps no other reference frees the
+    key projections before the layers above run.
 
     Training embeds the ids and runs `X @ Wx`, whose X the weight gradient
     needs. Inference takes the first layer's input product from `table`, the
@@ -633,6 +654,7 @@ def _lstm_stack(
     caches, dropout masks).
     """
     embed = params[_EMBED[prefix]]
+    attn = attn.pop() if attn else None
     if not mode.backward and table is None:
         table = _IdTable(embed, params[f"{prefix}0_Wx"])
     inp = embed[ids] if mode.backward else (ids, table)
@@ -641,8 +663,9 @@ def _lstm_stack(
         name = f"{prefix}{layer}"
         hs, final, cache = _lstm_forward(
             params[f"{name}_Wx"], params[f"{name}_Wh"], params[f"{name}_b"],
-            inp, h0, c0, mode, steps, attn if layer == 0 else None,
+            inp, h0, c0, mode, steps, attn,
         )
+        attn = None  # only the first layer attends
         drop = _dropout_mask(rng, hs.shape, p) if rng is not None else None
         finals.append(final)
         caches.append(cache)
@@ -730,6 +753,9 @@ def _run_forward(params, config, batch, dropout_on, seed, mode):
     keys, enc_finals, enc_caches, enc_drops, attn = _encode(
         params, config, batch.src, batch.src_lengths, mode, dec_steps.order, rng, p
     )
+    if not mode.backward:  # only the backward pass reads the keys
+        keys = None
+    attn = [attn]  # in inference, freed once the first decoder layer has run
     top, _, dec_caches, dec_drops = _lstm_stack(
         params, "dec", batch.tgt_in, _decoder_init(config, enc_finals), mode,
         dec_steps, attn, rng, p,
@@ -893,10 +919,10 @@ def greedy_decode(
     rows = np.arange(len(sources))  # output row of each live batch row
     tokens = np.full(len(sources), BOS_ID)
     table = _IdTable(params["tgt_embed"], params["dec0_Wx"])  # for the whole call
+    steps = _steps(None, len(tokens), 1)  # one step of every live row
     for _ in range(max_len):
         top, states, _, _ = _lstm_stack(
-            params, "dec", tokens[:, None], states, mode, _steps(None, len(tokens), 1),
-            attn, table=table,
+            params, "dec", tokens[:, None], states, mode, steps, [attn], table=table,
         )
         logits = mode.matmul(top[:, 0], params["out_W"]) + params["out_b"]
         logits[:, [PAD_ID, BOS_ID]] = -np.inf
@@ -908,6 +934,7 @@ def greedy_decode(
             if not live.any():
                 break
             rows, tokens = rows[live], tokens[live]
+            steps = _steps(None, len(tokens), 1)
             states = [(h[live], c[live]) for h, c in states]
             if attn is not None:  # the key projections and the source mask
                 attn = attn[:2] + tuple(x[live] for x in attn[2:])

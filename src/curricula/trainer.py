@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .errors import ConfigError, NumericalError, StructuralError
-from .metrics import corpus_cross_entropy
+from .metrics import corpus_cross_entropy, perplexity
 from .ordering import OrderingPlan, schedule_batches
 from .rng import derive_seed
 from .seq2seq import ModelConfig, loss_and_gradients, make_batch
@@ -93,18 +94,34 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return math.sqrt(total)
 
 
-def clip_gradients(
-    grads: dict[str, np.ndarray], clip_norm: float
-) -> dict[str, np.ndarray]:
+class _Scaled(Mapping):
+    """Gradients that are multiplied by one factor when each is read, so
+    that no more than one scaled tensor need exist at a time."""
+
+    def __init__(self, grads: dict[str, np.ndarray], scale: float):
+        self.grads, self.scale = grads, scale
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.grads[name] * self.scale
+
+    def __iter__(self):
+        return iter(self.grads)
+
+    def __len__(self) -> int:
+        return len(self.grads)
+
+
+def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> Mapping:
     """Scale all gradients down when their global norm exceeds clip_norm.
 
-    Within the norm, the arrays are returned untouched, bit for bit.
+    Within the norm, the dict is returned untouched, bit for bit. Beyond
+    it, a mapping whose tensor `g` reads as a new array `g * (clip_norm /
+    norm)`, made when it is read: nothing is copied up front.
     """
     norm = global_grad_norm(grads)
     if norm <= clip_norm:
         return grads
-    scale = clip_norm / norm
-    return {k: g * scale for k, g in grads.items()}
+    return _Scaled(grads, clip_norm / norm)
 
 
 def adam_step(
@@ -117,7 +134,9 @@ def adam_step(
 
     Updates `state.m` and `state.v` in place, and the returned state shares
     them. The new parameters are fresh arrays; `params` and `grads` are
-    never written.
+    never written. A clipped gradient is scaled one tensor at a time, as the
+    loop reaches it, so besides the new parameters a step holds at most two
+    temporaries of one tensor's size.
     """
     if set(params) != set(grads) or any(
         params[k].shape != grads[k].shape for k in params
@@ -141,6 +160,7 @@ def adam_step(
         tmp *= 1.0 - b2
         v *= b2
         v += tmp  # v = b2 * v + (1 - b2) * (g * g)
+        del g  # a scaled gradient is freed before the step is made
         np.sqrt(np.divide(v, bias2, out=tmp), out=tmp)
         tmp += EPSILON
         step = np.divide(m, bias1)
@@ -162,7 +182,8 @@ def train_epoch(
     """One pass over the epoch's batches, in schedule order.
 
     Dropout masks derive from (seed, epoch, batch index), so rerunning an
-    epoch reproduces it exactly.
+    epoch reproduces it exactly. A step's gradients are released once Adam
+    has used them; `params` is never written.
     """
     started = time.perf_counter()
     losses = []
@@ -177,8 +198,9 @@ def train_epoch(
             raise NumericalError(f"epoch {epoch}, batch {bi}: {exc}") from exc
         if not math.isfinite(result.mean_loss):
             raise NumericalError(f"non-finite loss in epoch {epoch}, batch {bi}")
-        params, adam = adam_step(params, grads, adam, config)
         losses.append(result.mean_loss)
+        params, adam = adam_step(params, grads, adam, config)
+        del result, grads  # not kept through the next batch's passes
     stats = EpochStats(
         epoch=epoch,
         train_loss=float(np.mean(losses)),
@@ -188,9 +210,10 @@ def train_epoch(
 
 
 def validation_perplexity(params, model_config: ModelConfig, pairs) -> float:
-    """Token-weighted corpus perplexity: 2 ** (sum H_p*T_p / sum T_p)."""
+    """Token-weighted corpus perplexity: 2 ** (sum H_p*T_p / sum T_p), inf
+    if that overflows a float."""
     entropies, tokens = corpus_cross_entropy(params, model_config, pairs)
-    return 2.0 ** float((entropies * tokens).sum() / tokens.sum())
+    return perplexity((entropies * tokens).sum() / tokens.sum())
 
 
 def fit(
@@ -207,7 +230,13 @@ def fit(
 
     Keeps the best epoch's parameters; stops after `patience` epochs without
     improvement or at max_epochs. Returns (best checkpoint, per-epoch stats,
-    epochs to convergence = the best epoch's number).
+    epochs to convergence = the best epoch's number, 0 if none had a finite
+    perplexity).
+
+    `adam_step` never writes its input, so no parameters are copied: a fit
+    holds the parameters, Adam's two moments, the best epoch's parameters
+    and one step's gradients. `init_params` is never written, and the
+    checkpoint shares no array with it.
     """
     if not val_pairs:
         raise ConfigError("fit requires a non-empty validation set")
@@ -222,11 +251,11 @@ def fit(
                 raise ConfigError(f"plan index {int(i)} not present in the corpus")
     schedule = schedule_batches(plan, config.batch_size)
 
-    params = {k: v.copy() for k, v in init_params.items()}
+    params = init_params
     adam = AdamState.fresh(params)
     best_ppl = math.inf
     best_epoch = 0
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = init_params
     bad_streak = 0
     all_stats: list[EpochStats] = []
     for epoch in range(1, config.max_epochs + 1):
@@ -244,7 +273,7 @@ def fit(
         if stats.val_perplexity < best_ppl:
             best_ppl = stats.val_perplexity
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = params
             bad_streak = 0
         else:
             bad_streak += 1
@@ -258,6 +287,8 @@ def fit(
         }
         for s in all_stats
     )
+    if best_epoch == 0:  # the caller's arrays are not handed back
+        best_params = {k: v.copy() for k, v in init_params.items()}
     ckpt = ModelCheckpoint(
         config=model_config,
         params=best_params,

@@ -64,6 +64,19 @@ def uniform_output_checkpoint(ckpt: ModelCheckpoint) -> ModelCheckpoint:
     )
 
 
+def overflowing_checkpoint(ckpt: ModelCheckpoint) -> ModelCheckpoint:
+    """Copy of a checkpoint with weights so large that its cross-entropy
+    passes 1,024 bits per token, where 2 ** H overflows a float."""
+    params = {k: 2000.0 * v for k, v in ckpt.params.items()}
+    params["out_W"] *= 10.0
+    return ModelCheckpoint(
+        config=ckpt.config,
+        params=params,
+        src_vocab_fingerprint=ckpt.src_vocab_fingerprint,
+        tgt_vocab_fingerprint=ckpt.tgt_vocab_fingerprint,
+    )
+
+
 def chain_checkpoint():
     """A hand-built model that predicts the token chain 4->5->6->7->8->EOS
     with probability exactly 1.0 at every step.

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import overflowing_checkpoint
 from curricula.corpus import EOS_ID, EncodedPair
 from curricula.errors import ConfigError, FingerprintError, PairingError
 from curricula.evaluate import EvalResult, corpus_bleu, evaluate_model
@@ -113,6 +116,13 @@ def test_perplexity_consistent_with_pair_cross_entropy(toy_data, tiny_checkpoint
     tokens = np.array([float(len(p.tgt_out_ids)) for p in pairs])
     expected = 2.0 ** float((entropies * tokens).sum() / tokens.sum())
     assert result.perplexity == expected
+
+
+def test_overflowing_test_perplexity_is_infinite(toy_data, tiny_checkpoint):
+    model = overflowing_checkpoint(tiny_checkpoint)
+    result = evaluate_model(model, toy_data["test_enc"], max_decode_len=4)
+    assert result.perplexity == math.inf
+    assert result.to_line().startswith("ppl=inf bleu=")
 
 
 def test_eval_result_line_format():

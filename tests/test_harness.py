@@ -8,8 +8,14 @@ from pathlib import Path
 import pytest
 
 from checkpoint_files import checkpoint_file
+from conftest import overflowing_checkpoint
 from curricula.cli import main as cli_main
-from curricula.checkpoint import FORMAT_VERSION, load_checkpoint
+from curricula.checkpoint import (
+    FORMAT_VERSION,
+    ModelCheckpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 from curricula.errors import CheckpointFormatError, ConfigError
 from curricula.evaluate import EvalResult
 from curricula.metrics import ScoreTable
@@ -32,7 +38,7 @@ from curricula.harness import (
     toy_alphabet,
 )
 from curricula.ordering import Strategy, table_one_strategies
-from curricula.seq2seq import ModelConfig, parameter_shapes
+from curricula.seq2seq import ModelConfig, init_params, parameter_shapes
 from curricula.trainer import TrainConfig
 
 
@@ -654,6 +660,27 @@ def test_malformed_checkpoint_section_is_a_format_error(
     argv = ["eval", "--corpus-dir", str(cli_corpus), "--ckpt", str(tmp_path / "m.ckpt")]
     assert cli_main(argv) == 3
     assert f"malformed {section} section" in capsys.readouterr().err
+
+
+def test_overflowing_perplexity_fails_ppl_scoring_and_evaluates_to_inf(
+    tmp_path, cli_corpus, capsys
+):
+    data = load_corpus_dir(cli_corpus)
+    config = ModelConfig.preset("tiny", len(data.src_vocab), len(data.tgt_vocab))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(overflowing_checkpoint(ModelCheckpoint(
+        config, init_params(config, seed=1),
+        data.src_vocab.fingerprint(), data.tgt_vocab.fingerprint(),
+    )), path)
+    corpus = ["--corpus-dir", str(cli_corpus), "--ckpt", str(path)]
+    capsys.readouterr()
+    out = tmp_path / "s.txt"
+    assert cli_main(["score", "--metric", "ppl", "--out", str(out), *corpus]) == 3
+    first = data.encoded["train"][0].index
+    assert f"non-finite score at index {first}" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["eval", "--max-decode-len", "4", *corpus]) == 0
+    assert capsys.readouterr().out.startswith("ppl=inf bleu=")
 
 
 @pytest.mark.parametrize("command", ["eval", "score --metric ppl --out {tmp}/s.txt"])

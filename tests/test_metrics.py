@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import uniform_output_checkpoint
+from conftest import overflowing_checkpoint, uniform_output_checkpoint
 from curricula.checkpoint import ModelCheckpoint
 from curricula.corpus import EOS_ID, SentencePair
 from curricula.errors import ConfigError, DataError, FingerprintError
@@ -15,6 +15,7 @@ from curricula.metrics import (
     pair_cross_entropy,
     pair_length,
     pair_perplexity,
+    perplexity,
     score_corpus,
     sentence_bleu,
 )
@@ -184,6 +185,19 @@ def test_uniform_model_perplexity_equals_vocab_size(toy_data, tiny_checkpoint):
 
 def test_perplexity_monotone_in_entropy():
     assert 2.0**1.0 < 2.0**2.0
+
+
+def test_perplexity_past_the_float_range_is_infinite(toy_data, tiny_checkpoint):
+    assert perplexity(1023.5) == 2.0**1023.5
+    assert perplexity(1024.0) == math.inf
+    model = overflowing_checkpoint(tiny_checkpoint)
+    pairs = toy_data["test_enc"]
+    assert pair_cross_entropy(model, pairs[0]) > 1024
+    assert pair_perplexity(model, pairs[0]) == math.inf
+    assert all(s.value > 1024 for s in score_corpus(model, pairs, "xent").scores)
+    # the score table refuses the value, naming the pair
+    with pytest.raises(DataError, match=f"non-finite score at index {pairs[0].index}$"):
+        score_corpus(model, pairs, "ppl")
 
 
 def test_pair_bleu_identity_and_empty(toy_data, tiny_checkpoint):

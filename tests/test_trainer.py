@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import overflowing_checkpoint
 from curricula.checkpoint import (
     FORMAT_VERSION,
     ModelCheckpoint,
@@ -20,6 +21,8 @@ from curricula.errors import (
     ConfigError,
     StructuralError,
 )
+from curricula.corpus import build_vocab, encode_corpus
+from curricula.harness import generate_toy_corpus
 from curricula.ordering import Strategy, make_ordering
 from curricula.seq2seq import (
     ModelConfig,
@@ -147,6 +150,36 @@ rng = np.random.default_rng(7)
 grads = {"a": rng.standard_normal((512, 256)), "b": rng.standard_normal(131072)}
 print(global_grad_norm(grads).hex())
 """
+
+
+def traced_peak(run):
+    """Peak bytes that `tracemalloc` sees allocated while `run()` runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def parameter_bytes(params):
+    return sum(p.nbytes for p in params.values())
+
+
+def test_adam_step_peak_memory_when_clipping():
+    # a clipped gradient is scaled one tensor at a time: the step holds the
+    # new parameters and two temporaries of one tensor (1.31x); scaling
+    # every gradient up front held a second full copy (2.15x)
+    params = init_params(ModelConfig.preset("small", 30, 30), seed=0)
+    rng = np.random.default_rng(0)
+    grads = {k: rng.normal(scale=10.0, size=p.shape) for k, p in params.items()}
+    config = TrainConfig(learning_rate=1e-3)
+    assert global_grad_norm(grads) > config.clip_norm
+    state = AdamState.fresh(params)
+    peak = traced_peak(lambda: adam_step(params, grads, state, config))
+    assert peak < 1.5 * parameter_bytes(params), peak / parameter_bytes(params)
 
 
 def test_gradient_norm_bits_do_not_depend_on_blas_threads():
@@ -317,6 +350,71 @@ def test_fit_requires_validation_pairs(toy_data):
             params, config, plan, toy_data["train_enc"], [],
             TrainConfig(max_epochs=1), "a", "b",
         )
+
+
+@pytest.mark.parametrize("improves", [True, False], ids=["improves", "never-improves"])
+def test_fit_neither_writes_nor_returns_the_initial_parameters(
+    toy_data, monkeypatch, improves
+):
+    config, params, by_index = small_training_setup(toy_data)
+    before = {k: v.tobytes() for k, v in params.items()}
+    if not improves:
+        monkeypatch.setattr(
+            "curricula.trainer.validation_perplexity", lambda *a, **k: math.inf
+        )
+    train_config = TrainConfig(
+        learning_rate=1e-2, batch_size=8, max_epochs=2, patience=2, seed=1
+    )
+    plan = make_ordering(Strategy("shuffle_once"), None, list(by_index), 2, seed=1)
+    ckpt, stats, best_epoch = fit(
+        params, config, plan, toy_data["train_enc"], toy_data["val_enc"],
+        train_config,
+        toy_data["src_vocab"].fingerprint(), toy_data["tgt_vocab"].fingerprint(),
+    )
+    assert list(ckpt.params) == list(params)
+    for k, p in params.items():
+        assert p.tobytes() == before[k], k
+        assert not np.shares_memory(ckpt.params[k], p), k
+    if improves:
+        assert best_epoch > 0
+    else:  # an infinite perplexity is no improvement: the initial values come back
+        assert best_epoch == 0
+        assert [s.val_perplexity for s in stats] == [math.inf, math.inf]
+        assert all(ckpt.params[k].tobytes() == before[k] for k in params)
+
+
+def test_validation_perplexity_past_the_float_range_is_infinite(
+    toy_data, tiny_checkpoint
+):
+    model = overflowing_checkpoint(tiny_checkpoint)
+    ppl = validation_perplexity(model.params, model.config, toy_data["val_enc"])
+    assert ppl == math.inf
+
+
+def test_fit_peak_memory():
+    # a 2-epoch fit holds the parameters, Adam's two moments, the best
+    # epoch's parameters, one step's gradients and the new parameters of an
+    # Adam step: 6.9x the parameter bytes here. Copying the parameters for
+    # the running and the best state and keeping a step's gradients through
+    # the next batch took 8.9x.
+    train, val, _ = generate_toy_corpus("reverse", 100, 20, (5, 10), seed=1)
+    src_vocab = build_vocab(train, "source", 1)
+    tgt_vocab = build_vocab(train, "target", 1)
+    train_pairs = encode_corpus(train, src_vocab, tgt_vocab)[:80]
+    val_pairs = encode_corpus(val, src_vocab, tgt_vocab)[:8]
+    config = ModelConfig.preset("small", len(src_vocab), len(tgt_vocab))
+    params = init_params(config, seed=1)
+    plan = make_ordering(
+        Strategy("shuffle_once"), None, [p.index for p in train_pairs], 2, seed=1
+    )
+    train_config = TrainConfig(
+        learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2, seed=1
+    )
+    peak = traced_peak(lambda: fit(
+        params, config, plan, train_pairs, val_pairs, train_config,
+        src_vocab.fingerprint(), tgt_vocab.fingerprint(),
+    ))
+    assert peak < 7.5 * parameter_bytes(params), peak / parameter_bytes(params)
 
 
 # ---------------------------------------------------------------------------
