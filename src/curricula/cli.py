@@ -8,8 +8,9 @@ that function derives its working seeds. Run with an experiment's seed and
 train flags over its `corpus/` directory, the stage commands therefore
 rewrite that experiment's artifacts byte for byte, unless the corpus came
 from files whose filter dropped lines (`corpus/` renumbers the pairs that
-remain). Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical error.
+remain). Train and corpus flags come from the spec key tables of `harness`.
+Exit codes: 0 success, 2 configuration error (a bad spec among them), 3 data
+error (any other bad file), 4 numerical error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import read_text
 from .errors import ConfigError, DataError, NumericalError
 from .harness import (
-    FILE_KEYS,
+    FILE_CORPUS_KEYS,
+    MIN_COUNT,
+    TOY_KEYS,
+    TRAIN_KEYS,
     CorpusSpec,
     emit_report,
     evaluate_split,
@@ -32,9 +36,8 @@ from .harness import (
     make_plan,
     prepare_data,
     pretrain_scorer,
+    render_report,
     report_from_tsv,
-    report_to_markdown,
-    report_to_tsv,
     run_experiment,
     save_corpus_dir,
     score_table,
@@ -45,34 +48,29 @@ from .ordering import OrderingPlan, Strategy
 from .trainer import TrainConfig
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
-    p.add_argument("--patience", type=int, default=TrainConfig.patience)
-    p.add_argument("--clip-norm", type=float, default=TrainConfig.clip_norm)
+# The corpus command's flags: corpus.noise and corpus.seed only a spec sets,
+# and --seed, the experiment seed, draws a toy corpus.
+_CORPUS_FLAGS = tuple(
+    k for k in (*TOY_KEYS, *FILE_CORPUS_KEYS, MIN_COUNT)
+    if k.key not in ("corpus.noise", "corpus.seed")
+)
+
+
+def _add_flags(p: argparse.ArgumentParser, keys, defaults) -> None:
+    """A flag per spec key, of its type and with its default, and --seed."""
+    for k in keys:  # train.learning_rate is --learning-rate, and so on
+        flag = "--" + k.key.split(".", 1)[1].replace("_", "-")
+        p.add_argument(flag, dest=k.field, type=k.kind, default=getattr(defaults, k.field))
     p.add_argument("--seed", type=int, default=0)
 
 
 def _train_config(args) -> TrainConfig:
     # the stage functions derive the training seed from --seed themselves
-    return TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        clip_norm=args.clip_norm,
-    )
+    return TrainConfig(**{k.field: getattr(args, k.field) for k in TRAIN_KEYS})
 
 
 def _cmd_corpus(args) -> int:
-    corpus = CorpusSpec(
-        toy_task=args.toy, size=args.size, vocab=args.vocab,
-        min_len=args.min_len, max_len=args.max_len,
-        filter_min=args.filter_min, filter_max=args.filter_max,
-        take=args.take, min_count=args.min_count,
-        **{k: getattr(args, k) for k in FILE_KEYS},
-    )
+    corpus = CorpusSpec(**{k.field: getattr(args, k.field) for k in _CORPUS_FLAGS})
     data = prepare_data(corpus, args.seed)
     save_corpus_dir(data, args.out_dir)
     sizes = " / ".join(f"{len(split)} {name}" for name, split in data.splits.items())
@@ -144,13 +142,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = report_from_tsv(read_text(Path(args.run_dir, "report.tsv")))
+    path = Path(args.run_dir, "report.tsv")
+    report = report_from_tsv(read_text(path), path)
     if args.out:
         emit_report(report, args.format, args.out)
         print(f"report written to {args.out}")
     else:
-        text = report_to_tsv(report) if args.format == "tsv" else report_to_markdown(report)
-        print(text, end="")
+        print(render_report(report, args.format), end="")
     return 0
 
 
@@ -162,18 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("corpus", help="generate a toy corpus or load+filter files")
-    p.add_argument("--toy", choices=["copy", "reverse", "digit-translation"])
-    p.add_argument("--size", type=int, default=CorpusSpec.size)
-    p.add_argument("--vocab", type=int, default=CorpusSpec.vocab)
-    p.add_argument("--min-len", type=int, default=CorpusSpec.min_len)
-    p.add_argument("--max-len", type=int, default=CorpusSpec.max_len)
-    p.add_argument("--seed", type=int, default=0)
-    for key in FILE_KEYS:
-        p.add_argument("--" + key.replace("_", "-"))
-    p.add_argument("--filter-min", type=int, default=CorpusSpec.filter_min)
-    p.add_argument("--filter-max", type=int, default=CorpusSpec.filter_max)
-    p.add_argument("--take", type=int)
-    p.add_argument("--min-count", type=int, default=CorpusSpec.min_count)
+    _add_flags(p, _CORPUS_FLAGS, CorpusSpec)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_corpus)
 
@@ -181,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-dir", required=True)
     p.add_argument("--preset", default="small")
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    _add_flags(p, TRAIN_KEYS, TrainConfig)
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("score", help="compute a per-pair score table")
@@ -215,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--preset", default="small")
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    _add_flags(p, TRAIN_KEYS, TrainConfig)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="test perplexity and BLEU of a checkpoint")

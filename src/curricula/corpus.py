@@ -4,18 +4,24 @@ A corpus is an ordered sequence of sentence pairs. Each pair keeps the line
 number it had in the raw files as a permanent identity (`index`), so filtered
 corpora, score tables and ordering plans can all refer to the same pairs.
 All operations here are pure functions over immutable inputs.
+
+Every text artifact but the corpus line files, where a blank line is a pair,
+is parsed through `TextLines`; vocabularies, score tables and plans share
+`save` and `load` through `TextFile`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
     AlignmentError,
     ConfigError,
+    CurriculaError,
     DataError,
     EmptyCorpusError,
 )
@@ -33,6 +39,74 @@ UNK_TOKEN = "<unk>"
 SPECIAL_TOKENS = (PAD_TOKEN, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN)
 
 VOCAB_HEADER = "CURRICULA-VOCAB v1"
+
+
+def read_text(path, error: type[Exception] = DataError) -> str:
+    """The text of a UTF-8 file; other bytes raise `error` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+class TextLines:
+    """The lines of a text artifact for its parser. A failure raises `error`,
+    the format's class, as `<source>:<n>: <name> line <n>: <detail>`; the
+    `<source>:<n>: ` part only when the text came from a file."""
+
+    def __init__(self, text: str, name: str, source=None, error=DataError):
+        self.lines = text.splitlines()
+        self.name, self.source, self.error = name, source, error
+
+    def fail(self, number: int | None, detail: str) -> CurriculaError:
+        """The error at line `number`, or in the whole text when it is None."""
+        if number is not None:
+            detail = f"{self.name} line {number}: {detail}"
+        if self.source is not None:
+            place = self.source if number is None else f"{self.source}:{number}"
+            detail = f"{place}: {detail}"
+        return self.error(detail)
+
+    @contextmanager
+    def at(self, number: int | None, detail: str | None = None):
+        """Raise a conversion or check that fails inside the block as this
+        text's error at line `number`, with `detail` or the cause's message."""
+        try:
+            yield
+        except (ValueError, OverflowError, CurriculaError) as exc:
+            raise self.fail(number, detail or str(exc)) from exc
+
+    def header(self, magic: str, *fields: str) -> list[str]:
+        """The space-separated fields after the two words of `magic` on line
+        1, one per name."""
+        first = self.lines[0].strip() if self.lines else ""
+        head = first.split(" ")
+        if " ".join(head[:2]) != magic or len(head) != 2 + len(fields):
+            form = " ".join([magic, *(f"<{f}>" for f in fields)])
+            raise self.fail(1, f"bad {self.name} header {first!r}; expected {form!r}")
+        return head[2:]
+
+    def numbered(self, start: int = 2):
+        """(number, line) for each non-blank line from line `start` on."""
+        for number, line in enumerate(self.lines[start - 1 :], start):
+            if line:
+                yield number, line
+
+
+class TextFile:
+    """A value kept as a UTF-8 text file: `to_text` writes it and
+    `from_text(text, source)` reads it back."""
+
+    def save(self, path) -> None:
+        Path(path).write_text(self.to_text(), encoding="utf-8")
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_text(read_text(path), path)
+
+    def fingerprint(self) -> str:
+        """The sha256 of the text."""
+        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -70,7 +144,7 @@ class ParallelCorpus:
 
 
 @dataclass
-class Vocabulary:
+class Vocabulary(TextFile):
     """Token <-> id maps with fixed special ids PAD=0, BOS=1, EOS=2, UNK=3."""
 
     id_to_token: tuple[str, ...]
@@ -111,39 +185,25 @@ class Vocabulary:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "Vocabulary":
-        lines = text.splitlines()
-        if not lines or lines[0] != VOCAB_HEADER:
-            raise DataError(f"bad vocabulary header; expected {VOCAB_HEADER!r}")
+    def from_text(cls, text: str, source=None) -> "Vocabulary":
+        lines = TextLines(text, "vocabulary", source)
+        lines.header(VOCAB_HEADER)
         tokens, freqs = [], []
-        for number, ln in enumerate(lines[1:], start=2):
-            if not ln:
-                continue
-            try:
-                tok, ident, freq = ln.split("\t")
+        for number, line in lines.numbered():
+            with lines.at(number, "expected '<token>\\t<id>\\t<count>' with integer "
+                          f"id and count, got {line!r}"):
+                tok, ident, freq = line.split("\t")
                 ident, freq = int(ident), int(freq)
-            except ValueError as exc:
-                raise DataError(
-                    f"vocabulary line {number}: expected '<token>\\t<id>\\t<count>' "
-                    f"with integer id and count, got {ln!r}"
-                ) from exc
             if ident != len(tokens):
-                raise DataError(f"vocabulary line {number}: non-contiguous id {ident}")
+                raise lines.fail(number, f"non-contiguous id {ident}")
             tokens.append(tok)
             freqs.append(freq)
-        return cls(tuple(tokens), tuple(freqs))
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "Vocabulary":
-        return cls.from_text(read_text(path))
+        with lines.at(None):
+            return cls(tuple(tokens), tuple(freqs))
 
     def fingerprint(self) -> str:
         if self._fingerprint is None:
-            digest = hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
-            self._fingerprint = digest
+            self._fingerprint = super().fingerprint()
         return self._fingerprint
 
 
@@ -165,14 +225,6 @@ class EncodedPair:
 
 def _tokenize_line(line: str) -> tuple[str, ...]:
     return tuple(line.split())
-
-
-def read_text(path, error: type[Exception] = DataError) -> str:
-    """The text of a UTF-8 file; other bytes raise `error` naming the file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _read_lines(path) -> list[str]:

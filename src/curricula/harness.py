@@ -8,6 +8,9 @@ layout and the derivation of its working seeds from the experiment seed:
 `evaluate_split`. `run_experiment` composes them, and the command line
 calls the same functions one stage at a time.
 
+The spec keys of `CorpusSpec` and `TrainConfig` are listed once, in tables
+that the spec writer, the spec reader and the command-line flags all read.
+
 An experiment runs every requested strategy against the same data, the same
 initial parameters and the same training configuration, so the ordering is
 the only thing that differs between rows. Rerunning a spec reproduces every
@@ -17,15 +20,16 @@ only, never into reports or checkpoints.
 
 from __future__ import annotations
 
-import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .corpus import (
     EncodedPair,
     ParallelCorpus,
     SentencePair,
+    TextLines,
     Vocabulary,
     build_vocab,
     encode_corpus,
@@ -50,6 +54,7 @@ from .seq2seq import ModelConfig, init_params
 from .trainer import TrainConfig, fit
 
 SPEC_HEADER = "CURRICULA-SPEC v1"
+REPORT_COLUMNS = "strategy\tscorer\tepochs\ttest_ppl\ttest_bleu"
 
 TOY_TASKS = ("copy", "reverse", "digit-translation")
 
@@ -182,6 +187,37 @@ class CorpusSpec:
 FILE_KEYS = ("train_src", "train_tgt", "val_src", "val_tgt", "test_src", "test_tgt")
 
 
+# One `key = value` line of a spec file and the field it sets; kind converts
+# the value, and an optional key is written only when its field is not the
+# default. A float is written with repr.
+SpecKey = namedtuple("SpecKey", "key field kind optional", defaults=(False,))
+
+# Every spec key of CorpusSpec, in file order: a toy corpus reads TOY_KEYS,
+# and a file corpus FILE_CORPUS_KEYS, each then MIN_COUNT.
+TOY_KEYS = (
+    SpecKey("corpus.toy", "toy_task", str),
+    SpecKey("corpus.size", "size", int),
+    SpecKey("corpus.vocab", "vocab", int),
+    SpecKey("corpus.min_len", "min_len", int),
+    SpecKey("corpus.max_len", "max_len", int),
+    SpecKey("corpus.noise", "noise", float, optional=True),
+    SpecKey("corpus.seed", "seed", int, optional=True),
+)
+FILE_CORPUS_KEYS = (
+    *(SpecKey(f"corpus.{k}", k, str) for k in FILE_KEYS),
+    SpecKey("corpus.filter_min", "filter_min", int),
+    SpecKey("corpus.filter_max", "filter_max", int),
+    SpecKey("corpus.take", "take", int, optional=True),
+)
+MIN_COUNT = SpecKey("corpus.min_count", "min_count", int)
+# One key per TrainConfig field, of its default's type, but for the seed:
+# working seeds always derive from the experiment seed.
+TRAIN_KEYS = tuple(
+    SpecKey(f"train.{f.name}", f.name, type(f.default))
+    for f in fields(TrainConfig) if f.name != "seed"
+)
+
+
 @dataclass
 class ExperimentSpec:
     corpus: CorpusSpec
@@ -201,120 +237,82 @@ class ExperimentSpec:
         needs_scorer = any(s.kind in ("ppl", "bleu") for s in self.strategies)
         if needs_scorer and not self.scorer_presets:
             raise ConfigError("ppl/bleu strategies need at least one scorer preset")
+        for preset in (self.trainer_preset, *self.scorer_presets):
+            ModelConfig.preset(preset, 1, 1)  # fails on an unknown name
+
+
+def _spec_lines(obj, keys) -> list[str]:
+    lines = []
+    for k in keys:
+        value = getattr(obj, k.field)
+        if not (k.optional and value == getattr(type(obj), k.field)):
+            lines.append(f"{k.key} = {value!r}" if k.kind is float else f"{k.key} = {value}")
+    return lines
 
 
 def spec_to_text(spec: ExperimentSpec) -> str:
-    c = spec.corpus
-    lines = [SPEC_HEADER]
-    if c.toy_task is not None:
-        lines.append(f"corpus.toy = {c.toy_task}")
-        keys = ("size", "vocab", "min_len", "max_len")
-        lines += [f"corpus.{k} = {getattr(c, k)}" for k in keys]
-        if c.noise:
-            lines.append(f"corpus.noise = {c.noise!r}")
-        if c.seed is not None:
-            lines.append(f"corpus.seed = {c.seed}")
-    else:
-        keys = FILE_KEYS + ("filter_min", "filter_max")
-        lines += [f"corpus.{k} = {getattr(c, k)}" for k in keys]
-        if c.take is not None:
-            lines.append(f"corpus.take = {c.take}")
-    lines.append(f"corpus.min_count = {c.min_count}")
+    corpus_keys = TOY_KEYS if spec.corpus.toy_task is not None else FILE_CORPUS_KEYS
+    lines = [SPEC_HEADER, *_spec_lines(spec.corpus, (*corpus_keys, MIN_COUNT))]
     lines.append("strategies = " + " ".join(s.token() for s in spec.strategies))
     if spec.scorer_presets:
         lines.append("scorer.presets = " + " ".join(spec.scorer_presets))
     lines.append(f"trainer.preset = {spec.trainer_preset}")
-    t = spec.train
-    lines += [
-        f"train.learning_rate = {t.learning_rate!r}",
-        f"train.batch_size = {t.batch_size}",
-        f"train.max_epochs = {t.max_epochs}",
-        f"train.patience = {t.patience}",
-        f"train.clip_norm = {t.clip_norm!r}",
-        f"seed = {spec.seed}",
-        f"output_dir = {spec.output_dir}",
-    ]
+    lines += _spec_lines(spec.train, TRAIN_KEYS)
+    lines += [f"seed = {spec.seed}", f"output_dir = {spec.output_dir}"]
     return "\n".join(lines) + "\n"
 
 
-def spec_from_text(text: str) -> ExperimentSpec:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != SPEC_HEADER:
-        raise ConfigError(f"bad spec header; expected {SPEC_HEADER!r}")
-    kv: dict[str, str] = {}
-    for ln in lines[1:]:
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
+def spec_from_text(text: str, source=None) -> ExperimentSpec:
+    lines = TextLines(text, "spec", source, ConfigError)
+    lines.header(SPEC_HEADER)
+    kv: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
+    for number, line in lines.numbered():
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
-        if "=" not in ln:
-            raise ConfigError(f"bad spec line (need 'key = value'): {ln!r}")
-        key, value = ln.split("=", 1)
-        kv[key.strip()] = value.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise lines.fail(number, f"bad spec line (need 'key = value'): {line!r}")
+        if key in kv:
+            raise lines.fail(number, f"spec key {key} given twice, first on line {kv[key][0]}")
+        kv[key] = number, value
 
-    def pop(key, default=None, kind=str):
-        value = kv.pop(key, None)
-        if value is None:
+    def pop(key, kind=str, default=None):
+        if key not in kv:
             return default
-        try:
+        number, value = kv.pop(key)
+        with lines.at(number, f"spec key {key}: expected {kind.__name__}, got {value!r}"):
             return kind(value)
-        except ValueError:
-            raise ConfigError(
-                f"spec key {key}: expected {kind.__name__}, got {value!r}"
-            ) from None
 
-    corpus = CorpusSpec()
-    if "corpus.toy" in kv:
-        corpus.toy_task = pop("corpus.toy")
-        corpus.size = pop("corpus.size", corpus.size, int)
-        corpus.vocab = pop("corpus.vocab", corpus.vocab, int)
-        corpus.min_len = pop("corpus.min_len", corpus.min_len, int)
-        corpus.max_len = pop("corpus.max_len", corpus.max_len, int)
-        corpus.noise = pop("corpus.noise", corpus.noise, float)
-        corpus.seed = pop("corpus.seed", None, int)
-    else:
-        for k in FILE_KEYS:
-            setattr(corpus, k, pop(f"corpus.{k}"))
-        corpus.filter_min = pop("corpus.filter_min", corpus.filter_min, int)
-        corpus.filter_max = pop("corpus.filter_max", corpus.filter_max, int)
-        corpus.take = pop("corpus.take", None, int)
-    corpus.min_count = pop("corpus.min_count", corpus.min_count, int)
-
-    raw = pop("strategies")
-    if raw is None:
-        raise ConfigError("spec is missing 'strategies'")
-    strategies = tuple(parse_strategy(tok) for tok in raw.split())
-    scorers = tuple(pop("scorer.presets", "").split())
+    corpus_keys = (*(TOY_KEYS if "corpus.toy" in kv else FILE_CORPUS_KEYS), MIN_COUNT)
+    corpus = {k.field: pop(k.key, k.kind) for k in corpus_keys if k.key in kv}
+    for key in ("strategies", "trainer.preset", "output_dir"):
+        if key not in kv:
+            raise lines.fail(None, f"spec is missing {key!r}")
+    number, raw = kv.pop("strategies")
+    with lines.at(number):
+        strategies = tuple(parse_strategy(tok) for tok in raw.split())
+    scorers = tuple(pop("scorer.presets", default="").split())
     trainer_preset = pop("trainer.preset")
-    if trainer_preset is None:
-        raise ConfigError("spec is missing 'trainer.preset'")
-    # working seeds always derive from the experiment seed, so the spec file
-    # has no train.seed key
-    train = TrainConfig(
-        learning_rate=pop("train.learning_rate", TrainConfig.learning_rate, float),
-        batch_size=pop("train.batch_size", TrainConfig.batch_size, int),
-        max_epochs=pop("train.max_epochs", TrainConfig.max_epochs, int),
-        patience=pop("train.patience", TrainConfig.patience, int),
-        clip_norm=pop("train.clip_norm", TrainConfig.clip_norm, float),
-    )
-    seed = pop("seed", 0, int)
-    output_dir = pop("output_dir")
-    if output_dir is None:
-        raise ConfigError("spec is missing 'output_dir'")
+    train = {k.field: pop(k.key, k.kind) for k in TRAIN_KEYS if k.key in kv}
+    seed = pop("seed", int, 0)
+    output_dir = Path(pop("output_dir"))
     if kv:
-        raise ConfigError(f"unknown spec keys: {sorted(kv)}")
-    return ExperimentSpec(
-        corpus=corpus,
-        strategies=strategies,
-        scorer_presets=scorers,
-        trainer_preset=trainer_preset,
-        train=train,
-        seed=seed,
-        output_dir=Path(output_dir),
-    )
+        raise lines.fail(min(n for n, _ in kv.values()), f"unknown spec keys: {sorted(kv)}")
+    with lines.at(None):
+        return ExperimentSpec(
+            corpus=CorpusSpec(**corpus),
+            strategies=strategies,
+            scorer_presets=scorers,
+            trainer_preset=trainer_preset,
+            train=TrainConfig(**train),
+            seed=seed,
+            output_dir=output_dir,
+        )
 
 
 def load_spec(path) -> ExperimentSpec:
-    return spec_from_text(read_text(path, ConfigError))
+    return spec_from_text(read_text(path, ConfigError), path)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +336,7 @@ class ExperimentReport:
 
 def report_to_tsv(report: ExperimentReport) -> str:
     lines = [f"# {k}\t{v}" for k, v in report.metadata.items()]
-    lines.append("strategy\tscorer\tepochs\ttest_ppl\ttest_bleu")
+    lines.append(REPORT_COLUMNS)
     for r in report.rows:
         lines.append(
             f"{r.strategy}\t{r.scorer}\t{r.epochs}\t{r.test_perplexity!r}\t{r.test_bleu!r}"
@@ -346,34 +344,30 @@ def report_to_tsv(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_from_tsv(text: str) -> ExperimentReport:
+def report_from_tsv(text: str, source=None) -> ExperimentReport:
+    """Read `report_to_tsv`'s text: `# <key>\\t<value>` metadata lines, the
+    column line, then one line per row."""
+    lines = TextLines(text, "report", source)
     metadata: dict[str, str] = {}
     rows: list[ReportRow] = []
     header_seen = False
-    for number, ln in enumerate(text.splitlines(), start=1):
-        if not ln:
-            continue
-        if ln.startswith("# "):
-            key, tab, value = ln[2:].partition("\t")
+    for number, line in lines.numbered(start=1):
+        if line.startswith("# "):
+            key, tab, value = line[2:].partition("\t")
             if not tab:
-                raise DataError(f"report line {number}: metadata needs '# <key>\\t<value>'")
+                raise lines.fail(number, "metadata needs '# <key>\\t<value>'")
             metadata[key] = value
-            continue
-        if not header_seen:
-            if ln != "strategy\tscorer\tepochs\ttest_ppl\ttest_bleu":
-                raise DataError(f"report line {number}: bad header {ln!r}")
+        elif not header_seen:
+            if line != REPORT_COLUMNS:
+                raise lines.fail(number, f"bad header {line!r}")
             header_seen = True
-            continue
-        try:
-            strategy, scorer, epochs, ppl, bleu = ln.split("\t")
-            rows.append(ReportRow(strategy, scorer, int(epochs), float(ppl), float(bleu)))
-        except ValueError as exc:
-            raise DataError(
-                f"report line {number}: expected five tab-separated fields with "
-                f"numeric epochs, test_ppl and test_bleu, got {ln!r}"
-            ) from exc
+        else:
+            with lines.at(number, "expected five tab-separated fields with numeric "
+                          f"epochs, test_ppl and test_bleu, got {line!r}"):
+                strategy, scorer, epochs, ppl, bleu = line.split("\t")
+                rows.append(ReportRow(strategy, scorer, int(epochs), float(ppl), float(bleu)))
     if not header_seen:
-        raise DataError("report TSV has no header line")
+        raise lines.fail(None, "report TSV has no header line")
     return ExperimentReport(rows=tuple(rows), metadata=metadata)
 
 
@@ -390,16 +384,19 @@ def report_to_markdown(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_report(report: ExperimentReport, fmt: str) -> str:
+    """The report as `tsv` or `markdown` text."""
+    if fmt == "tsv":
+        return report_to_tsv(report)
+    if fmt == "markdown":
+        return report_to_markdown(report)
+    raise ConfigError(f"unknown report format {fmt!r}; use tsv or markdown")
+
+
 def emit_report(report: ExperimentReport, fmt: str, path) -> None:
     if not report.rows:
         raise ConfigError("cannot emit an empty report")
-    if fmt == "tsv":
-        text = report_to_tsv(report)
-    elif fmt == "markdown":
-        text = report_to_markdown(report)
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}; use tsv or markdown")
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(render_report(report, fmt), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +654,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         metadata[f"row.{n}.init_fingerprint"] = init_ckpt.fingerprint
         metadata[f"row.{n}.plan_fingerprint"] = plan.fingerprint()
         if table is not None:
-            metadata[f"row.{n}.scores_fingerprint"] = hashlib.sha256(
-                table.to_text().encode("utf-8")
-            ).hexdigest()
+            metadata[f"row.{n}.scores_fingerprint"] = table.fingerprint()
         metadata[f"row.{n}.checkpoint_fingerprint"] = ckpt.fingerprint
         log_lines.append(
             f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] row {n} "

@@ -5,6 +5,7 @@ target token, so perplexity `2 ** H` lands in the familiar per-token range.
 Sentence BLEU is BLEU-4 with add-one smoothing on the order >= 2 precisions
 (numerator and denominator), an unsmoothed unigram precision, and brevity
 penalty min(1, exp(1 - |ref|/|cand|)). Scoring never mutates the model.
+A score table is a `TextFile`, read back through the shared `TextLines`.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import ModelCheckpoint
-from .corpus import EncodedPair, ParallelCorpus, SentencePair, read_text
+from .corpus import EncodedPair, ParallelCorpus, SentencePair, TextFile, TextLines
 from .errors import ConfigError, DataError, FingerprintError
 from .seq2seq import forward_teacher_forced, greedy_decode, make_batch
 
@@ -35,7 +35,7 @@ class PairScore:
 
 
 @dataclass
-class ScoreTable:
+class ScoreTable(TextFile):
     """One metric value per corpus pair, tagged with the scoring model.
 
     Values are rounded on construction to the 9 significant digits a score
@@ -76,33 +76,16 @@ class ScoreTable:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "ScoreTable":
-        lines = text.splitlines()
-        if not lines:
-            raise DataError("empty score table")
-        head = lines[0].split(" ")
-        if len(head) != 4 or " ".join(head[:2]) != SCORES_HEADER:
-            raise DataError(f"bad score table header: {lines[0]!r}")
+    def from_text(cls, text: str, source=None) -> "ScoreTable":
+        lines = TextLines(text, "score table", source)
+        metric, scorer = lines.header(SCORES_HEADER, "metric", "scorer")
         scores = []
-        for number, ln in enumerate(lines[1:], start=2):
-            if not ln:
-                continue
-            try:
-                idx, val = ln.split("\t")
-                scores.append(PairScore(int(idx), float(val)))
-            except ValueError as exc:
-                raise DataError(
-                    f"score table line {number}: expected '<index>\\t<value>', "
-                    f"got {ln!r}"
-                ) from exc
-        return cls(metric=head[2], scorer_fingerprint=head[3], scores=tuple(scores))
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "ScoreTable":
-        return cls.from_text(read_text(path))
+        for number, line in lines.numbered():
+            with lines.at(number, f"expected '<index>\\t<value>', got {line!r}"):
+                index, value = line.split("\t")
+                scores.append(PairScore(int(index), float(value)))
+        with lines.at(None):
+            return cls(metric=metric, scorer_fingerprint=scorer, scores=tuple(scores))
 
 
 def _check_fingerprints(model: ModelCheckpoint, pair: EncodedPair) -> None:

@@ -8,19 +8,18 @@ draws a fresh permutation each epoch, from a counter-based stream keyed by
 
 Sorting is stable with the original corpus index as tie-breaker in both
 directions (descending negates the key rather than reversing), so ties are
-ordered identically either way.
+ordered identically either way. A plan is a `TextFile`, read back through the
+shared `TextLines`.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import read_text
-from .errors import ConfigError, CoverageError, DataError, MetricMismatchError
+from .corpus import TextFile, TextLines
+from .errors import ConfigError, CoverageError, MetricMismatchError
 from .metrics import ScoreTable
 from .rng import make_rng
 
@@ -118,7 +117,7 @@ def table_one_strategies() -> tuple[Strategy, ...]:
 
 
 @dataclass
-class OrderingPlan:
+class OrderingPlan(TextFile):
     """A strategy plus the permutation of corpus indices for every epoch."""
 
     strategy: Strategy
@@ -138,40 +137,20 @@ class OrderingPlan:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "OrderingPlan":
-        lines = text.splitlines()
-        if not lines:
-            raise DataError("empty ordering plan")
-        head = lines[0].split(" ")
-        if len(head) != 5 or " ".join(head[:2]) != ORDER_HEADER:
-            raise DataError(f"bad ordering plan header: {lines[0]!r}")
-        try:
-            strategy = parse_strategy(head[2])
-        except ConfigError as exc:
-            raise DataError(f"ordering plan line 1: {exc}") from exc
-        perms, number = [], 1
-        try:
-            seed, epochs = int(head[3]), int(head[4])
-            for number, ln in enumerate(lines[1:], start=2):
-                if ln:
-                    perms.append(np.array([int(x) for x in ln.split(" ")], dtype=np.int64))
-        except (ValueError, OverflowError) as exc:
-            raise DataError(f"ordering plan line {number}: expected integers") from exc
+    def from_text(cls, text: str, source=None) -> "OrderingPlan":
+        lines = TextLines(text, "ordering plan", source)
+        token, seed, epochs = lines.header(ORDER_HEADER, "strategy", "seed", "epochs")
+        with lines.at(1):
+            strategy = parse_strategy(token)
+        with lines.at(1, "expected integers"):
+            seed, epochs = int(seed), int(epochs)
+        perms = []
+        for number, line in lines.numbered():
+            with lines.at(number, "expected integers"):
+                perms.append(np.array([int(x) for x in line.split(" ")], dtype=np.int64))
         if len(perms) != epochs:
-            raise DataError(
-                f"plan declares {epochs} epochs but contains {len(perms)}"
-            )
+            raise lines.fail(None, f"plan declares {epochs} epochs but contains {len(perms)}")
         return cls(strategy=strategy, seed=seed, epoch_permutations=tuple(perms))
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "OrderingPlan":
-        return cls.from_text(read_text(path))
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
 
 def _sorted_permutation(

@@ -251,16 +251,18 @@ def fit(
                 raise ConfigError(f"plan index {int(i)} not present in the corpus")
     schedule = schedule_batches(plan, config.batch_size)
 
-    params = init_params
-    adam = AdamState.fresh(params)
+    # the latest parameters are popped for each epoch, so that no local here
+    # holds an epoch's input, unless it is the best, while it trains
+    latest = {"params": init_params}
+    adam = AdamState.fresh(init_params)
     best_ppl = math.inf
     best_epoch = 0
     best_params = init_params
     bad_streak = 0
     all_stats: list[EpochStats] = []
     for epoch in range(1, config.max_epochs + 1):
-        params, adam, stats = train_epoch(
-            params,
+        latest["params"], adam, stats = train_epoch(
+            latest.pop("params"),
             adam,
             schedule.epochs[epoch - 1],
             pairs_by_index,
@@ -268,12 +270,12 @@ def fit(
             config,
             epoch,
         )
-        stats.val_perplexity = validation_perplexity(params, model_config, val_pairs)
+        stats.val_perplexity = validation_perplexity(latest["params"], model_config, val_pairs)
         all_stats.append(stats)
         if stats.val_perplexity < best_ppl:
             best_ppl = stats.val_perplexity
             best_epoch = epoch
-            best_params = params
+            best_params = latest["params"]
             bad_streak = 0
         else:
             bad_streak += 1

@@ -398,6 +398,28 @@ def test_cli_spec_file_loading(tmp_path):
     assert cli_main(["experiment", "--spec", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("key", ["trainer.preset", "scorer.presets"])
+def test_cli_refuses_an_unknown_preset_before_writing(tmp_path, capsys, key):
+    spec = tiny_spec(tmp_path)
+    lines = [
+        f"{key} = nosuch" if line.startswith(key) else line
+        for line in spec_to_text(spec).splitlines()
+    ]
+    path = tmp_path / "bad.spec"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["experiment", "--spec", str(path)]) == 2
+    assert "unknown preset 'nosuch'" in capsys.readouterr().err
+    assert not spec.output_dir.exists()
+
+
+def test_spec_key_given_twice_is_refused_naming_the_line(tmp_path):
+    text = spec_to_text(tiny_spec(tmp_path)) + "corpus.size = 80\n"
+    line = text.count("\n")
+    with pytest.raises(ConfigError, match=f"spec line {line}: spec key corpus.size given twice"):
+        spec_from_text(text)
+
+
 def test_cli_stages_replay_an_experiment(tmp_path, capsys):
     spec = tiny_spec(
         tmp_path,

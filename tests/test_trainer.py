@@ -391,12 +391,23 @@ def test_validation_perplexity_past_the_float_range_is_infinite(
     assert ppl == math.inf
 
 
-def test_fit_peak_memory():
+@pytest.mark.parametrize(
+    "perplexities", [None, (3.0, 4.0, 5.0)], ids=["2-epochs", "3-epochs-worsening"]
+)
+def test_fit_peak_memory(monkeypatch, perplexities):
     # a 2-epoch fit holds the parameters, Adam's two moments, the best
     # epoch's parameters, one step's gradients and the new parameters of an
     # Adam step: 6.9x the parameter bytes here. Copying the parameters for
     # the running and the best state and keeping a step's gradients through
-    # the next batch took 8.9x.
+    # the next batch took 8.9x. An epoch that follows one without
+    # improvement holds no more (6.9x): keeping its input alive took 7.9x.
+    epochs = 2
+    if perplexities is not None:
+        epochs = len(perplexities)
+        values = iter(perplexities)
+        monkeypatch.setattr(
+            "curricula.trainer.validation_perplexity", lambda *a, **k: next(values)
+        )
     train, val, _ = generate_toy_corpus("reverse", 100, 20, (5, 10), seed=1)
     src_vocab = build_vocab(train, "source", 1)
     tgt_vocab = build_vocab(train, "target", 1)
@@ -405,10 +416,10 @@ def test_fit_peak_memory():
     config = ModelConfig.preset("small", len(src_vocab), len(tgt_vocab))
     params = init_params(config, seed=1)
     plan = make_ordering(
-        Strategy("shuffle_once"), None, [p.index for p in train_pairs], 2, seed=1
+        Strategy("shuffle_once"), None, [p.index for p in train_pairs], epochs, seed=1
     )
     train_config = TrainConfig(
-        learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2, seed=1
+        learning_rate=1e-3, batch_size=16, max_epochs=epochs, patience=epochs, seed=1
     )
     peak = traced_peak(lambda: fit(
         params, config, plan, train_pairs, val_pairs, train_config,
