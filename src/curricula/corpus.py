@@ -228,10 +228,10 @@ def _tokenize_line(line: str) -> tuple[str, ...]:
 
 
 def _read_lines(path) -> list[str]:
+    """One line per pair: each ends in a newline (the last one may lack it),
+    so an empty file is zero pairs and a file of one newline one empty pair."""
     text = read_text(path)
-    if text.endswith("\n"):
-        text = text[:-1]
-    return text.split("\n") if text else []
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def load_parallel_corpus(src_path, tgt_path) -> ParallelCorpus:
@@ -255,11 +255,12 @@ def load_parallel_corpus(src_path, tgt_path) -> ParallelCorpus:
 
 
 def write_corpus(corpus: ParallelCorpus, src_path, tgt_path) -> None:
-    """Write a corpus back out as two line-aligned text files."""
-    src_text = "\n".join(" ".join(p.src_tokens) for p in corpus.pairs)
-    tgt_text = "\n".join(" ".join(p.tgt_tokens) for p in corpus.pairs)
-    Path(src_path).write_text(src_text + "\n" if src_text else "", encoding="utf-8")
-    Path(tgt_path).write_text(tgt_text + "\n" if tgt_text else "", encoding="utf-8")
+    """Write a corpus back out as two line-aligned text files, every line
+    ending in a newline, so that `load_parallel_corpus` reads it back."""
+    src_text = "".join(" ".join(p.src_tokens) + "\n" for p in corpus.pairs)
+    tgt_text = "".join(" ".join(p.tgt_tokens) + "\n" for p in corpus.pairs)
+    Path(src_path).write_text(src_text, encoding="utf-8")
+    Path(tgt_path).write_text(tgt_text, encoding="utf-8")
 
 
 def filter_corpus(

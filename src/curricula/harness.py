@@ -188,8 +188,8 @@ FILE_KEYS = ("train_src", "train_tgt", "val_src", "val_tgt", "test_src", "test_t
 
 
 # One `key = value` line of a spec file and the field it sets; kind converts
-# the value, and an optional key is written only when its field is not the
-# default. A float is written with repr.
+# the value. A key whose field is None is not written, nor an optional key
+# whose field is the default. A float is written with repr.
 SpecKey = namedtuple("SpecKey", "key field kind optional", defaults=(False,))
 
 # Every spec key of CorpusSpec, in file order: a toy corpus reads TOY_KEYS,
@@ -245,7 +245,7 @@ def _spec_lines(obj, keys) -> list[str]:
     lines = []
     for k in keys:
         value = getattr(obj, k.field)
-        if not (k.optional and value == getattr(type(obj), k.field)):
+        if value is not None and not (k.optional and value == getattr(type(obj), k.field)):
             lines.append(f"{k.key} = {value!r}" if k.kind is float else f"{k.key} = {value}")
     return lines
 

@@ -6,11 +6,22 @@ Sentence BLEU is BLEU-4 with add-one smoothing on the order >= 2 precisions
 (numerator and denominator), an unsmoothed unigram precision, and brevity
 penalty min(1, exp(1 - |ref|/|cand|)). Scoring never mutates the model.
 A score table is a `TextFile`, read back through the shared `TextLines`.
+
+Scoring, validation and evaluation run pairs in chunks, through
+`corpus_cross_entropy` and `decode_pairs`. A call runs its chunks on W
+threads, the calling one and W - 1 helpers taking chunks from one shared
+iterator: W is the CPUs this process may use over the BLAS's own threads
+(`runtime.environment`), and 1 for a model whose recurrent product is small
+(`_workers`). A chunk then holds at most `_SCORE_POSITIONS // W` padded
+positions, so the chunks in flight hold about the memory of one serial
+chunk. No bit depends on W: inference is batch-invariant, and each chunk
+writes only its own pairs' results.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,7 +30,10 @@ import numpy as np
 from .checkpoint import ModelCheckpoint
 from .corpus import EncodedPair, ParallelCorpus, SentencePair, TextFile, TextLines
 from .errors import ConfigError, DataError, FingerprintError
-from .seq2seq import forward_teacher_forced, greedy_decode, make_batch
+from .runtime import environment
+from .seq2seq import (
+    _BLOCK_ROWS, _SMALL_PRODUCT, forward_teacher_forced, greedy_decode, make_batch,
+)
 
 SCORES_HEADER = "CURRICULA-SCORES v1"
 
@@ -223,17 +237,36 @@ def score_corpus(model: ModelCheckpoint, pairs, metric: str) -> ScoreTable:
 # measurement at the three presets. A scoring chunk also stops before its
 # rows times its longest source or target exceed _SCORE_POSITIONS, and a
 # decoding chunk before its rows times its longest source do, which bounds
-# the memory of one call on long pairs.
+# the memory of one call on long pairs. With W workers a chunk takes at most
+# an even share of the pairs, in whole _BLOCK_ROWS blocks, and at most
+# _SCORE_POSITIONS // W positions.
 _SCORE_CHUNK = 64
 _SCORE_POSITIONS = 1024
 _DECODE_CHUNK = 32
 
 
-def _chunks(keys, size: int, positions: float = math.inf):
-    """Indices sorted by key, cut into runs of at most `size` whose length
-    times their largest key field after the first stays within `positions`
-    (a longer key runs alone). The key's first field is a group that no run
-    straddles."""
+def _workers(config) -> int:
+    """Threads that run one call's chunks: the CPUs this process may use
+    over the BLAS's own threads, or 1 when the BLAS's thread count cannot be
+    read. A model whose `_BLOCK_ROWS`-row recurrent product is small runs
+    serially: its chunks hold the GIL more than the BLAS, and a helper
+    thread's malloc arena costs more memory than the chunks it runs."""
+    h = config.hidden_dim
+    if _BLOCK_ROWS * h * 4 * h <= _SMALL_PRODUCT:
+        return 1
+    env = environment()
+    return max(1, env.cpus // env.blas_threads) if env.blas_threads else 1
+
+
+def _chunks(keys, size: int, workers: int):
+    """Indices sorted by key, cut into runs of at most `size` rows (and at
+    most an even share of the keys among `workers`) whose length times their
+    largest key field after the first stays within `_SCORE_POSITIONS //
+    workers` (a longer key runs alone). The key's first field is a group
+    that no run straddles."""
+    share = -(-len(keys) // workers)
+    size = min(size, max(_BLOCK_ROWS, -(-share // _BLOCK_ROWS) * _BLOCK_ROWS))
+    positions = _SCORE_POSITIONS // workers
     chunk: list[int] = []
     widest = 0  # the run's largest key field after the first
     for i in sorted(range(len(keys)), key=keys.__getitem__):
@@ -251,6 +284,45 @@ def _chunks(keys, size: int, positions: float = math.inf):
         yield chunk
 
 
+def _run_chunks(work, keys, size: int, config) -> None:
+    """`work(chunk)` for every chunk of `_chunks(keys, size, W)`, W being
+    `_workers(config)`: on the calling thread and up to W - 1 helper threads
+    that take chunks from one shared iterator.
+
+    Once a chunk fails no thread takes another. Every helper is joined
+    before this returns, and the first error is raised as it was raised.
+    """
+    workers = _workers(config)
+    chunks = list(_chunks(keys, size, workers))
+    pending = iter(chunks)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def drain():
+        try:
+            while True:
+                with lock:
+                    chunk = None if errors else next(pending, None)
+                if chunk is None:
+                    return
+                work(chunk)
+        except BaseException as exc:  # re-raised by the calling thread
+            with lock:
+                errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=drain, name=f"curricula-chunks-{n}")
+        for n in range(1, min(workers, len(chunks)))
+    ]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
 def corpus_cross_entropy(params, config, pairs) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair (cross-entropy, token count) arrays, in input order.
 
@@ -259,15 +331,19 @@ def corpus_cross_entropy(params, config, pairs) -> tuple[np.ndarray, np.ndarray]
     `forward_teacher_forced`, whose per-row losses do not depend on
     the batch. A pair's entropy therefore has the bits that
     `pair_cross_entropy` (this function on one pair) gives, and corpus-level
-    aggregates built from it agree bit-for-bit with the per-pair metric.
+    aggregates built from it agree bit-for-bit with the per-pair metric,
+    however many threads (`_workers`) ran the chunks.
     """
     entropies = np.empty(len(pairs))
     token_counts = np.array([float(len(p.tgt_out_ids)) for p in pairs])
     keys = [(0, len(p.src_ids), len(p.tgt_out_ids)) for p in pairs]
-    for chunk in _chunks(keys, _SCORE_CHUNK, _SCORE_POSITIONS):
+
+    def score(chunk):
         batch = make_batch([pairs[i] for i in chunk])
         result = forward_teacher_forced(params, config, batch, dropout_on=False, seed=0)
         entropies[chunk] = result.pair_losses
+
+    _run_chunks(score, keys, _SCORE_CHUNK, config)
     return entropies, token_counts
 
 
@@ -278,7 +354,7 @@ def decode_pairs(params, config, pairs, max_decode_len: int | None = None):
     source. Pairs are sorted by budget and source length and decoded in
     chunks of up to `_DECODE_CHUNK` rows and `_SCORE_POSITIONS` padded source
     positions that share one budget; a pair's tokens do not depend on its
-    chunk.
+    chunk, nor on the thread (`_workers`) that ran it.
     """
     budgets = [
         max_decode_len if max_decode_len is not None
@@ -287,9 +363,12 @@ def decode_pairs(params, config, pairs, max_decode_len: int | None = None):
     ]
     decoded: list[list[int]] = [[] for _ in pairs]
     keys = [(b, len(p.src_ids)) for b, p in zip(budgets, pairs)]
-    for chunk in _chunks(keys, _DECODE_CHUNK, _SCORE_POSITIONS):
-        sources = [pairs[i].src_ids for i in chunk]
-        out = greedy_decode(params, config, sources, budgets[chunk[0]])
+
+    def decode(chunk):
+        out = greedy_decode(params, config, [pairs[i].src_ids for i in chunk],
+                            budgets[chunk[0]])
         for i, tokens in zip(chunk, out):
             decoded[i] = tokens
+
+    _run_chunks(decode, keys, _DECODE_CHUNK, config)
     return decoded

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curricula.corpus import (
     BOS_ID,
@@ -66,6 +67,27 @@ def test_write_then_load_round_trip(tmp_path, toy_data):
     again = load_parallel_corpus(tmp_path / "s.txt", tmp_path / "t.txt")
     assert [p.src_tokens for p in again] == [p.src_tokens for p in toy_data["train"]]
     assert [p.tgt_tokens for p in again] == [p.tgt_tokens for p in toy_data["train"]]
+
+
+def test_a_newline_is_one_empty_pair_and_an_empty_file_none(tmp_path):
+    for text, pairs in (("", 0), ("\n", 1), ("\n\n", 2), ("a\nb", 2)):
+        (tmp_path / "s.txt").write_text(text)
+        (tmp_path / "t.txt").write_text(text)
+        assert len(load_parallel_corpus(tmp_path / "s.txt", tmp_path / "t.txt")) == pairs
+
+
+_TOKENS = st.lists(st.sampled_from(["a", "bb", "c3", "ü", "<unk>x"]), max_size=4)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(sides=st.lists(st.tuples(_TOKENS, _TOKENS), max_size=5))
+def test_written_corpus_reads_back_to_itself(tmp_path_factory, sides):
+    corpus = corpus_of(*((" ".join(s), " ".join(t)) for s, t in sides))
+    out = tmp_path_factory.mktemp("corpus")
+    write_corpus(corpus, out / "s.txt", out / "t.txt")
+    assert load_parallel_corpus(out / "s.txt", out / "t.txt") == corpus
+    # every pair's line ends in a newline, so a non-empty corpus keeps its bytes
+    assert (out / "s.txt").read_text() == "".join(" ".join(s) + "\n" for s, _ in sides)
 
 
 def test_filter_drops_out_of_bounds_source():

@@ -12,7 +12,7 @@ the entry of the current environment:
     PYTHONPATH=src python tests/test_golden.py --update
 """
 
-import ctypes
+import ctypes.util
 import hashlib
 import json
 import os
@@ -21,8 +21,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+from curricula.runtime import environment, openblas_info
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
@@ -30,21 +31,7 @@ GOLDEN = HERE / "golden.json"
 
 def environment_key() -> str:
     """numpy version, BLAS name and version, and the BLAS core in use."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas.get('name')} {blas.get('version')}"
-    except (TypeError, KeyError):  # numpy < 1.26 prints its config only
-        blas = "unknown"
-    core = "unknown"
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        core = corename().decode()
-    return f"numpy {np.__version__} | {blas} | {core}"
+    return environment().key()
 
 
 def _files_digest(out: Path) -> str:
@@ -138,6 +125,27 @@ def pinned_digests() -> dict[str, str]:
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(run.stdout)
+
+
+def test_environment_key_names_the_entry_of_its_numpy_and_blas():
+    """A machine with the numpy and BLAS of an entry reads that entry's key:
+    a key that lost the core would silently skip the golden bits."""
+    key = environment_key()
+    numpy_and_blas = key.rpartition(" | ")[0] + " | "
+    entries = [k for k in json.loads(GOLDEN.read_text(encoding="utf-8"))
+               if k.startswith(numpy_and_blas)]
+    if not entries:
+        pytest.skip(f"no golden entry for {numpy_and_blas!r}")
+    assert key in entries
+
+
+def test_a_library_without_the_openblas_symbols_gives_none(tmp_path):
+    (tmp_path / "not_a_library.so").write_bytes(b"not ELF")
+    assert openblas_info(tmp_path / "not_a_library.so") is None
+    libc = ctypes.util.find_library("c")
+    if libc is None:
+        pytest.skip("no C library found to load")
+    assert openblas_info(libc) is None
 
 
 def test_artifact_bits_match_the_golden_file():

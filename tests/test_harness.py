@@ -127,6 +127,24 @@ def test_corrupt_targets_fraction_and_determinism():
 # experiment spec file
 # ---------------------------------------------------------------------------
 
+def test_spec_text_writes_only_the_file_keys_that_are_set(tmp_path):
+    spec = ExperimentSpec(
+        corpus=CorpusSpec(train_src="a"),
+        strategies=(Strategy("shuffle_once"),),
+        scorer_presets=(),
+        trainer_preset="tiny",
+        train=TrainConfig(),
+        seed=1,
+        output_dir=tmp_path / "run",
+    )
+    text = spec_to_text(spec)
+    assert "corpus.train_src = a\n" in text and "None" not in text
+    parsed = spec_from_text(text)
+    assert parsed.corpus == spec.corpus
+    (tmp_path / "run.spec").write_text(text)
+    assert cli_main(["experiment", "--spec", str(tmp_path / "run.spec")]) == 2
+
+
 def test_spec_text_round_trip(tmp_path):
     spec = tiny_spec(tmp_path)
     text = spec_to_text(spec)

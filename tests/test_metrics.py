@@ -1,4 +1,13 @@
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +15,7 @@ import pytest
 from conftest import overflowing_checkpoint, uniform_output_checkpoint
 from curricula.checkpoint import ModelCheckpoint
 from curricula.corpus import EOS_ID, SentencePair
-from curricula.errors import ConfigError, DataError, FingerprintError
+from curricula.errors import ConfigError, DataError, EncodingError, FingerprintError
 from curricula.metrics import (
     ScoreTable,
     PairScore,
@@ -337,6 +346,222 @@ def test_decoding_chunks_stay_within_the_source_position_cap(monkeypatch):
     # measured: chunks of 32 rows peak at 68.9 MB, capped chunks at 36.3 MB
     assert peak < 48e6
     assert decoded == greedy_decode(params, config, [p.src_ids for p in pairs], 2)
+
+
+def test_decoding_memory_cap_holds_with_the_fan_out_on(monkeypatch):
+    from curricula import metrics
+
+    monkeypatch.setattr(metrics, "_workers", lambda config: 2)
+    test_decoding_chunks_stay_within_the_source_position_cap(monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# chunks fanned out over threads
+# ---------------------------------------------------------------------------
+
+def _past_the_gate(lengths=range(3, 19)):
+    """A model whose 8-row recurrent product (8 * 192 * 768 multiply-adds)
+    is past `_SMALL_PRODUCT`, so its chunks may fan out, and 40 pairs."""
+    from curricula.corpus import BOS_ID, EncodedPair
+    from curricula.seq2seq import ModelConfig, init_params
+
+    config = ModelConfig(32, 192, 1, 1, True, 0.2, 24, 24)
+    params = init_params(config, seed=3)
+    rng = np.random.default_rng(1)
+    pairs = []
+    for i in range(40):
+        src = tuple(int(x) for x in rng.integers(4, 24, size=lengths[i % len(lengths)]))
+        tgt = tuple(int(x) for x in rng.integers(4, 24, size=3 + i % 9))
+        pairs.append(EncodedPair(i, src, (BOS_ID,) + tgt, tgt + (EOS_ID,), "s", "t"))
+    return config, params, pairs
+
+
+def _fan_out_outputs(config, params, pairs):
+    from curricula.metrics import corpus_cross_entropy, decode_pairs
+
+    entropies, counts = corpus_cross_entropy(params, config, pairs)
+    return entropies, counts, decode_pairs(params, config, pairs, 10)
+
+
+def fan_out_digest() -> str:
+    """The worker count and sha256 of `_fan_out_outputs`, as JSON."""
+    from curricula.metrics import _workers
+
+    config, params, pairs = _past_the_gate()
+    entropies, counts, tokens = _fan_out_outputs(config, params, pairs)
+    h = hashlib.sha256(entropies.tobytes() + counts.tobytes())
+    h.update(json.dumps(tokens).encode("utf-8"))
+    return json.dumps({"workers": _workers(config), "sha256": h.hexdigest()})
+
+
+def test_fan_out_workers_are_the_cpus_over_the_blas_threads(monkeypatch):
+    from curricula import metrics
+    from curricula.runtime import Environment
+    from curricula.seq2seq import ModelConfig
+
+    gated, _, _ = _past_the_gate()
+    assert metrics._BLOCK_ROWS * 192 * 4 * 192 > metrics._SMALL_PRODUCT
+    for cpus, threads, workers in ((2, 1, 2), (2, 2, 1), (8, 2, 4), (1, 1, 1), (2, None, 1)):
+        env = Environment("numpy", "blas", "core", threads, cpus)
+        monkeypatch.setattr(metrics, "environment", lambda env=env: env)
+        assert metrics._workers(gated) == workers
+        for preset in ("tiny", "small"):
+            assert metrics._workers(ModelConfig.preset(preset, 24, 24)) == 1
+    assert metrics._workers(ModelConfig.preset("base", 24, 24)) == 1
+
+
+def test_fan_out_gives_every_pair_the_bits_it_gets_alone(monkeypatch):
+    from curricula import metrics
+    from curricula.seq2seq import greedy_decode
+
+    config, params, pairs = _past_the_gate()
+    calls = []
+    for name in ("forward_teacher_forced", "greedy_decode"):
+        def recording(*args, inner=getattr(metrics, name), name=name, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, name, recording)
+    outputs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(metrics, "_workers", lambda config, w=workers: w)
+        calls.clear()
+        outputs[workers] = _fan_out_outputs(config, params, pairs)
+        if workers == 2:
+            assert calls.count("forward_teacher_forced") >= 2
+            assert calls.count("greedy_decode") >= 2
+    (h1, n1, tokens1), (h2, n2, tokens2) = outputs[1], outputs[2]
+    assert h1.tobytes() == h2.tobytes() and n1.tobytes() == n2.tobytes()
+    assert tokens1 == tokens2
+    for i, pair in enumerate(pairs):
+        alone, _ = metrics.corpus_cross_entropy(params, config, [pair])
+        assert alone[0] == h2[i]
+        assert greedy_decode(params, config, [pair.src_ids], 10) == [tokens2[i]]
+
+
+def _with_source_id(args, layer, bad_id):
+    """The arguments of one `layer` call with `bad_id` in its first source."""
+    params, config, chunk, *rest = args
+    if layer == "forward_teacher_forced":
+        chunk = replace(chunk, src=chunk.src.copy())
+        chunk.src[0, 0] = bad_id
+    else:
+        chunk = [(bad_id,), *chunk[1:]]
+    return (params, config, chunk, *rest)
+
+
+@pytest.mark.parametrize(
+    "entry, layer",
+    [("corpus_cross_entropy", "forward_teacher_forced"), ("decode_pairs", "greedy_decode")],
+)
+def test_fan_out_error_in_a_helper_stops_every_worker(monkeypatch, entry, layer):
+    from curricula import metrics
+
+    config, params, pairs = _past_the_gate(range(30, 61))
+    keys = [(0, len(p.src_ids)) for p in pairs]
+    assert len(list(metrics._chunks(keys, metrics._DECODE_CHUNK, 2))) >= 4
+    monkeypatch.setattr(metrics, "_workers", lambda config: 2)
+    inner = getattr(metrics, layer)
+    helper_done = threading.Event()
+    calls, helper_errors = [], []
+
+    def recording(*args, **kwargs):
+        calls.append(threading.current_thread().name)
+        if threading.current_thread() is threading.main_thread():
+            helper_done.wait(30)  # the calling thread's chunk ends after the error
+            return inner(*args, **kwargs)
+        try:  # a helper's chunk holds an id past the source vocabulary
+            return inner(*_with_source_id(args, layer, config.src_vocab_size), **kwargs)
+        except EncodingError as exc:
+            helper_errors.append(exc)
+            raise
+        finally:
+            helper_done.set()
+
+    monkeypatch.setattr(metrics, layer, recording)
+    before = threading.active_count()
+    with pytest.raises(EncodingError) as info:
+        getattr(metrics, entry)(params, config, pairs)
+    assert helper_errors and info.value is helper_errors[0]
+    # no thread took a chunk after the helper's failed, out of at least four
+    assert 1 <= len(calls) <= 2
+    assert threading.active_count() == before
+
+
+def test_fan_out_joins_its_helpers_before_returning(monkeypatch):
+    from curricula import metrics
+
+    config, params, pairs = _past_the_gate()
+    monkeypatch.setattr(metrics, "_workers", lambda config: 2)
+    inner = metrics.forward_teacher_forced
+    helpers, taken = [], threading.Event()
+
+    def slow_helper(*args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            taken.wait(30)  # so that a helper runs a chunk
+        else:
+            helpers.append(threading.current_thread())
+            taken.set()
+            time.sleep(0.2)  # outlasts the calling thread's chunks
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "forward_teacher_forced", slow_helper)
+    before = threading.active_count()
+    metrics.corpus_cross_entropy(params, config, pairs)
+    assert helpers and not any(t.is_alive() for t in helpers)
+    assert threading.active_count() == before
+
+
+def test_fan_out_stress_more_workers_than_cpus(monkeypatch):
+    from curricula import metrics
+
+    config, params, pairs = _past_the_gate(range(30, 61))
+    monkeypatch.setattr(metrics, "_workers", lambda config: 1)
+    serial = _fan_out_outputs(config, params, pairs)
+    monkeypatch.setattr(metrics, "_workers", lambda config: 8)
+    rows = []
+    inner = metrics.forward_teacher_forced
+
+    def counting(params, config, batch, **kwargs):
+        rows.append(batch.size)
+        return inner(params, config, batch, **kwargs)
+
+    monkeypatch.setattr(metrics, "forward_teacher_forced", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            rows.clear()
+            entropies, counts, tokens = _fan_out_outputs(config, params, pairs)
+            # every pair ran in exactly one chunk, and no result was lost
+            assert sum(rows) == len(pairs) and len(rows) > 8
+            assert entropies.tobytes() == serial[0].tobytes() and tokens == serial[2]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fan_out_bits_hold_across_cpus_and_blas_threads():
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip("the fan-out needs at least two CPUs")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (
+        str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH"),
+    )))
+    digest = "import test_metrics; print(test_metrics.fan_out_digest())"
+    one_cpu = f"import os; os.sched_setaffinity(0, {{{cpus[0]}}}); {digest}"
+    runs = {}
+    for name, threads, script in (
+        ("fanned out", "1", digest), ("one cpu", "1", one_cpu), ("two blas threads", "2", digest),
+    ):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        runs[name] = json.loads(run.stdout.splitlines()[-1])
+    assert runs["fanned out"]["workers"] == len(cpus)
+    assert runs["one cpu"]["workers"] == 1
+    assert runs["two blas threads"]["workers"] == max(1, len(cpus) // 2)
+    assert len({r["sha256"] for r in runs.values()}) == 1, runs
 
 
 def test_score_table_file_round_trip(tmp_path, toy_data, tiny_checkpoint):
