@@ -40,13 +40,12 @@ import json
 import math
 import os
 import struct
-import tempfile
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_file
 from .errors import CheckpointCorruptError, CheckpointFormatError, ConfigError
 from .seq2seq import ModelConfig, parameter_shapes
 
@@ -131,22 +130,10 @@ def checkpoint_bytes(ckpt: ModelCheckpoint) -> bytes:
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path) -> None:
-    """Write atomically: temp file in the same directory, then rename.
-
-    The buffers are hashed and written one by one, so the tensors are
-    never copied into one payload. The save sets the checkpoint's
-    fingerprint.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(_file_chunks(ckpt))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write atomically through `corpus.write_file`, hashing and writing the
+    buffers one by one, so the tensors are never copied into one payload.
+    The save sets the checkpoint's fingerprint."""
+    write_file(path, _file_chunks(ckpt))
 
 
 # Tensors and skipped bytes are read this many at a time, so each piece is

@@ -5,14 +5,17 @@ number it had in the raw files as a permanent identity (`index`), so filtered
 corpora, score tables and ordering plans can all refer to the same pairs.
 All operations here are pure functions over immutable inputs.
 
-Every text artifact but the corpus line files, where a blank line is a pair,
-is parsed through `TextLines`; vocabularies, score tables and plans share
-`save` and `load` through `TextFile`.
+One reader and one writer serve every file: `read_text`, and `write_file`,
+which writes atomically. Every text artifact but the corpus line files, where
+a blank line is a pair, is parsed through `TextLines`; vocabularies, score
+tables and plans share `save` and `load` through `TextFile`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,6 +50,21 @@ def read_text(path, error: type[Exception] = DataError) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def write_file(path, data) -> None:
+    """Write `data`, a str as UTF-8 or bytes-like buffers in order, into a
+    new temp file beside `path`, made with the umask's mode, and rename it
+    over `path`. On any failure the temp file goes and `path` stays as it was."""
+    tmp = Path(f"{path}.{os.getpid()}.{threading.get_ident()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class TextLines:
@@ -98,7 +116,7 @@ class TextFile:
     `from_text(text, source)` reads it back."""
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
+        write_file(path, self.to_text())
 
     @classmethod
     def load(cls, path):
@@ -257,10 +275,8 @@ def load_parallel_corpus(src_path, tgt_path) -> ParallelCorpus:
 def write_corpus(corpus: ParallelCorpus, src_path, tgt_path) -> None:
     """Write a corpus back out as two line-aligned text files, every line
     ending in a newline, so that `load_parallel_corpus` reads it back."""
-    src_text = "".join(" ".join(p.src_tokens) + "\n" for p in corpus.pairs)
-    tgt_text = "".join(" ".join(p.tgt_tokens) + "\n" for p in corpus.pairs)
-    Path(src_path).write_text(src_text, encoding="utf-8")
-    Path(tgt_path).write_text(tgt_text, encoding="utf-8")
+    write_file(src_path, "".join(" ".join(p.src_tokens) + "\n" for p in corpus.pairs))
+    write_file(tgt_path, "".join(" ".join(p.tgt_tokens) + "\n" for p in corpus.pairs))
 
 
 def filter_corpus(

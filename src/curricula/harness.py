@@ -38,6 +38,7 @@ from .corpus import (
     read_text,
     truncate_corpus,
     write_corpus,
+    write_file,
 )
 from .checkpoint import ModelCheckpoint, save_checkpoint
 from .errors import ConfigError, CurriculaError, DataError
@@ -396,7 +397,7 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
 def emit_report(report: ExperimentReport, fmt: str, path) -> None:
     if not report.rows:
         raise ConfigError("cannot emit an empty report")
-    Path(path).write_text(render_report(report, fmt), encoding="utf-8")
+    write_file(path, render_report(report, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +663,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         )
 
     report = ExperimentReport(rows=tuple(report_rows), metadata=metadata)
-    emit_report(report, "tsv", out / "report.tsv")
     emit_report(report, "markdown", out / "report.md")
-    (out / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    write_file(out / "run.log", "\n".join(log_lines) + "\n")
+    emit_report(report, "tsv", out / "report.tsv")  # last: it marks the run whole
     return report
 
 
@@ -716,7 +717,7 @@ def run_directional_sanity(
             lines.append(
                 f"{seed}\t{row.strategy}\t{row.scorer}\t{row.epochs}"
                 f"\t{row.test_perplexity!r}\t{row.test_bleu!r}"
-                f"\t{spec.output_dir / 'report.tsv'}"
+                f"\t{(spec.output_dir / 'report.tsv').relative_to(out)}"
             )
             if row.strategy.startswith("Ascending PPL"):
                 asc_bleus.append(row.test_bleu)
@@ -728,9 +729,7 @@ def run_directional_sanity(
     lines.append(f"# mean_bleu.ppl_asc\t{mean_asc!r}")
     lines.append(f"# mean_bleu.shuffle_once\t{mean_shuffle!r}")
     lines.append(f"# delta\t{delta!r}")
-    (out / "directional_sanity.tsv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8"
-    )
+    write_file(out / "directional_sanity.tsv", "\n".join(lines) + "\n")
     return {
         "seeds": tuple(seeds),
         "mean_bleu_ppl_asc": mean_asc,

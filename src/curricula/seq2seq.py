@@ -268,8 +268,9 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     `_BLOCK_ROWS` rows: the rows past the last full block go in one
     zero-padded block. When a `_BLOCK_ROWS`-row call already runs blocked
     GEMM over whole column blocks, every full block goes in one call, since
-    that kernel gives a row the same bits for any row count. Otherwise each
-    block is its own call, so every call has the shape (_BLOCK_ROWS, K) @ (K, N).
+    that kernel gives a row the same bits for any row count. Otherwise the
+    full blocks go as one stack, a view of `out`, that numpy runs as one BLAS
+    call per block, so every call has the shape (_BLOCK_ROWS, K) @ (K, N).
     """
     rows = a.reshape(-1, a.shape[-1])
     m = rows.shape[0]
@@ -279,10 +280,9 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     k, n = w.shape
     if _BLOCK_ROWS * k * n > _SMALL_PRODUCT and n % _COLUMN_BLOCK == 0:
         np.matmul(rows[:full], w, out=out[:full])
-    else:
-        for start in range(0, full, _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
-            np.matmul(rows[start:stop], w, out=out[start:stop])
+    elif full:
+        np.matmul(rows[:full].reshape(-1, _BLOCK_ROWS, k), w,
+                  out=out[:full].reshape(-1, _BLOCK_ROWS, n, copy=False))
     if full < m:
         tail = np.zeros((_BLOCK_ROWS, rows.shape[1]))
         tail[: m - full] = rows[full:]

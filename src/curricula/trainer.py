@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
+from .checkpoint import ModelCheckpoint
 from .errors import ConfigError, NumericalError, StructuralError
 from .metrics import corpus_cross_entropy, perplexity
 from .ordering import OrderingPlan, schedule_batches
@@ -27,8 +27,6 @@ __all__ = [
     "train_epoch",
     "fit",
     "validation_perplexity",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 # Adam's moment decay rates and the term that keeps its denominator positive
