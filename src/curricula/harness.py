@@ -43,7 +43,7 @@ from .corpus import (
 from .checkpoint import ModelCheckpoint, save_checkpoint
 from .errors import ConfigError, CurriculaError, DataError
 from .evaluate import evaluate_model
-from .metrics import ScoreTable, length_scores, score_corpus
+from .metrics import ScoreTable, _workers, length_scores, score_corpus
 from .ordering import (
     Strategy,
     make_ordering,
@@ -51,7 +51,8 @@ from .ordering import (
     verify_plan,
 )
 from .rng import derive_seed, make_rng
-from .seq2seq import ModelConfig, init_params
+from .runtime import environment
+from .seq2seq import ModelConfig, _measured_blas, init_params
 from .trainer import TrainConfig, fit
 
 SPEC_HEADER = "CURRICULA-SPEC v1"
@@ -564,6 +565,21 @@ def _file_token(token: str, scorer: str) -> str:
     return tok if scorer == "none" else f"{tok}_{scorer}"
 
 
+def _environment_line(data: PreparedData, presets) -> str:
+    """What produced the bits and how inference ran: numpy, the BLAS and its
+    core and threads, the CPUs, the inference workers of each preset's model
+    and whether `_rows_matmul` takes its measured paths on this BLAS."""
+    env = environment()
+    vocab = len(data.src_vocab), len(data.tgt_vocab)
+    workers = ", ".join(f"{p} {_workers(ModelConfig.preset(p, *vocab))}" for p in presets)
+    return (
+        f"environment: numpy {env.numpy} | {env.blas} | core {env.core or 'unknown'}"
+        f" | blas threads {env.blas_threads or 'unknown'} | cpus {env.cpus}"
+        f" | inference workers {workers}"
+        f" | measured blas {'yes' if _measured_blas() else 'no'}"
+    )
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every (strategy, scorer) row of the spec and persist all artifacts.
 
@@ -571,7 +587,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     configuration; only the data ordering differs. A second run of the same
     spec writes byte-identical scores, plans, checkpoints and reports.
     """
-    log_lines = [f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] experiment started"]
+    started = f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] experiment started"
     data = prepare_data(spec.corpus, spec.seed)
     out = Path(spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -581,6 +597,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     rows_wanted = _strategy_rows(spec)
     scorer_presets_needed = sorted({s for _, s in rows_wanted if s != "none"})
+    presets = dict.fromkeys([spec.trainer_preset, *scorer_presets_needed])
+    log_lines = [_environment_line(data, presets), started]
     scorers: dict[str, ModelCheckpoint] = {}
     for preset in scorer_presets_needed:
         ckpt, epochs = pretrain_scorer(data, preset, spec.train, spec.seed)

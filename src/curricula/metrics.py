@@ -8,19 +8,25 @@ penalty min(1, exp(1 - |ref|/|cand|)). Scoring never mutates the model.
 A score table is a `TextFile`, read back through the shared `TextLines`.
 
 Scoring, validation and evaluation run pairs in chunks, through
-`corpus_cross_entropy` and `decode_pairs`. A call runs its chunks on W
-threads, the calling one and W - 1 helpers taking chunks from one shared
-iterator: W is the CPUs this process may use over the BLAS's own threads
-(`runtime.environment`), and 1 for a model whose recurrent product is small
-(`_workers`). A chunk then holds at most `_SCORE_POSITIONS // W` padded
-positions, so the chunks in flight hold about the memory of one serial
-chunk. No bit depends on W: inference is batch-invariant, and each chunk
-writes only its own pairs' results.
+`corpus_cross_entropy` and `decode_pairs`. A call runs on W threads, the
+calling one and W - 1 helpers taking work from one queue: W is the CPUs
+this process may use over the BLAS's own threads (`runtime.environment`),
+and 1 for a model whose recurrent product is small (`_workers`). With two
+chunks or more, up to W threads take chunks. A chunk then holds at most
+`_SCORE_POSITIONS // W` padded positions, so the chunks in flight hold
+about the memory of one serial chunk. With one chunk, as when a test set of
+a few pairs is evaluated, the calling thread runs it, and each large
+product it makes is cut by columns into up to W parts that the helpers
+compute at the same time (`seq2seq._rows_matmul`). No bit depends on W:
+inference is batch-invariant, each chunk writes only its own pairs'
+results, and a column part has the bits of the whole product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import queue
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +38,8 @@ from .corpus import EncodedPair, ParallelCorpus, SentencePair, TextFile, TextLin
 from .errors import ConfigError, DataError, FingerprintError
 from .runtime import environment
 from .seq2seq import (
-    _BLOCK_ROWS, _SMALL_PRODUCT, forward_teacher_forced, greedy_decode, make_batch,
+    _BLOCK_ROWS, _COLUMN_HELPERS, _SMALL_PRODUCT, forward_teacher_forced,
+    greedy_decode, make_batch,
 )
 
 SCORES_HEADER = "CURRICULA-SCORES v1"
@@ -246,11 +253,12 @@ _DECODE_CHUNK = 32
 
 
 def _workers(config) -> int:
-    """Threads that run one call's chunks: the CPUs this process may use
-    over the BLAS's own threads, or 1 when the BLAS's thread count cannot be
-    read. A model whose `_BLOCK_ROWS`-row recurrent product is small runs
-    serially: its chunks hold the GIL more than the BLAS, and a helper
-    thread's malloc arena costs more memory than the chunks it runs."""
+    """Threads that run one call's chunks, or the column parts of its large
+    products when it has one chunk: the CPUs this process may use over the
+    BLAS's own threads, or 1 when the BLAS's thread count cannot be read. A
+    model whose `_BLOCK_ROWS`-row recurrent product is small runs serially:
+    its chunks hold the GIL more than the BLAS, and a helper thread's malloc
+    arena costs more memory than the chunks it runs."""
     h = config.hidden_dim
     if _BLOCK_ROWS * h * 4 * h <= _SMALL_PRODUCT:
         return 1
@@ -284,43 +292,111 @@ def _chunks(keys, size: int, workers: int):
         yield chunk
 
 
+class _Helpers:
+    """The `workers` - 1 helper threads of one `_run_chunks` call, taking
+    work from one queue: chunks, or the column parts of a product (`run`).
+
+    Once a piece of work fails no thread starts another, and its error is
+    kept. `close` joins every helper.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers  # the helpers and the calling thread
+        self.queue: queue.SimpleQueue = queue.SimpleQueue()
+        self.errors: list[BaseException] = []
+        self.threads = [
+            threading.Thread(target=self._drain, name=f"curricula-chunks-{n}")
+            for n in range(1, workers)
+        ]
+        for thread in self.threads:
+            thread.start()
+
+    def _drain(self) -> None:
+        while (work := self.queue.get()) is not None:
+            work()
+
+    def attempt(self, work, *args) -> None:
+        """`work(*args)`, unless a piece of work has failed; keeps its error."""
+        if self.errors:
+            return
+        try:
+            work(*args)
+        except BaseException as exc:  # re-raised by the calling thread
+            self.errors.append(exc)
+
+    def take_all(self) -> None:
+        """Run queued work on the calling thread until the queue is empty."""
+        while True:
+            try:
+                work = self.queue.get_nowait()
+            except queue.Empty:
+                return
+            work()
+
+    def run(self, parts) -> None:
+        """Every callable of `parts`, the first on the calling thread and the
+        others on the helpers. Returns once all have ended, and raises the
+        first error kept."""
+        def queued(part, done):
+            try:
+                self.attempt(part)
+            finally:
+                done.release()
+
+        pending = []  # a lock per queued part, held until that part ends
+        for part in parts[1:]:
+            done = threading.Lock()
+            done.acquire()
+            self.queue.put(functools.partial(queued, part, done))
+            pending.append(done)
+        self.attempt(parts[0])
+        for done in pending:
+            done.acquire()
+        if self.errors:
+            raise self.errors[0]
+
+    def close(self) -> None:
+        for _ in self.threads:
+            self.queue.put(None)
+        for thread in self.threads:
+            thread.join()
+
+
 def _run_chunks(work, keys, size: int, config) -> None:
     """`work(chunk)` for every chunk of `_chunks(keys, size, W)`, W being
-    `_workers(config)`: on the calling thread and up to W - 1 helper threads
-    that take chunks from one shared iterator.
+    `_workers(config)`, on the calling thread and up to W - 1 helpers.
 
-    Once a chunk fails no thread takes another. Every helper is joined
-    before this returns, and the first error is raised as it was raised.
+    With W = 1 the calling thread runs the chunks alone. With two chunks or
+    more, up to W threads take chunks from one queue. With one, the calling
+    thread runs it, and W - 1 helpers compute column parts of each large
+    product it makes (`seq2seq._rows_matmul`), which have the bits of the
+    whole product.
+
+    Once a piece of work fails no thread starts another. Every helper is
+    joined before this returns, and the first error is raised as it was
+    raised.
     """
     workers = _workers(config)
     chunks = list(_chunks(keys, size, workers))
-    pending = iter(chunks)
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def drain():
-        try:
-            while True:
-                with lock:
-                    chunk = None if errors else next(pending, None)
-                if chunk is None:
-                    return
-                work(chunk)
-        except BaseException as exc:  # re-raised by the calling thread
-            with lock:
-                errors.append(exc)
-
-    helpers = [
-        threading.Thread(target=drain, name=f"curricula-chunks-{n}")
-        for n in range(1, min(workers, len(chunks)))
-    ]
-    for helper in helpers:
-        helper.start()
-    drain()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+    if workers == 1 or not chunks:
+        for chunk in chunks:
+            work(chunk)
+        return
+    split = len(chunks) == 1
+    helpers = _Helpers(workers if split else min(workers, len(chunks)))
+    token = _COLUMN_HELPERS.set(helpers if split else None)
+    try:
+        if split:
+            work(chunks[0])
+        else:
+            for chunk in chunks:
+                helpers.queue.put(functools.partial(helpers.attempt, work, chunk))
+            helpers.take_all()
+    finally:
+        _COLUMN_HELPERS.reset(token)
+        helpers.close()
+    if helpers.errors:
+        raise helpers.errors[0]
 
 
 def corpus_cross_entropy(params, config, pairs) -> tuple[np.ndarray, np.ndarray]:

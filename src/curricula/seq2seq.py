@@ -44,7 +44,12 @@ amount of padding. Two things would otherwise leak the batch into a row:
   has one shape and one kernel. Any other product runs blocked GEMM at
   every row count, which gives a row the same bits however many rows share
   the call, so its full blocks go to the BLAS in one call that packs the
-  weight once, not once per block.
+  weight once, not once per block. That kernel also gives a column the same
+  bits in any part of whole column blocks past the small-product bound, so
+  a `metrics._run_chunks` call of one chunk on several workers has such a
+  product cut by columns and its helper threads compute all parts but one.
+  Both rest on measurements of one BLAS and kernel set (`_MEASURED_BLAS`);
+  on any other, every product runs in blocks of `_BLOCK_ROWS` rows.
 - numpy's pairwise summation regroups terms when the summed length changes.
   Sums over padded axes (attention denominator and the context's share of
   the gates over source positions, a pair's loss over target positions)
@@ -91,6 +96,8 @@ Masks depend only on (seed, shapes), never on parameter values.
 
 from __future__ import annotations
 
+import functools
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -99,6 +106,7 @@ import numpy as np
 from .corpus import BOS_ID, EOS_ID, PAD_ID, EncodedPair
 from .errors import CapabilityError, ConfigError, EncodingError, NumericalError
 from .rng import derive_seed
+from .runtime import environment
 
 LN2 = float(np.log(2.0))
 
@@ -255,9 +263,42 @@ _BLOCK_ROWS = 8
 # row count only when N is a multiple of _COLUMN_BLOCK: narrower last column
 # blocks round by row count. Measured with OpenBLAS 0.3.31 (SkylakeX
 # kernels) for K up to 1,024 and N up to 4,100, at 8 to 1,032 rows, under 1
-# and 2 threads.
+# and 2 threads. The same kernel gives a column the same bits in a call over
+# any whole column blocks that is itself past _SMALL_PRODUCT: measured for
+# K 64 to 1,024 and N 256 to 4,096, cut at multiples of 8, at 8 to 200 rows,
+# under 1 and 2 threads. _MEASURED_BLAS holds the (BLAS, core) pairs of
+# `runtime.Environment` measured so; any other runs every product in blocks.
 _SMALL_PRODUCT = 100**3
 _COLUMN_BLOCK = 8
+_MEASURED_BLAS = frozenset({("scipy-openblas 0.3.31.188.0", "SkylakeX")})
+
+# The helpers of the `metrics._run_chunks` call whose one chunk this thread
+# runs on several workers: an object whose `workers` is W and whose
+# `run(parts)` calls every callable of `parts`, the first on this thread,
+# returning once all have ended. None anywhere else, and always on a helper
+# thread, so that column parts never nest.
+_COLUMN_HELPERS: ContextVar = ContextVar("column_helpers", default=None)
+
+
+def _measured_blas() -> bool:
+    """Whether this process's BLAS and core are ones `_rows_matmul`'s
+    one-call path and column parts were measured on."""
+    env = environment()
+    return (env.blas, env.core) in _MEASURED_BLAS
+
+
+@functools.cache
+def _column_parts(k: int, n: int, workers: int) -> tuple[slice, ...]:
+    """Column slices cutting a (K, N) weight into as many parts as possible,
+    at most `workers`, each a whole number of `_COLUMN_BLOCK`s wide and
+    past `_SMALL_PRODUCT` at `_BLOCK_ROWS` rows; one slice when two such
+    parts do not fit."""
+    blocks = n // _COLUMN_BLOCK
+    for parts in range(min(workers, blocks), 1, -1):
+        if _BLOCK_ROWS * k * (blocks // parts) * _COLUMN_BLOCK > _SMALL_PRODUCT:
+            edges = [blocks * i // parts * _COLUMN_BLOCK for i in range(parts + 1)]
+            return tuple(slice(a, b) for a, b in zip(edges, edges[1:]))
+    return (slice(0, n),)
 
 
 def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
@@ -267,10 +308,14 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     Leading axes of `a` are flattened into rows. No BLAS call gets fewer than
     `_BLOCK_ROWS` rows: the rows past the last full block go in one
     zero-padded block. When a `_BLOCK_ROWS`-row call already runs blocked
-    GEMM over whole column blocks, every full block goes in one call, since
-    that kernel gives a row the same bits for any row count. Otherwise the
-    full blocks go as one stack, a view of `out`, that numpy runs as one BLAS
-    call per block, so every call has the shape (_BLOCK_ROWS, K) @ (K, N).
+    GEMM over whole column blocks, on a BLAS in `_MEASURED_BLAS`, every full
+    block goes in one call, since that kernel gives a row the same bits for
+    any row count. While `_COLUMN_HELPERS` holds a `metrics._run_chunks`
+    call's helpers, that product is cut by columns (`_column_parts`) and the
+    helpers compute every part but the first at the same time, since that
+    kernel also gives a column the same bits in any such part. Otherwise
+    the full blocks go as one stack, a view of `out`, that numpy runs as one
+    BLAS call per block, so every call has the shape (_BLOCK_ROWS, K) @ (K, N).
     """
     rows = a.reshape(-1, a.shape[-1])
     m = rows.shape[0]
@@ -278,15 +323,30 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
         out = np.empty((m, w.shape[1]))
     full = m - m % _BLOCK_ROWS
     k, n = w.shape
-    if _BLOCK_ROWS * k * n > _SMALL_PRODUCT and n % _COLUMN_BLOCK == 0:
-        np.matmul(rows[:full], w, out=out[:full])
-    elif full:
-        np.matmul(rows[:full].reshape(-1, _BLOCK_ROWS, k), w,
-                  out=out[:full].reshape(-1, _BLOCK_ROWS, n, copy=False))
+    tail = None
     if full < m:
-        tail = np.zeros((_BLOCK_ROWS, rows.shape[1]))
+        tail = np.zeros((_BLOCK_ROWS, k))
         tail[: m - full] = rows[full:]
-        out[full:] = (tail @ w)[: m - full]
+    if (_BLOCK_ROWS * k * n > _SMALL_PRODUCT and n % _COLUMN_BLOCK == 0
+            and _measured_blas()):
+        def part(cols):
+            if full:
+                np.matmul(rows[:full], w[:, cols], out=out[:full, cols])
+            if tail is not None:
+                out[full:, cols] = (tail @ w[:, cols])[: m - full]
+
+        helpers = _COLUMN_HELPERS.get()
+        parts = _column_parts(k, n, helpers.workers if helpers else 1)
+        if len(parts) == 1:
+            part(parts[0])
+        else:
+            helpers.run([functools.partial(part, cols) for cols in parts])
+    else:
+        if full:
+            np.matmul(rows[:full].reshape(-1, _BLOCK_ROWS, k), w,
+                      out=out[:full].reshape(-1, _BLOCK_ROWS, n, copy=False))
+        if tail is not None:
+            out[full:] = (tail @ w)[: m - full]
     return out.reshape(*a.shape[:-1], w.shape[1])
 
 

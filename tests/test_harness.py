@@ -261,6 +261,22 @@ def test_experiment_report_persisted_matches_returned(experiment_run):
     assert parsed.metadata == report.metadata
 
 
+def test_run_log_opens_with_the_environment(experiment_run):
+    from curricula.runtime import environment
+    from curricula.seq2seq import _measured_blas
+
+    spec, _ = experiment_run
+    env = environment()
+    first, second, *_ = (Path(spec.output_dir) / "run.log").read_text().splitlines()
+    assert first == (
+        f"environment: numpy {env.numpy} | {env.blas} | core {env.core or 'unknown'}"
+        f" | blas threads {env.blas_threads or 'unknown'} | cpus {env.cpus}"
+        f" | inference workers tiny 1"
+        f" | measured blas {'yes' if _measured_blas() else 'no'}"
+    )
+    assert second.endswith("] experiment started")
+
+
 def test_row_failure_keeps_package_error_class_and_names_the_row(tmp_path, monkeypatch):
     from curricula.errors import FingerprintError
 

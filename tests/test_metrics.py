@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -359,13 +360,14 @@ def test_decoding_memory_cap_holds_with_the_fan_out_on(monkeypatch):
 # chunks fanned out over threads
 # ---------------------------------------------------------------------------
 
-def _past_the_gate(lengths=range(3, 19)):
-    """A model whose 8-row recurrent product (8 * 192 * 768 multiply-adds)
-    is past `_SMALL_PRODUCT`, so its chunks may fan out, and 40 pairs."""
+def _past_the_gate(lengths=range(3, 19), hidden_dim=192):
+    """A model whose 8-row recurrent product (8 * 192 * 768 multiply-adds
+    at the default width) is past `_SMALL_PRODUCT`, so its chunks may fan
+    out, and 40 pairs."""
     from curricula.corpus import BOS_ID, EncodedPair
     from curricula.seq2seq import ModelConfig, init_params
 
-    config = ModelConfig(32, 192, 1, 1, True, 0.2, 24, 24)
+    config = ModelConfig(32, hidden_dim, 1, 1, True, 0.2, 24, 24)
     params = init_params(config, seed=3)
     rng = np.random.default_rng(1)
     pairs = []
@@ -562,6 +564,200 @@ def test_fan_out_bits_hold_across_cpus_and_blas_threads():
     assert runs["one cpu"]["workers"] == 1
     assert runs["two blas threads"]["workers"] == max(1, len(cpus) // 2)
     assert len({r["sha256"] for r in runs.values()}) == 1, runs
+
+
+# ---------------------------------------------------------------------------
+# fewer chunks than workers: large products cut by columns
+# ---------------------------------------------------------------------------
+
+def _one_chunk(n=4):
+    """A 256-unit model, whose recurrent product's halves (8 * 256 * 512
+    multiply-adds) are past `_SMALL_PRODUCT`, and n pairs that one call
+    runs as one chunk."""
+    from curricula import metrics
+
+    config, params, pairs = _past_the_gate(hidden_dim=256)
+    pairs = pairs[:n]
+    for keys, size in (
+        ([(0, len(p.src_ids), len(p.tgt_out_ids)) for p in pairs], metrics._SCORE_CHUNK),
+        ([(10, len(p.src_ids)) for p in pairs], metrics._DECODE_CHUNK),
+    ):
+        assert len(list(metrics._chunks(keys, size, 2))) == 1
+    return config, params, pairs
+
+
+def _record_parts(monkeypatch):
+    """Records the name of the thread that runs each column part."""
+    from curricula import metrics
+
+    threads = []
+    inner = metrics._Helpers.run
+
+    def run(self, parts):
+        def recorded(part):
+            threads.append(threading.current_thread().name)
+            part()
+
+        return inner(self, [functools.partial(recorded, part) for part in parts])
+
+    monkeypatch.setattr(metrics._Helpers, "run", run)
+    return threads
+
+
+def test_column_parts_of_one_chunk_have_the_bits_of_one_worker(monkeypatch):
+    from curricula import metrics, seq2seq
+
+    config, params, pairs = _one_chunk()
+    monkeypatch.setattr(metrics, "_workers", lambda config: 1)
+    serial = _fan_out_outputs(config, params, pairs)
+    threads = _record_parts(monkeypatch)
+    monkeypatch.setattr(metrics, "_workers", lambda config: 2)
+    before = threading.active_count()
+    h2, n2, tokens2 = _fan_out_outputs(config, params, pairs)
+    assert h2.tobytes() == serial[0].tobytes() and n2.tobytes() == serial[1].tobytes()
+    assert tokens2 == serial[2]
+    # on a measured BLAS every product was cut in two, and a helper computed
+    # the second part; on any other none was cut
+    if seq2seq._measured_blas():
+        main = threading.main_thread().name
+        assert threads and threads[::2] == [main] * (len(threads) // 2)
+        assert all(name.startswith("curricula-chunks-") for name in threads[1::2])
+    else:
+        assert threads == []
+    assert threading.active_count() == before
+
+
+def test_column_parts_error_is_raised_as_it_was_raised(monkeypatch):
+    from curricula import metrics, seq2seq
+
+    config, params, pairs = _one_chunk()
+    monkeypatch.setattr(metrics, "_workers", lambda config: 2)
+    # cut on any BLAS: no bit is compared here
+    monkeypatch.setattr(seq2seq, "_measured_blas", lambda: True)
+    error = FloatingPointError("a part failed")
+    inner = metrics._Helpers.run
+    calls, started = [], []
+
+    def failing(self, parts):
+        calls.append(len(parts))
+
+        def fail():
+            started.append(threading.current_thread().name)
+            raise error
+
+        return inner(self, [parts[0], fail, *parts[2:]])
+
+    monkeypatch.setattr(metrics._Helpers, "run", failing)
+    before = threading.active_count()
+    for entry in (metrics.corpus_cross_entropy, metrics.decode_pairs):
+        calls.clear()
+        with pytest.raises(FloatingPointError) as info:
+            entry(params, config, pairs)
+        assert info.value is error
+        # the first product failed, and no later product was cut
+        assert calls == [2]
+        assert threading.active_count() == before
+    assert started and all(name.startswith("curricula-chunks-") for name in started)
+
+
+def test_column_parts_stop_once_a_part_fails():
+    from curricula.metrics import _Helpers
+
+    error, ran = KeyError("part"), []
+
+    def fail():
+        raise error
+
+    helpers = _Helpers(2)
+    try:
+        with pytest.raises(KeyError) as first:
+            helpers.run([lambda: ran.append(0), fail])
+        with pytest.raises(KeyError) as second:  # no part starts after it
+            helpers.run([lambda: ran.append(1)] * 2)
+    finally:
+        helpers.close()
+    assert first.value is error and second.value is error
+    assert 1 not in ran
+    assert not any(thread.is_alive() for thread in helpers.threads)
+
+
+def test_column_parts_join_their_helpers_before_returning(monkeypatch):
+    from curricula import metrics
+
+    config, params, pairs = _one_chunk()
+    monkeypatch.setattr(metrics, "_workers", lambda config: 3)
+    helpers = []
+    inner = metrics._Helpers.close
+
+    def close(self):
+        helpers.extend(self.threads)
+        inner(self)
+
+    monkeypatch.setattr(metrics._Helpers, "close", close)
+    before = threading.active_count()
+    metrics.corpus_cross_entropy(params, config, pairs)
+    metrics.decode_pairs(params, config, pairs, 10)
+    assert len(helpers) == 4 and not any(t.is_alive() for t in helpers)
+    assert threading.active_count() == before
+
+
+def test_column_parts_stress_more_workers_than_cpus(monkeypatch):
+    from curricula import metrics, seq2seq
+
+    config, params, pairs = _one_chunk(6)
+    keys = [(10, len(p.src_ids)) for p in pairs]
+    assert len(list(metrics._chunks(keys, metrics._DECODE_CHUNK, 8))) == 1
+    monkeypatch.setattr(metrics, "_workers", lambda config: 1)
+    serial = _fan_out_outputs(config, params, pairs)
+    threads = _record_parts(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 4, 8):
+            monkeypatch.setattr(metrics, "_workers", lambda config, w=workers: w)
+            for _ in range(2):
+                threads.clear()
+                entropies, counts, tokens = _fan_out_outputs(config, params, pairs)
+                assert entropies.tobytes() == serial[0].tobytes() and tokens == serial[2]
+                helped = any(name != threading.main_thread().name for name in threads)
+                assert helped == seq2seq._measured_blas()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fan_out_of_fewer_chunks_than_workers_cuts_no_column(monkeypatch):
+    # two or more chunks fan out over at most one thread each, however few
+    # they are, and no product is cut by columns
+    from curricula import metrics, seq2seq
+
+    config, params, pairs = _past_the_gate(hidden_dim=256)
+    pairs = pairs[:20]
+    for keys, size in (
+        ([(0, len(p.src_ids), len(p.tgt_out_ids)) for p in pairs], metrics._SCORE_CHUNK),
+        ([(10, len(p.src_ids)) for p in pairs], metrics._DECODE_CHUNK),
+    ):
+        assert len(list(metrics._chunks(keys, size, 4))) == 3
+    monkeypatch.setattr(metrics, "_workers", lambda config: 1)
+    serial = _fan_out_outputs(config, params, pairs)
+    threads = _record_parts(monkeypatch)
+    sizes = []
+    inner = metrics._Helpers.__init__
+
+    def init(self, workers):
+        sizes.append(workers)
+        inner(self, workers)
+
+    monkeypatch.setattr(metrics._Helpers, "__init__", init)
+    monkeypatch.setattr(metrics, "_workers", lambda config: 4)
+    before = threading.active_count()
+    entropies, counts, tokens = _fan_out_outputs(config, params, pairs)
+    assert entropies.tobytes() == serial[0].tobytes() and tokens == serial[2]
+    assert sizes == [3, 3] and threads == []
+    # not even where the BLAS would allow a cut (no bit is compared)
+    monkeypatch.setattr(seq2seq, "_measured_blas", lambda: True)
+    _fan_out_outputs(config, params, pairs)
+    assert sizes == [3, 3, 3, 3] and threads == []
+    assert threading.active_count() == before
 
 
 def test_score_table_file_round_trip(tmp_path, toy_data, tiny_checkpoint):

@@ -505,6 +505,155 @@ def test_rows_matmul_bits_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
 
 
+# products cut by columns while a `metrics._run_chunks` call's helpers are
+# on: two shapes whose halves are just past the small-product bound and well
+# past it, an odd number of column blocks (parts of unequal width), a
+# 256-unit model's recurrent product, and row counts with and without a
+# zero-padded tail block
+COLUMN_PARTS_SHAPES = [(512, 512), (512, 2048), (512, 1032), (256, 1024)]
+COLUMN_PARTS_COUNTS = [1, 4, 8, 9, 33]
+
+
+def column_parts_digest():
+    """Checks that a `_rows_matmul` product cut into columns on 2 and 3
+    workers has the bits of the whole product, and returns the sha256 of
+    every result."""
+    from curricula import seq2seq
+    from curricula.metrics import _Helpers
+
+    rng = np.random.default_rng(13)
+    digest = hashlib.sha256()
+    for workers in (2, 3):
+        helpers = _Helpers(workers)
+        try:
+            for k, n in COLUMN_PARTS_SHAPES:
+                w = rng.standard_normal((k, n))
+                a = rng.standard_normal((max(COLUMN_PARTS_COUNTS), k))
+                for m in COLUMN_PARTS_COUNTS:
+                    whole = _rows_matmul(a[:m], w)
+                    token = seq2seq._COLUMN_HELPERS.set(helpers)
+                    try:
+                        cut = _rows_matmul(a[:m], w)
+                    finally:
+                        seq2seq._COLUMN_HELPERS.reset(token)
+                    assert np.array_equal(cut, whole), (workers, k, n, m)
+                    digest.update(cut.tobytes())
+        finally:
+            helpers.close()
+        assert not helpers.errors
+    return digest.hexdigest()
+
+
+def test_column_parts_are_whole_blocks_past_the_bound():
+    from curricula.seq2seq import _BLOCK_ROWS, _COLUMN_BLOCK, _SMALL_PRODUCT, _column_parts
+
+    for k, n in COLUMN_PARTS_SHAPES:
+        for workers in (2, 3, 4):
+            parts = _column_parts(k, n, workers)
+            assert 1 < len(parts) <= workers
+            assert parts[0].start == 0 and parts[-1].stop == n
+            for a, b in zip(parts, parts[1:]):
+                assert a.stop == b.start
+            for cols in parts:
+                width = cols.stop - cols.start
+                assert width % _COLUMN_BLOCK == 0
+                assert _BLOCK_ROWS * k * width > _SMALL_PRODUCT
+    assert len(_column_parts(512, 512, 8)) == 2  # a third part falls below
+    assert [p.stop - p.start for p in _column_parts(512, 1032, 2)] == [512, 520]
+    # halves below the bound: a 192-unit model's recurrent product, and the
+    # shape just past the bound whose width is 53 column blocks
+    assert _column_parts(192, 768, 2) == (slice(0, 768),)
+    assert _column_parts(300, 424, 2) == (slice(0, 424),)
+
+
+def test_column_parts_have_the_bits_of_the_whole_product(monkeypatch):
+    from curricula import metrics, seq2seq
+
+    cut = []
+    inner = metrics._Helpers.run
+    monkeypatch.setattr(metrics._Helpers, "run",
+                        lambda self, parts: inner(self, parts) or cut.append(len(parts)))
+    column_parts_digest()
+    # every product is cut on a measured BLAS, and none elsewhere
+    products = 2 * len(COLUMN_PARTS_SHAPES) * len(COLUMN_PARTS_COUNTS)
+    assert len(cut) == (products if seq2seq._measured_blas() else 0)
+
+
+def test_column_parts_bits_do_not_depend_on_blas_threads():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (
+        str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH"),
+    )))
+    script = "import test_seq2seq; print(test_seq2seq.column_parts_digest())"
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
+
+
+def test_column_parts_only_for_products_past_the_bound():
+    # tiny and small products, a narrow output projection and a width that
+    # is not whole column blocks never reach the helpers
+    from curricula import seq2seq
+
+    class Refusing:
+        workers = 2
+
+        def run(self, parts):
+            raise AssertionError("cut into columns")
+
+    rng = np.random.default_rng(2)
+    token = seq2seq._COLUMN_HELPERS.set(Refusing())
+    try:
+        for k, n in [(128, 512), (32, 128), (512, 24), (300, 420), (192, 768)]:
+            _rows_matmul(rng.standard_normal((9, k)), rng.standard_normal((k, n)))
+    finally:
+        seq2seq._COLUMN_HELPERS.reset(token)
+
+
+def test_unmeasured_blas_runs_eight_row_blocks_with_the_same_bits(monkeypatch):
+    # anywhere but the (BLAS, core) pairs measured, every product runs in
+    # 8-row blocks and is never cut into columns; here both give the bits
+    # of the measured paths
+    from curricula import seq2seq
+    from curricula.runtime import Environment, environment
+    from curricula.metrics import corpus_cross_entropy
+
+    config, params, pairs = invariance_setup("base", 6)
+
+    def outputs():
+        entropies, _ = corpus_cross_entropy(params, config, pairs)
+        return entropies.tobytes(), greedy_decode(params, config, [p.src_ids for p in pairs], 6)
+
+    measured = outputs()
+    env = environment()
+    assert seq2seq._measured_blas() == ((env.blas, env.core) in seq2seq._MEASURED_BLAS)
+    blocks = []
+    inner = seq2seq.np.matmul
+
+    def recording(a, w, *args, **kwargs):
+        blocks.append(a.shape[-2])
+        return inner(a, w, *args, **kwargs)
+
+    monkeypatch.setattr(seq2seq, "_MEASURED_BLAS", frozenset())
+    assert not seq2seq._measured_blas()
+    monkeypatch.setattr(seq2seq.np, "matmul", recording)
+    x = np.random.default_rng(3).standard_normal((33, 512))
+    _rows_matmul(x, np.random.default_rng(4).standard_normal((512, 2048)))
+    assert blocks == [8]  # the 32 full rows as four 8-row blocks of one stack
+    monkeypatch.setattr(seq2seq.np, "matmul", inner)
+    assert outputs() == measured
+    monkeypatch.undo()
+    for core in (None, "Haswell"):
+        unread = Environment(env.numpy, env.blas, core, env.blas_threads, env.cpus)
+        monkeypatch.setattr(seq2seq, "environment", lambda unread=unread: unread)
+        assert not seq2seq._measured_blas()
+
+
 def invariance_setup(preset, n):
     """Scaled-up random weights, so that greedy outputs vary by source and
     some rows emit EOS early, and n pairs with lengths 2 to 30 on both sides."""
