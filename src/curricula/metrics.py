@@ -8,16 +8,17 @@ penalty min(1, exp(1 - |ref|/|cand|)). Scoring never mutates the model.
 A score table is a `TextFile`, read back through the shared `TextLines`.
 
 Scoring, validation and evaluation run pairs in chunks, through
-`corpus_cross_entropy` and `decode_pairs`. A call runs on W threads, the
-calling one and W - 1 helpers taking work from one queue: W is the CPUs
-this process may use over the BLAS's own threads (`runtime.environment`),
-and 1 for a model whose recurrent product is small (`_workers`). With two
-chunks or more, up to W threads take chunks. A chunk then holds at most
-`_SCORE_POSITIONS // W` padded positions, so the chunks in flight hold
-about the memory of one serial chunk. With one chunk, as when a test set of
-a few pairs is evaluated, the calling thread runs it, and each large
-product it makes is cut by columns into up to W parts that the helpers
-compute at the same time (`seq2seq._rows_matmul`). No bit depends on W:
+`corpus_cross_entropy` and `decode_pairs`. A call runs on up to W threads:
+the calling one and helpers, started only when there is work for them, that
+take work from one queue (`_Helpers.run`). W is the CPUs this process may
+use over the BLAS's own threads (`runtime.environment`), and 1 for a model
+whose recurrent product is small (`_workers`). With two chunks or more, up
+to W threads take chunks. A chunk then holds at most `_SCORE_POSITIONS // W`
+padded positions, so the chunks in flight hold about the memory of one
+serial chunk. With one chunk, as when a test set of a few pairs is
+evaluated, the calling thread runs it, and each large product it makes is
+cut by columns into up to W parts that the same `run` computes at the same
+time (`seq2seq._rows_matmul`). No bit depends on W:
 inference is batch-invariant, each chunk writes only its own pairs'
 results, and a column part has the bits of the whole product.
 """
@@ -253,11 +254,12 @@ _DECODE_CHUNK = 32
 
 
 def _workers(config) -> int:
-    """Threads that run one call's chunks, or the column parts of its large
-    products when it has one chunk: the CPUs this process may use over the
-    BLAS's own threads, or 1 when the BLAS's thread count cannot be read. A
-    model whose `_BLOCK_ROWS`-row recurrent product is small runs serially:
-    its chunks hold the GIL more than the BLAS, and a helper thread's malloc
+    """The most threads that run one call's chunks, or the column parts of
+    its large products when it has one chunk (a helper starts only once the
+    call has work for it): the CPUs this process may use over the BLAS's
+    own threads, or 1 when the BLAS's thread count cannot be read. A model
+    whose `_BLOCK_ROWS`-row recurrent product is small runs serially: its
+    chunks hold the GIL more than the BLAS, and a helper thread's malloc
     arena costs more memory than the chunks it runs."""
     h = config.hidden_dim
     if _BLOCK_ROWS * h * 4 * h <= _SMALL_PRODUCT:
@@ -293,63 +295,60 @@ def _chunks(keys, size: int, workers: int):
 
 
 class _Helpers:
-    """The `workers` - 1 helper threads of one `_run_chunks` call, taking
-    work from one queue: chunks, or the column parts of a product (`run`).
+    """Up to `workers` - 1 helper threads of one `_run_chunks` call, started
+    on demand, that take work from one queue: the call's chunks, or the
+    column parts of a product (`run`).
 
     Once a piece of work fails no thread starts another, and its error is
-    kept. `close` joins every helper.
+    kept. `close` joins every helper started.
     """
 
     def __init__(self, workers: int):
         self.workers = workers  # the helpers and the calling thread
         self.queue: queue.SimpleQueue = queue.SimpleQueue()
         self.errors: list[BaseException] = []
-        self.threads = [
-            threading.Thread(target=self._drain, name=f"curricula-chunks-{n}")
-            for n in range(1, workers)
-        ]
-        for thread in self.threads:
-            thread.start()
+        self.threads: list[threading.Thread] = []  # started ones only
 
     def _drain(self) -> None:
         while (work := self.queue.get()) is not None:
             work()
 
-    def attempt(self, work, *args) -> None:
-        """`work(*args)`, unless a piece of work has failed; keeps its error."""
-        if self.errors:
-            return
+    def _attempt(self, part, done=None) -> None:
+        """`part()`, unless a piece of work has failed; keeps its error, then
+        releases `done`."""
         try:
-            work(*args)
+            if not self.errors:
+                part()
         except BaseException as exc:  # re-raised by the calling thread
             self.errors.append(exc)
-
-    def take_all(self) -> None:
-        """Run queued work on the calling thread until the queue is empty."""
-        while True:
-            try:
-                work = self.queue.get_nowait()
-            except queue.Empty:
-                return
-            work()
-
-    def run(self, parts) -> None:
-        """Every callable of `parts`, the first on the calling thread and the
-        others on the helpers. Returns once all have ended, and raises the
-        first error kept."""
-        def queued(part, done):
-            try:
-                self.attempt(part)
-            finally:
+        finally:
+            if done is not None:
                 done.release()
 
+    def run(self, parts) -> None:
+        """Every callable of `parts` on min(len(parts), W) threads, helpers
+        started as needed: the calling thread runs the first, then any part
+        no helper has started. Returns once all have ended, and raises the
+        first error kept."""
+        while len(self.threads) < min(len(parts), self.workers) - 1:
+            thread = threading.Thread(
+                target=self._drain, name=f"curricula-chunks-{len(self.threads) + 1}")
+            thread.start()
+            self.threads.append(thread)
         pending = []  # a lock per queued part, held until that part ends
         for part in parts[1:]:
             done = threading.Lock()
             done.acquire()
-            self.queue.put(functools.partial(queued, part, done))
+            self.queue.put(functools.partial(self._attempt, part, done))
             pending.append(done)
-        self.attempt(parts[0])
+        if parts:
+            self._attempt(parts[0])
+        while True:
+            try:
+                work = self.queue.get_nowait()
+            except queue.Empty:
+                break
+            work()
         for done in pending:
             done.acquire()
         if self.errors:
@@ -364,39 +363,27 @@ class _Helpers:
 
 def _run_chunks(work, keys, size: int, config) -> None:
     """`work(chunk)` for every chunk of `_chunks(keys, size, W)`, W being
-    `_workers(config)`, on the calling thread and up to W - 1 helpers.
+    `_workers(config)`, through one `_Helpers(W).run`: the calling thread
+    and up to W - 1 helpers, each started only when there is work for it.
 
-    With W = 1 the calling thread runs the chunks alone. With two chunks or
-    more, up to W threads take chunks from one queue. With one, the calling
-    thread runs it, and W - 1 helpers compute column parts of each large
-    product it makes (`seq2seq._rows_matmul`), which have the bits of the
-    whole product.
+    With two chunks or more, the threads take chunks from one queue. With
+    one, the calling thread runs it, and the helpers compute column parts of
+    each large product it makes (`seq2seq._rows_matmul`), which have the
+    bits of the whole product.
 
     Once a piece of work fails no thread starts another. Every helper is
     joined before this returns, and the first error is raised as it was
     raised.
     """
     workers = _workers(config)
-    chunks = list(_chunks(keys, size, workers))
-    if workers == 1 or not chunks:
-        for chunk in chunks:
-            work(chunk)
-        return
-    split = len(chunks) == 1
-    helpers = _Helpers(workers if split else min(workers, len(chunks)))
-    token = _COLUMN_HELPERS.set(helpers if split else None)
+    chunks = [functools.partial(work, c) for c in _chunks(keys, size, workers)]
+    helpers = _Helpers(workers)
+    token = _COLUMN_HELPERS.set(helpers if len(chunks) == 1 else None)
     try:
-        if split:
-            work(chunks[0])
-        else:
-            for chunk in chunks:
-                helpers.queue.put(functools.partial(helpers.attempt, work, chunk))
-            helpers.take_all()
+        helpers.run(chunks)
     finally:
         _COLUMN_HELPERS.reset(token)
         helpers.close()
-    if helpers.errors:
-        raise helpers.errors[0]
 
 
 def corpus_cross_entropy(params, config, pairs) -> tuple[np.ndarray, np.ndarray]:

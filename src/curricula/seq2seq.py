@@ -311,11 +311,11 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     GEMM over whole column blocks, on a BLAS in `_MEASURED_BLAS`, every full
     block goes in one call, since that kernel gives a row the same bits for
     any row count. While `_COLUMN_HELPERS` holds a `metrics._run_chunks`
-    call's helpers, that product is cut by columns (`_column_parts`) and the
-    helpers compute every part but the first at the same time, since that
-    kernel also gives a column the same bits in any such part. Otherwise
-    the full blocks go as one stack, a view of `out`, that numpy runs as one
-    BLAS call per block, so every call has the shape (_BLOCK_ROWS, K) @ (K, N).
+    call's helpers, that product is cut by columns (`_column_parts`) and
+    their `run` computes the parts at the same time, since that kernel also
+    gives a column the same bits in any such part. Otherwise the full
+    blocks go as one stack, a view of `out`, that numpy runs as one BLAS
+    call per block, so every call has the shape (_BLOCK_ROWS, K) @ (K, N).
     """
     rows = a.reshape(-1, a.shape[-1])
     m = rows.shape[0]
@@ -327,26 +327,23 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     if full < m:
         tail = np.zeros((_BLOCK_ROWS, k))
         tail[: m - full] = rows[full:]
-    if (_BLOCK_ROWS * k * n > _SMALL_PRODUCT and n % _COLUMN_BLOCK == 0
-            and _measured_blas()):
-        def part(cols):
-            if full:
-                np.matmul(rows[:full], w[:, cols], out=out[:full, cols])
-            if tail is not None:
-                out[full:, cols] = (tail @ w[:, cols])[: m - full]
+    one_call = (_BLOCK_ROWS * k * n > _SMALL_PRODUCT and n % _COLUMN_BLOCK == 0
+                and _measured_blas())
+    blocks = (full,) if one_call else (-1, _BLOCK_ROWS)  # leading shape of a call
 
-        helpers = _COLUMN_HELPERS.get()
-        parts = _column_parts(k, n, helpers.workers if helpers else 1)
-        if len(parts) == 1:
-            part(parts[0])
-        else:
-            helpers.run([functools.partial(part, cols) for cols in parts])
-    else:
+    def part(cols_w, cols_out):
         if full:
-            np.matmul(rows[:full].reshape(-1, _BLOCK_ROWS, k), w,
-                      out=out[:full].reshape(-1, _BLOCK_ROWS, n, copy=False))
+            np.matmul(rows[:full].reshape(*blocks, k), cols_w,
+                      out=cols_out[:full].reshape(*blocks, cols_w.shape[1], copy=False))
         if tail is not None:
-            out[full:] = (tail @ w)[: m - full]
+            cols_out[full:] = (tail @ cols_w)[: m - full]
+
+    helpers = _COLUMN_HELPERS.get() if one_call else None
+    parts = _column_parts(k, n, helpers.workers) if helpers else ()
+    if len(parts) > 1:
+        helpers.run([functools.partial(part, w[:, c], out[:, c]) for c in parts])
+    else:
+        part(w, out)
     return out.reshape(*a.shape[:-1], w.shape[1])
 
 

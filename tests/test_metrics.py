@@ -542,24 +542,120 @@ def test_fan_out_stress_more_workers_than_cpus(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_fan_out_bits_hold_across_cpus_and_blas_threads():
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if len(cpus) < 2:
-        pytest.skip("the fan-out needs at least two CPUs")
+def _in_subprocess(script, timeout=None, **env):
+    """The JSON that `script` prints last, run in a fresh interpreter that
+    imports this file's modules, with `env` added to its environment."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, (
         str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH"),
     )))
+    run = subprocess.run([sys.executable, "-c", script], env={
+        **os.environ, "PYTHONPATH": path, **env,
+    }, capture_output=True, text=True, check=True, timeout=timeout)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def _count_starts(monkeypatch):
+    """Records the name of every thread started from here on."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+def test_fan_out_of_one_worker_runs_every_chunk_on_the_calling_thread_in_order(monkeypatch):
+    from curricula import metrics
+
+    config, params, pairs = _past_the_gate(range(30, 61))
+    monkeypatch.setattr(metrics, "_workers", lambda config: 1)
+    starts = _count_starts(monkeypatch)
+    ran = {"score": [], "decode": []}  # (thread, pair indices) per chunk
+    make_batch, greedy_decode = metrics.make_batch, metrics.greedy_decode
+
+    def batch(chunk):
+        ran["score"].append((threading.current_thread().name, [p.index for p in chunk]))
+        return make_batch(chunk)
+
+    def decode(params, config, sources, max_len):
+        indices = [next(p.index for p in pairs if p.src_ids is s) for s in sources]
+        ran["decode"].append((threading.current_thread().name, indices))
+        return greedy_decode(params, config, sources, max_len)
+
+    monkeypatch.setattr(metrics, "make_batch", batch)
+    monkeypatch.setattr(metrics, "greedy_decode", decode)
+    _fan_out_outputs(config, params, pairs)
+    main = threading.main_thread().name
+    for name, keys, size in (
+        ("score", [(0, len(p.src_ids), len(p.tgt_out_ids)) for p in pairs],
+         metrics._SCORE_CHUNK),
+        ("decode", [(10, len(p.src_ids)) for p in pairs], metrics._DECODE_CHUNK),
+    ):
+        chunks = list(metrics._chunks(keys, size, 1))
+        assert len(chunks) >= 2 and ran[name] == [(main, c) for c in chunks]
+    assert starts == []
+
+
+def helper_start_failure() -> str:
+    """A call of several chunks at W = 3 whose second helper fails to start,
+    as JSON: whether the call raised that start's error as itself, the
+    starts tried, and the threads it left running."""
+    from curricula import metrics
+
+    config, params, pairs = _past_the_gate()
+    metrics._workers = lambda config: 3
+    error = RuntimeError("can't start new thread")
+    start, starts = threading.Thread.start, []
+
+    def failing(thread):
+        starts.append(thread.name)
+        if len(starts) == 2:
+            raise error
+        start(thread)
+
+    before = threading.active_count()
+    threading.Thread.start = failing
+    try:
+        metrics.corpus_cross_entropy(params, config, pairs)
+        raised = False
+    except RuntimeError as exc:
+        raised = exc is error
+    finally:
+        threading.Thread.start = start
+    return json.dumps({
+        "raised": raised, "starts": len(starts),
+        "left": threading.active_count() - before,
+    })
+
+
+def test_fan_out_helper_that_fails_to_start_leaves_no_helper_running():
+    # in a subprocess: a helper left blocked on its queue would keep this
+    # process from exiting, and the timeout fails the test
+    from curricula import metrics
+
+    config, params, pairs = _past_the_gate()
+    keys = [(0, len(p.src_ids), len(p.tgt_out_ids)) for p in pairs]
+    assert len(list(metrics._chunks(keys, metrics._SCORE_CHUNK, 3))) >= 3
+    outcome = _in_subprocess(
+        "import test_metrics; print(test_metrics.helper_start_failure())", timeout=60)
+    assert outcome == {"raised": True, "starts": 2, "left": 0}
+
+
+def test_fan_out_bits_hold_across_cpus_and_blas_threads():
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip("the fan-out needs at least two CPUs")
     digest = "import test_metrics; print(test_metrics.fan_out_digest())"
     one_cpu = f"import os; os.sched_setaffinity(0, {{{cpus[0]}}}); {digest}"
     runs = {}
     for name, threads, script in (
         ("fanned out", "1", digest), ("one cpu", "1", one_cpu), ("two blas threads", "2", digest),
     ):
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True)
-        runs[name] = json.loads(run.stdout.splitlines()[-1])
+        runs[name] = _in_subprocess(script, OPENBLAS_NUM_THREADS=threads)
     assert runs["fanned out"]["workers"] == len(cpus)
     assert runs["one cpu"]["workers"] == 1
     assert runs["two blas threads"]["workers"] == max(1, len(cpus) // 2)
@@ -586,21 +682,55 @@ def _one_chunk(n=4):
     return config, params, pairs
 
 
-def _record_parts(monkeypatch):
-    """Records the name of the thread that runs each column part."""
+def _edit_column_parts(monkeypatch, edit):
+    """Sends the parts of every column-parts `_Helpers.run`, one made while
+    the `run` of a call's chunks is running, through `edit(parts)`; the
+    chunks' own `run` is left alone."""
     from curricula import metrics
 
-    threads = []
     inner = metrics._Helpers.run
+    depth = []  # a mark per `run` in progress; only the calling thread nests
 
     def run(self, parts):
-        def recorded(part):
-            threads.append(threading.current_thread().name)
-            part()
-
-        return inner(self, [functools.partial(recorded, part) for part in parts])
+        if depth:
+            parts = edit(parts)
+        depth.append(self)
+        try:
+            return inner(self, parts)
+        finally:
+            depth.pop()
 
     monkeypatch.setattr(metrics._Helpers, "run", run)
+
+
+def _helper_runs_the_second(parts):
+    """`parts` with the first waiting until the second has started, so that
+    a helper runs the second: the calling thread would take it once idle."""
+    second = threading.Event()
+
+    def first():
+        second.wait(30)
+        parts[0]()
+
+    def started(part):
+        second.set()
+        part()
+
+    return [first, functools.partial(started, parts[1]), *parts[2:]]
+
+
+def _record_parts(monkeypatch):
+    """Records the name of the thread that runs each column part; a helper
+    runs the second part of every product."""
+    threads = []
+
+    def recorded(part):
+        threads.append(threading.current_thread().name)
+        part()
+
+    _edit_column_parts(monkeypatch, lambda parts: [
+        functools.partial(recorded, part) for part in _helper_runs_the_second(parts)
+    ])
     return threads
 
 
@@ -635,19 +765,17 @@ def test_column_parts_error_is_raised_as_it_was_raised(monkeypatch):
     # cut on any BLAS: no bit is compared here
     monkeypatch.setattr(seq2seq, "_measured_blas", lambda: True)
     error = FloatingPointError("a part failed")
-    inner = metrics._Helpers.run
     calls, started = [], []
 
-    def failing(self, parts):
+    def fail():
+        started.append(threading.current_thread().name)
+        raise error
+
+    def failing(parts):
         calls.append(len(parts))
+        return _helper_runs_the_second([parts[0], fail, *parts[2:]])
 
-        def fail():
-            started.append(threading.current_thread().name)
-            raise error
-
-        return inner(self, [parts[0], fail, *parts[2:]])
-
-    monkeypatch.setattr(metrics._Helpers, "run", failing)
+    _edit_column_parts(monkeypatch, failing)
     before = threading.active_count()
     for entry in (metrics.corpus_cross_entropy, metrics.decode_pairs):
         calls.clear()
@@ -682,10 +810,12 @@ def test_column_parts_stop_once_a_part_fails():
 
 
 def test_column_parts_join_their_helpers_before_returning(monkeypatch):
-    from curricula import metrics
+    from curricula import metrics, seq2seq
 
     config, params, pairs = _one_chunk()
     monkeypatch.setattr(metrics, "_workers", lambda config: 3)
+    # cut on any BLAS: no bit is compared here
+    monkeypatch.setattr(seq2seq, "_measured_blas", lambda: True)
     helpers = []
     inner = metrics._Helpers.close
 
@@ -697,7 +827,30 @@ def test_column_parts_join_their_helpers_before_returning(monkeypatch):
     before = threading.active_count()
     metrics.corpus_cross_entropy(params, config, pairs)
     metrics.decode_pairs(params, config, pairs, 10)
-    assert len(helpers) == 4 and not any(t.is_alive() for t in helpers)
+    # each call started the one helper that its two-part products need
+    assert len(helpers) == 2 and not any(t.is_alive() for t in helpers)
+    assert threading.active_count() == before
+
+
+def test_column_parts_start_only_the_helpers_a_product_needs(monkeypatch):
+    from curricula import metrics, seq2seq
+
+    config, params, pairs = _one_chunk()
+    for keys, size in (
+        ([(0, len(p.src_ids), len(p.tgt_out_ids)) for p in pairs], metrics._SCORE_CHUNK),
+        ([(10, len(p.src_ids)) for p in pairs], metrics._DECODE_CHUNK),
+    ):
+        assert len(list(metrics._chunks(keys, size, 8))) == 1
+    # the widest product the model makes is cut in two
+    assert len(seq2seq._column_parts(256, 1024, 8)) == 2
+    monkeypatch.setattr(metrics, "_workers", lambda config: 8)
+    # cut on any BLAS: no bit is compared here
+    monkeypatch.setattr(seq2seq, "_measured_blas", lambda: True)
+    starts = _count_starts(monkeypatch)
+    before = threading.active_count()
+    _fan_out_outputs(config, params, pairs)
+    # one helper per call, where helpers sized by W would be seven
+    assert starts == ["curricula-chunks-1"] * 2
     assert threading.active_count() == before
 
 
@@ -740,23 +893,17 @@ def test_fan_out_of_fewer_chunks_than_workers_cuts_no_column(monkeypatch):
     monkeypatch.setattr(metrics, "_workers", lambda config: 1)
     serial = _fan_out_outputs(config, params, pairs)
     threads = _record_parts(monkeypatch)
-    sizes = []
-    inner = metrics._Helpers.__init__
-
-    def init(self, workers):
-        sizes.append(workers)
-        inner(self, workers)
-
-    monkeypatch.setattr(metrics._Helpers, "__init__", init)
+    starts = _count_starts(monkeypatch)
+    per_call = ["curricula-chunks-1", "curricula-chunks-2"]  # one per chunk but the first
     monkeypatch.setattr(metrics, "_workers", lambda config: 4)
     before = threading.active_count()
     entropies, counts, tokens = _fan_out_outputs(config, params, pairs)
     assert entropies.tobytes() == serial[0].tobytes() and tokens == serial[2]
-    assert sizes == [3, 3] and threads == []
+    assert starts == per_call * 2 and threads == []
     # not even where the BLAS would allow a cut (no bit is compared)
     monkeypatch.setattr(seq2seq, "_measured_blas", lambda: True)
     _fan_out_outputs(config, params, pairs)
-    assert sizes == [3, 3, 3, 3] and threads == []
+    assert starts == per_call * 4 and threads == []
     assert threading.active_count() == before
 
 

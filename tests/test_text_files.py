@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curricula import harness
 from curricula.cli import main as cli_main
 from curricula.corpus import Vocabulary, read_text
 from curricula.errors import ConfigError, CurriculaError, DataError
@@ -109,32 +110,70 @@ def test_mutated_file_is_refused_or_reads_back_to_its_own_text(run_dir, data):
     assert to_text(from_text(text)) == text
 
 
-# format -> the command that reads the file (in {dir}) and stops soon after
+_CORPUS_FILES = [f"{part}.{side}" for part in ("train", "val", "test") for side in ("src", "tgt")]
+
+# a file of the run directory -> the command that reads its mutated copy (in
+# {dir}, with fresh copies of the corpus files) and stops soon after
 _COMMANDS = {
-    "report": "report --run-dir {dir} --format tsv",
-    "score table": (
+    "report.tsv": "report --run-dir {dir} --format tsv",
+    "scores_length-source.txt": (
         "order --corpus-dir {run}/corpus --strategy length --side source "
         "--direction asc --scores {dir}/scores_length-source.txt --epochs 1 "
         "--out {dir}/plan.txt"
     ),
-    "plan": (
+    "plan_length-source-asc.txt": (
         "train --corpus-dir {run}/corpus --plan {dir}/plan_length-source-asc.txt "
         "--preset tiny --max-epochs 1 --batch-size 64 --out {dir}/m.ckpt"
+    ),
+    "run.spec": "experiment --spec {dir}/run.spec",
+    **dict.fromkeys(
+        (f"corpus/{name}" for name in _CORPUS_FILES),
+        "corpus " + " ".join(f"--{n.replace('.', '-')} {{dir}}/{n}" for n in _CORPUS_FILES)
+        + " --filter-min 1 --out-dir {dir}/corpus",
     ),
 }
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+class _Fitted(Exception):
+    """Raised by every fit of a mutated spec's experiment: its run stops
+    before training."""
+
+
+def _no_fit(*args, **kwargs):
+    raise _Fitted
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(data=st.data())
 def test_cli_ends_in_a_documented_exit_code_on_a_mutated_file(run_dir, data):
-    fmt = data.draw(st.sampled_from(sorted(_COMMANDS)), label="format")
-    name = FORMATS[fmt][0]
+    name = data.draw(st.sampled_from(sorted(_COMMANDS)), label="file")
     work = run_dir.parent / "cli"
     work.mkdir(exist_ok=True)
-    (work / name).write_bytes(data.draw(mutated((run_dir / name).read_bytes())))
-    argv = _COMMANDS[fmt].format(dir=work, run=run_dir).split()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert cli_main(argv) in (0, 2, 3, 4)
+    for corpus_file in _CORPUS_FILES:
+        (work / corpus_file).write_bytes((run_dir / "corpus" / corpus_file).read_bytes())
+    raw = (run_dir / name).read_bytes()
+    if name == "run.spec":
+        # the output_dir line is never mutated, so the experiment writes in
+        # {dir}; a mutation that adds a second one is refused as a duplicate
+        raw = b"".join(
+            line for line in raw.splitlines(keepends=True)
+            if not line.startswith(b"output_dir")
+        )
+        text = data.draw(mutated(raw)) + f"\noutput_dir = {work / 'experiment'}\n".encode()
+    else:
+        text = data.draw(mutated(raw))
+    (work / Path(name).name).write_bytes(text)
+    argv = _COMMANDS[name].format(dir=work, run=run_dir).split()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        if name == "run.spec":
+            stack.enter_context(pytest.MonkeyPatch.context()).setattr(harness, "fit", _no_fit)
+        try:
+            code = cli_main(argv)
+        except _Fitted:
+            return
+    assert code in (0, 2, 3, 4)
 
 
 # format -> (a malformed line, its line number, the error class, the command
