@@ -1,25 +1,22 @@
 """Corpus-level evaluation: test perplexity and corpus BLEU of greedy output.
 
-Corpus BLEU aggregates clipped n-gram counts and lengths over the whole test
-set before combining them — no per-sentence smoothing, so a zero precision
-at any order zeroes the score. Perplexity is token-weighted, i.e. two to
-the corpus-level cross-entropy.
+Corpus BLEU sums every pair's `metrics.bleu_counts` and lengths over the
+test set and combines them once, unsmoothed, with `metrics.bleu_from_counts`:
+a zero precision at any order zeroes the score. References are
+`metrics.reference_ids`, so a pair with an empty target is refused before
+any decode. Perplexity is token-weighted, i.e. two to the corpus-level
+cross-entropy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .checkpoint import ModelCheckpoint
 from .errors import ConfigError, PairingError
 from .metrics import (
-    BLEU_ORDER,
-    _check_fingerprints,
-    clipped_ngram_matches,
-    corpus_cross_entropy,
-    decode_pairs,
-    perplexity,
+    _check_fingerprints, bleu_counts, bleu_from_counts, corpus_cross_entropy,
+    decode_pairs, perplexity, reference_ids,
 )
 
 
@@ -45,23 +42,11 @@ def corpus_bleu(candidates, references) -> float:
     references = [list(r) for r in references]
     if any(not r for r in references):
         raise ConfigError("corpus_bleu references must be non-empty")
-    cand_tokens = sum(len(c) for c in candidates)
-    ref_tokens = sum(len(r) for r in references)
-    if cand_tokens == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, BLEU_ORDER + 1):
-        matches = 0
-        total = 0
-        for cand, ref in zip(candidates, references):
-            m, t = clipped_ngram_matches(cand, ref, n)
-            matches += m
-            total += t
-        if matches == 0 or total == 0:
-            return 0.0
-        log_sum += math.log(matches / total) / BLEU_ORDER
-    brevity = min(1.0, math.exp(1.0 - ref_tokens / cand_tokens))
-    return brevity * math.exp(log_sum)
+    pair_counts = [bleu_counts(c, r) for c, r in zip(candidates, references)]
+    return bleu_from_counts(
+        [tuple(map(sum, zip(*order))) for order in zip(*pair_counts)],
+        sum(map(len, candidates)), sum(map(len, references)), smoothed=False,
+    )
 
 
 def evaluate_model(
@@ -72,11 +57,10 @@ def evaluate_model(
     test_pairs = list(test_pairs)
     if not test_pairs:
         raise ConfigError("evaluate_model requires a non-empty test set")
-    for pair in test_pairs:
-        _check_fingerprints(ckpt, pair)
+    _check_fingerprints(ckpt, test_pairs)
+    references = [reference_ids(pair) for pair in test_pairs]
     entropies, tokens = corpus_cross_entropy(ckpt.params, ckpt.config, test_pairs)
     candidates = decode_pairs(ckpt.params, ckpt.config, test_pairs, max_decode_len)
-    references = [list(pair.tgt_out_ids[:-1]) for pair in test_pairs]
     return EvalResult(
         perplexity=perplexity((entropies * tokens).sum() / tokens.sum()),
         bleu=corpus_bleu(candidates, references),

@@ -2,10 +2,14 @@
 
 Cross-entropy is the teacher-forced mean negative log2-probability per
 target token, so perplexity `2 ** H` lands in the familiar per-token range.
-Sentence BLEU is BLEU-4 with add-one smoothing on the order >= 2 precisions
-(numerator and denominator), an unsmoothed unigram precision, and brevity
-penalty min(1, exp(1 - |ref|/|cand|)). Scoring never mutates the model.
-A score table is a `TextFile`, read back through the shared `TextLines`.
+BLEU-4 is one counts function, `bleu_counts` (per order, a pair's clipped
+n-gram matches and candidate n-grams), and one combiner, `bleu_from_counts`
+(brevity penalty min(1, exp(1 - |ref|/|cand|))): sentence BLEU adds one to
+both counts of each order >= 2, and corpus BLEU sums the counts over pairs,
+unsmoothed. A pair's reference is its target without EOS (`reference_ids`);
+a pair with an empty target has none and is refused before any decode.
+Scoring never mutates the model. A score table is a `TextFile`, read back
+through the shared `TextLines`.
 
 Scoring, validation and evaluation run pairs in chunks, through
 `corpus_cross_entropy` and `decode_pairs`. A call runs on up to W threads:
@@ -110,20 +114,21 @@ class ScoreTable(TextFile):
             return cls(metric=metric, scorer_fingerprint=scorer, scores=tuple(scores))
 
 
-def _check_fingerprints(model: ModelCheckpoint, pair: EncodedPair) -> None:
-    if (
-        model.src_vocab_fingerprint != pair.src_vocab_fingerprint
-        or model.tgt_vocab_fingerprint != pair.tgt_vocab_fingerprint
-    ):
-        raise FingerprintError(
-            f"pair {pair.index} was encoded with different vocabularies "
-            "than the model was trained on"
-        )
+def _check_fingerprints(model: ModelCheckpoint, pairs) -> None:
+    for pair in pairs:
+        if (
+            model.src_vocab_fingerprint != pair.src_vocab_fingerprint
+            or model.tgt_vocab_fingerprint != pair.tgt_vocab_fingerprint
+        ):
+            raise FingerprintError(
+                f"pair {pair.index} was encoded with different vocabularies "
+                "than the model was trained on"
+            )
 
 
 def pair_cross_entropy(model: ModelCheckpoint, pair: EncodedPair) -> float:
     """Teacher-forced cross-entropy of one pair, in bits per target token."""
-    _check_fingerprints(model, pair)
+    _check_fingerprints(model, [pair])
     entropies, _ = corpus_cross_entropy(model.params, model.config, [pair])
     return float(entropies[0])
 
@@ -154,38 +159,48 @@ def _ngram_counts(seq, n: int) -> Counter:
     return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
 
 
-def clipped_ngram_matches(candidate, reference, n: int) -> tuple[int, int]:
-    """(clipped matches, candidate n-gram total) for one order n."""
-    total = max(len(candidate) - n + 1, 0)
-    if total == 0:
-        return 0, 0
-    ref_counts = _ngram_counts(reference, n)
-    matches = 0
-    for gram, count in _ngram_counts(candidate, n).items():
-        matches += min(count, ref_counts.get(gram, 0))
-    return matches, total
+def bleu_counts(candidate, reference) -> tuple[tuple[int, int], ...]:
+    """(clipped matches, candidate n-gram total) of one pair at each order 1
+    to `BLEU_ORDER`."""
+    return tuple(
+        (sum((_ngram_counts(candidate, n) & _ngram_counts(reference, n)).values()),
+         max(len(candidate) - n + 1, 0))
+        for n in range(1, BLEU_ORDER + 1)
+    )
+
+
+def bleu_from_counts(counts, cand_len: int, ref_len: int, smoothed: bool) -> float:
+    """BLEU in [0, 1] from per-order (matches, total) `counts` and the
+    candidate and reference lengths: 0 for an empty candidate or a zero
+    precision. `smoothed` adds one to both counts of every order >= 2."""
+    if cand_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n, (matches, total) in enumerate(counts, 1):
+        if smoothed and n >= 2:
+            matches, total = matches + 1, total + 1
+        if matches == 0:
+            return 0.0
+        log_sum += math.log(matches / total) / BLEU_ORDER
+    brevity = min(1.0, math.exp(1.0 - ref_len / cand_len))
+    return brevity * math.exp(log_sum)
 
 
 def sentence_bleu(candidate, reference) -> float:
     """Smoothed sentence-level BLEU-4 in [0, 1]."""
-    candidate = list(candidate)
-    reference = list(reference)
+    candidate, reference = list(candidate), list(reference)
     if not reference:
         raise ConfigError("sentence_bleu requires a non-empty reference")
-    if not candidate:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, BLEU_ORDER + 1):
-        matches, total = clipped_ngram_matches(candidate, reference, n)
-        if n == 1:
-            if matches == 0:
-                return 0.0
-            precision = matches / total
-        else:
-            precision = (matches + 1) / (total + 1)
-        log_sum += math.log(precision) / BLEU_ORDER
-    brevity = min(1.0, math.exp(1.0 - len(reference) / len(candidate)))
-    return brevity * math.exp(log_sum)
+    return bleu_from_counts(bleu_counts(candidate, reference), len(candidate),
+                            len(reference), smoothed=True)
+
+
+def reference_ids(pair: EncodedPair) -> tuple[int, ...]:
+    """A pair's BLEU reference: its target ids without EOS."""
+    reference = pair.tgt_out_ids[:-1]
+    if not reference:
+        raise ConfigError(f"pair {pair.index} has an empty target: no BLEU reference")
+    return reference
 
 
 def default_decode_len(source_length: int) -> int:
@@ -193,17 +208,12 @@ def default_decode_len(source_length: int) -> int:
     return max(2 * source_length, 80)
 
 
-def _bleu_against_reference(decoded, pair: EncodedPair) -> float:
-    if not decoded:
-        return 0.0
-    return sentence_bleu(decoded, pair.tgt_out_ids[:-1])  # strip EOS
-
-
 def pair_bleu(model: ModelCheckpoint, pair: EncodedPair) -> float:
     """Sentence BLEU of the model's greedy translation against the reference."""
-    _check_fingerprints(model, pair)
+    _check_fingerprints(model, [pair])
+    reference = reference_ids(pair)
     (decoded,) = decode_pairs(model.params, model.config, [pair])
-    return _bleu_against_reference(decoded, pair)
+    return sentence_bleu(decoded, reference)
 
 
 def length_scores(corpus: ParallelCorpus, side: str) -> ScoreTable:
@@ -226,11 +236,11 @@ def score_corpus(model: ModelCheckpoint, pairs, metric: str) -> ScoreTable:
     if metric not in ("xent", "ppl", "bleu"):
         raise ConfigError(f"unknown model metric {metric!r}; use xent, ppl or bleu")
     pairs = list(pairs)
-    for pair in pairs:
-        _check_fingerprints(model, pair)
+    _check_fingerprints(model, pairs)
     if metric == "bleu":
+        references = [reference_ids(p) for p in pairs]
         decoded = decode_pairs(model.params, model.config, pairs)
-        values = [_bleu_against_reference(d, p) for d, p in zip(decoded, pairs)]
+        values = [sentence_bleu(d, r) for d, r in zip(decoded, references)]
     else:
         entropies, _ = corpus_cross_entropy(model.params, model.config, pairs)
         values = [float(h) if metric == "xent" else perplexity(h) for h in entropies]

@@ -72,7 +72,9 @@ keys, and its key projections and source mask are freed once the first
 decoder layer, their last reader, has run.
 Training keeps plain numpy (`_TRAINING`): its loss is a batch mean, its
 bits are pinned by every checkpoint trained so far, and the weight gradient
-needs the embedded input anyway.
+needs the embedded input anyway. Its products that can reduce over more
+than `_REDUCE_RUN` rows go through `_runs_matmul`, so that no training bit
+depends on the BLAS thread count.
 
 Attention is additive: score(q, k) = v . tanh(q @ Wq + k @ Wk), softmaxed
 over the non-PAD source positions of each pair. The query is the previous
@@ -345,6 +347,23 @@ def _rows_matmul(a: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     else:
         part(w, out)
     return out.reshape(*a.shape[:-1], w.shape[1])
+
+
+# OpenBLAS gives a product the same bits under 1 and 2 threads when it
+# reduces over at most _REDUCE_RUN rows; past that, only at multiples of 32.
+# Measured with OpenBLAS 0.3.31 (SkylakeX kernels) on (128, K) @ (K, 24) and
+# (K, 512) products, K from 8 to 1,600.
+_REDUCE_RUN = 384
+
+
+def _runs_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`a @ b` for 2-D arrays, the reduction axis summed in runs of at most
+    `_REDUCE_RUN`, left to right, so that its bits do not depend on the BLAS
+    thread count: one call when K <= `_REDUCE_RUN`."""
+    out = a[:, :_REDUCE_RUN] @ b[:_REDUCE_RUN]
+    for k in range(_REDUCE_RUN, a.shape[1], _REDUCE_RUN):
+        out += a[:, k : k + _REDUCE_RUN] @ b[k : k + _REDUCE_RUN]
+    return out
 
 
 def _sum_left(x: np.ndarray) -> np.ndarray:
@@ -664,14 +683,14 @@ def _lstm_backward(Wx, Wh, cache, dH, dhT, dcT):
             dq = dz.sum(axis=1, out=dqs[cur])
             dh_next[:n] += dq @ Wq.T
     h_prev = hs[steps.previous]  # each position's previous hidden state
-    dWx = xp.T @ d_gates
-    dWh = h_prev.T @ d_gates
+    dWx = _runs_matmul(xp.T, d_gates)
+    dWh = _runs_matmul(h_prev.T, d_gates)
     db = d_gates.sum(axis=0)
     dX = _unpack(d_gates @ Wx[:din].T, steps)
     d_attn = None
     if attn is not None:  # d_kwc of each row sums alpha.T @ da over its steps
         d_kwc = np.matmul(cache["A"].transpose(0, 2, 1), d_read)
-        d_attn = (h_prev.T @ dqs, dv, d_kwk, d_kwc)
+        d_attn = (_runs_matmul(h_prev.T, dqs), dv, d_kwk, d_kwc)
     dh0, dc0 = dh_next[steps.inverse], dc_next[steps.inverse]
     return dX, dWx, dWh, db, dh0, dc0, d_attn
 
@@ -879,10 +898,10 @@ def loss_and_gradients(
 
     flat = dlogits.reshape(bsz * tlen, -1)
     grads = {
-        "out_W": cache["top"].reshape(bsz * tlen, hdim).T @ flat,
+        "out_W": _runs_matmul(cache["top"].reshape(bsz * tlen, hdim).T, flat),
         "out_b": flat.sum(axis=0),
     }
-    d_top = (flat @ params["out_W"].T).reshape(bsz, tlen, hdim)
+    d_top = _runs_matmul(flat, params["out_W"].T).reshape(bsz, tlen, hdim)
 
     zeros = np.zeros((bsz, hdim))
     d_y, d_dec_init, d_attn = _lstm_stack_backward(
@@ -908,10 +927,10 @@ def loss_and_gradients(
         dWq, dv, d_kwk, d_kwc = d_attn
         Wc = params["dec0_Wx"][-hdim:]
         grads["attn_Wq"] = dWq
-        grads["attn_Wk"] = keys.T @ d_kwk.reshape(-1, hdim)
+        grads["attn_Wk"] = _runs_matmul(keys.T, d_kwk.reshape(-1, hdim))
         grads["attn_v"] = dv
         grads["dec0_Wx"] = np.concatenate(
-            [grads["dec0_Wx"], keys.T @ d_kwc.reshape(-1, 4 * hdim)]
+            [grads["dec0_Wx"], _runs_matmul(keys.T, d_kwc.reshape(-1, 4 * hdim))]
         )
         d_keys = np.matmul(d_kwk, params["attn_Wk"].T) + np.matmul(d_kwc, Wc.T)
         d_enc_top = d_keys[inverse]

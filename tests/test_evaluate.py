@@ -7,8 +7,8 @@ from conftest import overflowing_checkpoint
 from curricula.corpus import EOS_ID, EncodedPair
 from curricula.errors import ConfigError, FingerprintError, PairingError
 from curricula.evaluate import EvalResult, corpus_bleu, evaluate_model
-from curricula.metrics import pair_cross_entropy, sentence_bleu
-from oracles import oracle_corpus_bleu
+from curricula.metrics import BLEU_ORDER, bleu_counts, pair_cross_entropy, sentence_bleu
+from oracles import clipped_counts, oracle_corpus_bleu
 
 
 def test_perfect_corpus_scores_one():
@@ -50,6 +50,10 @@ def test_corpus_bleu_matches_oracle_on_random_corpora():
             for _ in range(n)
         ]
         assert corpus_bleu(cands, refs) == oracle_corpus_bleu(cands, refs)
+        for cand, ref in zip(cands, refs):
+            assert bleu_counts(cand, ref) == tuple(
+                clipped_counts(cand, ref, n) for n in range(1, BLEU_ORDER + 1)
+            )
 
 
 def test_corpus_bleu_input_validation():

@@ -6,8 +6,9 @@ the bits of a run updates that run's digest, so the move shows in the diff.
 An environment with no entry is skipped, never taken as a match: the BLAS
 kernels decide the rounding, so another machine's bits prove nothing here.
 
-The runs go in one subprocess with the BLAS pinned to 1 thread. To write
-the entry of the current environment:
+The runs go in one subprocess with the BLAS pinned to 1 thread, and again
+in one with 2 threads, whose digests must agree: no bit depends on the BLAS
+thread count. To write the entry of the current environment:
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
@@ -114,13 +115,13 @@ def digests() -> dict[str, str]:
     }
 
 
-def pinned_digests() -> dict[str, str]:
-    """`digests()` computed in a subprocess with the BLAS on 1 thread."""
+def pinned_digests(threads: str = "1") -> dict[str, str]:
+    """`digests()` computed in a subprocess with the BLAS on `threads`."""
     path = os.pathsep.join(filter(None, (
         str(HERE.parent / "src"), str(HERE), os.environ.get("PYTHONPATH"),
     )))
     env = {**os.environ, "PYTHONPATH": path,
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+           "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
     script = "import json, test_golden; print(json.dumps(test_golden.digests()))"
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
@@ -156,6 +157,7 @@ def test_artifact_bits_match_the_golden_file():
     got = pinned_digests()
     moved = sorted(name for name in golden if got.get(name) != golden[name])
     assert set(got) == set(golden) and not moved, f"bits moved in {moved}: {got}"
+    assert pinned_digests("2") == got, "bits depend on the BLAS thread count"
 
 
 if __name__ == "__main__":

@@ -219,6 +219,30 @@ def test_pair_bleu_identity_and_empty(toy_data, tiny_checkpoint):
     assert pair_bleu(rigged, pair) == 0.0
 
 
+@pytest.mark.parametrize("eos_bias", [30.0, -30.0])
+def test_bleu_of_a_pair_with_an_empty_target_is_refused_whatever_the_decode(
+    toy_data, tiny_checkpoint, eos_bias
+):
+    """An empty target has no reference: every BLEU entry point refuses the
+    pair, naming it, whether the model decodes nothing (EOS first) or its
+    whole budget."""
+    from curricula.corpus import BOS_ID, EncodedPair
+    from curricula.evaluate import evaluate_model
+
+    model = uniform_output_checkpoint(tiny_checkpoint)
+    model.params["out_b"][EOS_ID] = eos_bias
+    base = toy_data["train_enc"][0]
+    pair = EncodedPair(7, (1, 2, 3), (BOS_ID,), (EOS_ID,),
+                       base.src_vocab_fingerprint, base.tgt_vocab_fingerprint)
+    for score in (
+        lambda: pair_bleu(model, pair),
+        lambda: score_corpus(model, [base, pair], "bleu"),
+        lambda: evaluate_model(model, [base, pair]),
+    ):
+        with pytest.raises(ConfigError, match="^pair 7 has an empty target"):
+            score()
+
+
 def test_pair_bleu_composes_decode_and_sentence_bleu(toy_data, tiny_checkpoint):
     from curricula.metrics import default_decode_len
     from curricula.seq2seq import greedy_decode

@@ -24,6 +24,7 @@ from curricula.errors import (
 from curricula.corpus import build_vocab, encode_corpus
 from curricula.harness import generate_toy_corpus
 from curricula.ordering import Strategy, make_ordering
+from curricula.runtime import environment
 from curricula.seq2seq import (
     ModelConfig,
     forward_teacher_forced,
@@ -182,18 +183,51 @@ def test_adam_step_peak_memory_when_clipping():
     assert peak < 1.5 * parameter_bytes(params), peak / parameter_bytes(params)
 
 
-def test_gradient_norm_bits_do_not_depend_on_blas_threads():
-    # a BLAS dot product over 262,144 elements splits its sum by thread count
+_FIT_BITS = """
+import hashlib
+from curricula import CorpusSpec, Strategy, TrainConfig
+from curricula.checkpoint import checkpoint_bytes
+from curricula.harness import init_trainer, make_plan, prepare_data, train_model
+data = prepare_data(
+    CorpusSpec(toy_task="reverse", size=250, vocab=20, min_len=5, max_len=30), seed=3
+)
+assert len(data.splits["train"]) == 200
+train = TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2,
+                    clip_norm=1.0)
+plan = make_plan(Strategy("shuffle_once"), None, data, 2, seed=3)
+for preset in ("small", "tiny"):
+    ckpt, _, _ = train_model(init_trainer(data, preset, 3), plan, data, train, seed=3)
+    print(preset, hashlib.sha256(checkpoint_bytes(ckpt)).hexdigest())
+"""
+
+
+def _stdout_under_blas_threads(script) -> list[str]:
+    """What `script` prints in a fresh interpreter with the BLAS on 1 and
+    on 2 threads."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    bits = []
+    out = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path,
                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
-        run = subprocess.run([sys.executable, "-c", _NORM_BITS], env=env,
+        run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
-        bits.append(run.stdout.strip())
-    assert bits[0] == bits[1]
+        out.append(run.stdout)
+    return out
+
+
+def test_gradient_norm_bits_do_not_depend_on_blas_threads():
+    # a BLAS dot product over 262,144 elements splits its sum by thread count
+    one, two = _stdout_under_blas_threads(_NORM_BITS)
+    assert one == two
+
+
+@pytest.mark.skipif(environment().cpus < 2, reason="the BLAS runs 1 thread on 1 CPU")
+def test_fit_bits_do_not_depend_on_blas_threads():
+    # 16 pairs of up to 31 target positions reduce over up to 496 rows,
+    # past the 384 that the BLAS sums alike under 1 and 2 threads
+    one, two = _stdout_under_blas_threads(_FIT_BITS)
+    assert one == two
 
 
 def test_adam_shape_mismatch_rejected():
