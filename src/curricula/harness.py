@@ -654,11 +654,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             stage = "evaluate"
             result = evaluate_split(ckpt, data)
         except CurriculaError as exc:
-            # the same class, so that the CLI's exit code still follows it;
-            # anything else propagates unchanged
-            raise type(exc)(
-                f"strategy {strategy.token()} failed during {stage}: {exc}"
-            ) from exc
+            # the same class, so that the CLI's exit code still follows it,
+            # with the same attributes, made without calling its __init__,
+            # whose arguments may be any; anything else propagates unchanged
+            wrapped = type(exc).__new__(
+                type(exc), f"strategy {strategy.token()} failed during {stage}: {exc}")
+            vars(wrapped).update(vars(exc))
+            raise wrapped from exc
         report_rows.append(
             ReportRow(
                 strategy=strategy.label(),

@@ -16,15 +16,16 @@ Scoring, validation and evaluation run pairs in chunks, through
 the calling one and helpers, started only when there is work for them, that
 take work from one queue (`_Helpers.run`). W is the CPUs this process may
 use over the BLAS's own threads (`runtime.environment`), and 1 for a model
-whose recurrent product is small (`_workers`). With two chunks or more, up
-to W threads take chunks. A chunk then holds at most `_SCORE_POSITIONS // W`
-padded positions, so the chunks in flight hold about the memory of one
-serial chunk. With one chunk, as when a test set of a few pairs is
-evaluated, the calling thread runs it, and each large product it makes is
-cut by columns into up to W parts that the same `run` computes at the same
-time (`seq2seq._rows_matmul`). No bit depends on W:
-inference is batch-invariant, each chunk writes only its own pairs'
-results, and a column part has the bits of the whole product.
+of at most `_SERIAL_HIDDEN` hidden units, whose chunks two threads run
+slower than one (`_workers`). With two chunks or more, up to W threads take
+chunks. A chunk then holds at most `_SCORE_POSITIONS // W` padded positions,
+so the chunks in flight hold about the memory of one serial chunk. With one
+chunk, as when a test set of a few pairs is evaluated, the calling thread
+runs it, and each large product it makes is cut by columns into up to W
+parts that the same `run` computes at the same time
+(`seq2seq._rows_matmul`). No bit depends on W: inference is batch-invariant,
+each chunk writes only its own pairs' results, and a column part has the
+bits of the whole product.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from .corpus import EncodedPair, ParallelCorpus, SentencePair, TextFile, TextLin
 from .errors import ConfigError, DataError, FingerprintError
 from .runtime import environment
 from .seq2seq import (
-    _BLOCK_ROWS, _COLUMN_HELPERS, _SMALL_PRODUCT, forward_teacher_forced,
-    greedy_decode, make_batch,
+    _BLOCK_ROWS, _COLUMN_HELPERS, forward_teacher_forced, greedy_decode, make_batch,
 )
 
 SCORES_HEADER = "CURRICULA-SCORES v1"
@@ -256,11 +256,25 @@ def score_corpus(model: ModelCheckpoint, pairs, metric: str) -> ScoreTable:
 # rows times its longest source or target exceed _SCORE_POSITIONS, and a
 # decoding chunk before its rows times its longest source do, which bounds
 # the memory of one call on long pairs. With W workers a chunk takes at most
-# an even share of the pairs, in whole _BLOCK_ROWS blocks, and at most
-# _SCORE_POSITIONS // W positions.
+# W times these rows, an even share of the pairs, in whole _BLOCK_ROWS
+# blocks, and at most _SCORE_POSITIONS // W positions: on two workers, 100
+# pairs of 5-10 tokens decode as two chunks of 56 and 44 rows, not
+# 32/32/32/4, which left one thread twice the other's rows.
 _SCORE_CHUNK = 64
 _SCORE_POSITIONS = 1024
 _DECODE_CHUNK = 32
+
+# A model of at most _SERIAL_HIDDEN hidden units runs inference on one
+# thread: its chunks spend much of their time in Python, under the GIL, and
+# a second thread slows them. Speed-up of W = 2 over W = 1 on 2 vCPUs, one
+# BLAS thread, OpenBLAS 0.3.31 (SkylakeX kernels), for corpus_cross_entropy
+# on 800 reverse pairs / decode_pairs on 100 (budget 20), untrained models
+# of the `small` layout with embed = hidden = H:
+#   H 32 0.65x / 0.53x, 48 0.89x / 0.67x, 64 1.22x / 0.70x,
+#   96 1.28-1.71x / 0.93-0.96x, 112 1.59x / 1.03x,
+#   128 1.39-1.49x / 1.22-1.25x, 192 1.74x / 1.35x;
+#   the `tiny` preset (32 units, attention) 0.70x / 0.66x.
+_SERIAL_HIDDEN = 112
 
 
 def _workers(config) -> int:
@@ -268,24 +282,25 @@ def _workers(config) -> int:
     its large products when it has one chunk (a helper starts only once the
     call has work for it): the CPUs this process may use over the BLAS's
     own threads, or 1 when the BLAS's thread count cannot be read. A model
-    whose `_BLOCK_ROWS`-row recurrent product is small runs serially: its
-    chunks hold the GIL more than the BLAS, and a helper thread's malloc
-    arena costs more memory than the chunks it runs."""
-    h = config.hidden_dim
-    if _BLOCK_ROWS * h * 4 * h <= _SMALL_PRODUCT:
+    of at most `_SERIAL_HIDDEN` hidden units, such as `tiny`, runs
+    serially, since two threads run its chunks slower than one. A helper
+    allocates from its own malloc arena, which cannot reuse what the calling
+    thread has freed: on 2 vCPUs, fanning `small` out raised the peak RSS of
+    perfbench's `train-small` by about 5 MB (7%)."""
+    if config.hidden_dim <= _SERIAL_HIDDEN:
         return 1
     env = environment()
     return max(1, env.cpus // env.blas_threads) if env.blas_threads else 1
 
 
 def _chunks(keys, size: int, workers: int):
-    """Indices sorted by key, cut into runs of at most `size` rows (and at
-    most an even share of the keys among `workers`) whose length times their
-    largest key field after the first stays within `_SCORE_POSITIONS //
-    workers` (a longer key runs alone). The key's first field is a group
-    that no run straddles."""
+    """Indices sorted by key, cut into runs of at most `size * workers` rows
+    (and at most an even share of the keys among `workers`) whose length
+    times their largest key field after the first stays within
+    `_SCORE_POSITIONS // workers` (a longer key runs alone). The key's first
+    field is a group that no run straddles."""
     share = -(-len(keys) // workers)
-    size = min(size, max(_BLOCK_ROWS, -(-share // _BLOCK_ROWS) * _BLOCK_ROWS))
+    size = min(size * workers, max(_BLOCK_ROWS, -(-share // _BLOCK_ROWS) * _BLOCK_ROWS))
     positions = _SCORE_POSITIONS // workers
     chunk: list[int] = []
     widest = 0  # the run's largest key field after the first
@@ -400,7 +415,8 @@ def corpus_cross_entropy(params, config, pairs) -> tuple[np.ndarray, np.ndarray]
     """Per-pair (cross-entropy, token count) arrays, in input order.
 
     Pairs are sorted by length and scored in chunks of up to `_SCORE_CHUNK`
-    rows and `_SCORE_POSITIONS` padded positions through
+    rows and `_SCORE_POSITIONS` padded positions (on W workers, W times the
+    rows and a W-th of the positions: `_chunks`) through
     `forward_teacher_forced`, whose per-row losses do not depend on
     the batch. A pair's entropy therefore has the bits that
     `pair_cross_entropy` (this function on one pair) gives, and corpus-level
@@ -426,8 +442,9 @@ def decode_pairs(params, config, pairs, max_decode_len: int | None = None):
     Each pair's budget is `max_decode_len`, or `default_decode_len` of its
     source. Pairs are sorted by budget and source length and decoded in
     chunks of up to `_DECODE_CHUNK` rows and `_SCORE_POSITIONS` padded source
-    positions that share one budget; a pair's tokens do not depend on its
-    chunk, nor on the thread (`_workers`) that ran it.
+    positions (on W workers, W times the rows and a W-th of the positions)
+    that share one budget; a pair's tokens do not depend on its chunk, nor on
+    the thread (`_workers`) that ran it.
     """
     budgets = [
         max_decode_len if max_decode_len is not None

@@ -2,7 +2,7 @@ import json
 import math
 import shutil
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,7 @@ from curricula.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from curricula.errors import CheckpointFormatError, ConfigError
+from curricula.errors import CheckpointFormatError, ConfigError, DataError
 from curricula.evaluate import EvalResult
 from curricula.metrics import ScoreTable
 from curricula.harness import (
@@ -291,6 +291,34 @@ def test_row_failure_keeps_package_error_class_and_names_the_row(tmp_path, monke
         run_experiment(spec)
     assert "shuffle_once failed during evaluate: vocabularies differ" in str(err.value)
     assert err.value.__cause__ is original
+
+
+class _ShardError(DataError):
+    """A package error whose __init__ takes two arguments."""
+
+    def __init__(self, shard, reason):
+        super().__init__(f"shard {shard}: {reason}")
+        self.shard = shard
+
+
+def test_row_failure_of_a_two_argument_error_exits_3_and_names_the_row(
+    tmp_path, monkeypatch, capsys
+):
+    original = _ShardError(3, "unreadable")
+
+    def fail(*args, **kwargs):
+        raise original
+
+    monkeypatch.setattr("curricula.harness.train_model", fail)
+    spec = tiny_spec(tmp_path, strategies=(Strategy("shuffle_once"),))
+    with pytest.raises(_ShardError) as err:
+        run_experiment(spec)
+    assert type(err.value) is _ShardError and err.value.__cause__ is original
+    assert err.value.shard == 3
+    assert str(err.value) == "strategy shuffle_once failed during train: shard 3: unreadable"
+    (tmp_path / "run.spec").write_text(spec_to_text(replace(spec, output_dir=tmp_path / "cli")))
+    assert cli_main(["experiment", "--spec", str(tmp_path / "run.spec")]) == 3
+    assert "strategy shuffle_once failed during train: shard 3" in capsys.readouterr().err
 
 
 def test_row_failure_outside_the_package_propagates_unchanged(tmp_path, monkeypatch):

@@ -385,9 +385,8 @@ def test_decoding_memory_cap_holds_with_the_fan_out_on(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _past_the_gate(lengths=range(3, 19), hidden_dim=192):
-    """A model whose 8-row recurrent product (8 * 192 * 768 multiply-adds
-    at the default width) is past `_SMALL_PRODUCT`, so its chunks may fan
-    out, and 40 pairs."""
+    """A model with attention of more than `_SERIAL_HIDDEN` hidden units
+    (192 at the default width), so its chunks may fan out, and 40 pairs."""
     from curricula.corpus import BOS_ID, EncodedPair
     from curricula.seq2seq import ModelConfig, init_params
 
@@ -402,6 +401,19 @@ def _past_the_gate(lengths=range(3, 19), hidden_dim=192):
     return config, params, pairs
 
 
+def _small_preset():
+    """The `small` preset, past `_SERIAL_HIDDEN`, and `_past_the_gate`'s
+    pairs."""
+    from curricula.seq2seq import ModelConfig, init_params
+
+    _, _, pairs = _past_the_gate()
+    config = ModelConfig.preset("small", 24, 24)
+    return config, init_params(config, seed=3), pairs
+
+
+_FAN_OUT_MODELS = {"gated": _past_the_gate, "small": _small_preset}
+
+
 def _fan_out_outputs(config, params, pairs):
     from curricula.metrics import corpus_cross_entropy, decode_pairs
 
@@ -409,11 +421,12 @@ def _fan_out_outputs(config, params, pairs):
     return entropies, counts, decode_pairs(params, config, pairs, 10)
 
 
-def fan_out_digest() -> str:
-    """The worker count and sha256 of `_fan_out_outputs`, as JSON."""
+def fan_out_digest(model: str) -> str:
+    """The worker count and sha256 of `_fan_out_outputs` for one of
+    `_FAN_OUT_MODELS`, as JSON."""
     from curricula.metrics import _workers
 
-    config, params, pairs = _past_the_gate()
+    config, params, pairs = _FAN_OUT_MODELS[model]()
     entropies, counts, tokens = _fan_out_outputs(config, params, pairs)
     h = hashlib.sha256(entropies.tobytes() + counts.tobytes())
     h.update(json.dumps(tokens).encode("utf-8"))
@@ -426,21 +439,21 @@ def test_fan_out_workers_are_the_cpus_over_the_blas_threads(monkeypatch):
     from curricula.seq2seq import ModelConfig
 
     gated, _, _ = _past_the_gate()
-    assert metrics._BLOCK_ROWS * 192 * 4 * 192 > metrics._SMALL_PRODUCT
+    tiny, small, base = (ModelConfig.preset(p, 24, 24) for p in ("tiny", "small", "base"))
+    # the serial bound sits between the tiny and the small preset
+    assert tiny.hidden_dim <= metrics._SERIAL_HIDDEN < small.hidden_dim
     for cpus, threads, workers in ((2, 1, 2), (2, 2, 1), (8, 2, 4), (1, 1, 1), (2, None, 1)):
         env = Environment("numpy", "blas", "core", threads, cpus)
         monkeypatch.setattr(metrics, "environment", lambda env=env: env)
-        assert metrics._workers(gated) == workers
-        for preset in ("tiny", "small"):
-            assert metrics._workers(ModelConfig.preset(preset, 24, 24)) == 1
-    assert metrics._workers(ModelConfig.preset("base", 24, 24)) == 1
+        for config in (gated, small, base):
+            assert metrics._workers(config) == workers
+        assert metrics._workers(tiny) == 1
 
 
 def test_fan_out_gives_every_pair_the_bits_it_gets_alone(monkeypatch):
     from curricula import metrics
     from curricula.seq2seq import greedy_decode
 
-    config, params, pairs = _past_the_gate()
     calls = []
     for name in ("forward_teacher_forced", "greedy_decode"):
         def recording(*args, inner=getattr(metrics, name), name=name, **kwargs):
@@ -448,21 +461,23 @@ def test_fan_out_gives_every_pair_the_bits_it_gets_alone(monkeypatch):
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(metrics, name, recording)
-    outputs = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(metrics, "_workers", lambda config, w=workers: w)
-        calls.clear()
-        outputs[workers] = _fan_out_outputs(config, params, pairs)
-        if workers == 2:
-            assert calls.count("forward_teacher_forced") >= 2
-            assert calls.count("greedy_decode") >= 2
-    (h1, n1, tokens1), (h2, n2, tokens2) = outputs[1], outputs[2]
-    assert h1.tobytes() == h2.tobytes() and n1.tobytes() == n2.tobytes()
-    assert tokens1 == tokens2
-    for i, pair in enumerate(pairs):
-        alone, _ = metrics.corpus_cross_entropy(params, config, [pair])
-        assert alone[0] == h2[i]
-        assert greedy_decode(params, config, [pair.src_ids], 10) == [tokens2[i]]
+    for model in _FAN_OUT_MODELS.values():
+        config, params, pairs = model()
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(metrics, "_workers", lambda config, w=workers: w)
+            calls.clear()
+            outputs[workers] = _fan_out_outputs(config, params, pairs)
+            if workers == 2:
+                assert calls.count("forward_teacher_forced") >= 2
+                assert calls.count("greedy_decode") >= 2
+        (h1, n1, tokens1), (h2, n2, tokens2) = outputs[1], outputs[2]
+        assert h1.tobytes() == h2.tobytes() and n1.tobytes() == n2.tobytes()
+        assert tokens1 == tokens2
+        for i, pair in enumerate(pairs):
+            alone, _ = metrics.corpus_cross_entropy(params, config, [pair])
+            assert alone[0] == h2[i]
+            assert greedy_decode(params, config, [pair.src_ids], 10) == [tokens2[i]]
 
 
 def _with_source_id(args, layer, bad_id):
@@ -673,17 +688,19 @@ def test_fan_out_bits_hold_across_cpus_and_blas_threads():
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     if len(cpus) < 2:
         pytest.skip("the fan-out needs at least two CPUs")
-    digest = "import test_metrics; print(test_metrics.fan_out_digest())"
-    one_cpu = f"import os; os.sched_setaffinity(0, {{{cpus[0]}}}); {digest}"
-    runs = {}
-    for name, threads, script in (
-        ("fanned out", "1", digest), ("one cpu", "1", one_cpu), ("two blas threads", "2", digest),
-    ):
-        runs[name] = _in_subprocess(script, OPENBLAS_NUM_THREADS=threads)
-    assert runs["fanned out"]["workers"] == len(cpus)
-    assert runs["one cpu"]["workers"] == 1
-    assert runs["two blas threads"]["workers"] == max(1, len(cpus) // 2)
-    assert len({r["sha256"] for r in runs.values()}) == 1, runs
+    for model in _FAN_OUT_MODELS:
+        digest = f"import test_metrics; print(test_metrics.fan_out_digest({model!r}))"
+        one_cpu = f"import os; os.sched_setaffinity(0, {{{cpus[0]}}}); {digest}"
+        runs = {}
+        for name, threads, script in (
+            ("fanned out", "1", digest), ("one cpu", "1", one_cpu),
+            ("two blas threads", "2", digest),
+        ):
+            runs[name] = _in_subprocess(script, OPENBLAS_NUM_THREADS=threads)
+        assert runs["fanned out"]["workers"] == len(cpus)
+        assert runs["one cpu"]["workers"] == 1
+        assert runs["two blas threads"]["workers"] == max(1, len(cpus) // 2)
+        assert len({r["sha256"] for r in runs.values()}) == 1, (model, runs)
 
 
 # ---------------------------------------------------------------------------
