@@ -8,7 +8,10 @@ that function derives its working seeds. Run with an experiment's seed and
 train flags over its `corpus/` directory, the stage commands therefore
 rewrite that experiment's artifacts byte for byte, unless the corpus came
 from files whose filter dropped lines (`corpus/` renumbers the pairs that
-remain). Train and corpus flags come from the spec key tables of `harness`.
+remain). Train and corpus flags come from the spec key tables of `harness`,
+and `order --strategy` and `score --metric` take the tokens that spec
+`strategies` lines, plan headers and score-table headers hold
+(`ppl:asc`, `length:source`).
 Exit codes: 0 success, 2 configuration error (a bad spec among them), 3 data
 error (any other bad file), 4 numerical error.
 """
@@ -44,7 +47,7 @@ from .harness import (
     train_model,
 )
 from .metrics import ScoreTable
-from .ordering import OrderingPlan, Strategy
+from .ordering import OrderingPlan, parse_strategy
 from .trainer import TrainConfig
 
 
@@ -89,16 +92,15 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_score(args) -> int:
     data = load_corpus_dir(args.corpus_dir)
-    metric = f"length:{args.side}" if args.metric == "length" else args.metric
     scorer = load_checkpoint(args.ckpt) if args.ckpt else None
-    table = score_table(data, metric, scorer, args.split)
+    table = score_table(data, args.metric, scorer, args.split)
     table.save(args.out)
     print(f"{len(table)} {table.metric} scores written to {args.out}")
     return 0
 
 
 def _cmd_order(args) -> int:
-    strategy = Strategy(args.strategy, side=args.side, direction=args.direction)
+    strategy = parse_strategy(args.strategy)
     data = load_corpus_dir(args.corpus_dir)
     metric = strategy.required_metric
     if metric is None:
@@ -130,7 +132,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     data = load_corpus_dir(args.corpus_dir)
     ckpt = load_checkpoint(args.ckpt)
-    print(evaluate_split(ckpt, data, args.split, args.max_decode_len).to_line())
+    print(evaluate_split(ckpt, data, args.split).to_line())
     return 0
 
 
@@ -173,23 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="compute a per-pair score table")
     p.add_argument("--corpus-dir", required=True)
-    p.add_argument(
-        "--metric", choices=["length", "xent", "ppl", "bleu"], required=True
-    )
-    p.add_argument("--side", choices=["source", "target"], default="source")
+    p.add_argument("--metric", required=True, help="a score-table metric, e.g. length:source")
     p.add_argument("--split", choices=["train", "val", "test"], default="train")
     p.add_argument("--ckpt")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("order", help="build an ordering plan")
-    p.add_argument(
-        "--strategy",
-        choices=["shuffle_every_epoch", "shuffle_once", "length", "ppl", "bleu"],
-        required=True,
-    )
-    p.add_argument("--side", choices=["source", "target"])
-    p.add_argument("--direction", choices=["asc", "desc"])
+    p.add_argument("--strategy", required=True, help="a strategy token, e.g. ppl:asc")
     p.add_argument("--scores")
     p.add_argument("--corpus-dir", required=True)
     p.add_argument("--epochs", type=int, required=True)
@@ -209,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-dir", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p.add_argument("--max-decode-len", type=int)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("experiment", help="run a full experiment spec")

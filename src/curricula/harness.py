@@ -431,11 +431,10 @@ def prepare_data(corpus: CorpusSpec, seed: int) -> PreparedData:
         train, val, test = generate_toy_corpus(
             c.toy_task, c.size, c.vocab, (c.min_len, c.max_len), corpus_seed
         )
-        if c.noise > 0.0:
-            train = corrupt_targets(
-                train, c.noise, toy_alphabet(c.toy_task, c.vocab),
-                derive_seed(corpus_seed, "noise"),
-            )
+        train = corrupt_targets(  # the corpus itself at noise 0.0
+            train, c.noise, toy_alphabet(c.toy_task, c.vocab),
+            derive_seed(corpus_seed, "noise"),
+        )
     else:
         missing = [k for k in FILE_KEYS if getattr(c, k) is None]
         if missing:
@@ -500,10 +499,14 @@ def pretrain_scorer(
 
 
 def score_table(data: PreparedData, metric: str, scorer=None, split="train") -> ScoreTable:
-    """Score every pair of a split: `length:<side>` counts tokens, and
-    `xent`, `ppl` and `bleu` run the scorer checkpoint."""
-    if metric.startswith("length:"):
+    """Score every pair of a split: `length:source` and `length:target` count
+    tokens, and `xent`, `ppl` and `bleu` run the scorer checkpoint."""
+    if metric in ("length:source", "length:target"):
         return length_scores(data.splits[split], metric.split(":", 1)[1])
+    if metric not in ("xent", "ppl", "bleu"):
+        raise ConfigError(
+            f"unknown metric {metric!r}; expected length:source, length:target, xent, ppl or bleu"
+        )
     if scorer is None:
         raise ConfigError(f"{metric} scores need a scorer checkpoint or a saved table")
     return score_corpus(scorer, data.encoded[split], metric)
@@ -539,9 +542,9 @@ def train_model(init: ModelCheckpoint, plan, data: PreparedData, train, seed: in
     return _fit(init.params, init.config, plan, data, row_train)
 
 
-def evaluate_split(ckpt, data: PreparedData, split="test", max_decode_len=None):
+def evaluate_split(ckpt, data: PreparedData, split="test"):
     """Test perplexity and corpus BLEU of the checkpoint on one split."""
-    return evaluate_model(ckpt, data.encoded[split], max_decode_len)
+    return evaluate_model(ckpt, data.encoded[split])
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ use over the BLAS's own threads (`runtime.environment`), and 1 for a model
 of at most `_SERIAL_HIDDEN` hidden units, whose chunks two threads run
 slower than one (`_workers`). With two chunks or more, up to W threads take
 chunks. A chunk then holds at most `_SCORE_POSITIONS // W` padded positions,
-so the chunks in flight hold about the memory of one serial chunk. With one
-chunk, as when a test set of a few pairs is evaluated, the calling thread
-runs it, and each large product it makes is cut by columns into up to W
-parts that the same `run` computes at the same time
+so together the chunks in flight stay within `_SCORE_POSITIONS` positions,
+the bound of one serial chunk, though not within its rows (`_SCORE_CHUNK`).
+With one chunk, as when a test set of a few pairs is evaluated, the calling
+thread runs it, and each large product it makes is cut by columns into up
+to W parts that the same `run` computes at the same time
 (`seq2seq._rows_matmul`). No bit depends on W: inference is batch-invariant,
 each chunk writes only its own pairs' results, and a column part has the
 bits of the whole product.
@@ -259,7 +260,13 @@ def score_corpus(model: ModelCheckpoint, pairs, metric: str) -> ScoreTable:
 # W times these rows, an even share of the pairs, in whole _BLOCK_ROWS
 # blocks, and at most _SCORE_POSITIONS // W positions: on two workers, 100
 # pairs of 5-10 tokens decode as two chunks of 56 and 44 rows, not
-# 32/32/32/4, which left one thread twice the other's rows.
+# 32/32/32/4, which left one thread twice the other's rows. Together the
+# chunks in flight stay within _SCORE_POSITIONS positions, but not within the
+# rows of a serial chunk that rows cap: `fit` validates those 100 pairs on a
+# `small` model as 56 + 44 rows at once, not 64 then 36. With the helper's
+# own malloc arena (`_workers`), that sets perfbench `train-small`'s peak
+# RSS (2 vCPUs): 4.3 MB (6.1%) over a serial run at seed 1, 5.6 MB (7.8%)
+# at seed 101.
 _SCORE_CHUNK = 64
 _SCORE_POSITIONS = 1024
 _DECODE_CHUNK = 32
@@ -446,6 +453,8 @@ def decode_pairs(params, config, pairs, max_decode_len: int | None = None):
     that share one budget; a pair's tokens do not depend on its chunk, nor on
     the thread (`_workers`) that ran it.
     """
+    if max_decode_len is not None and max_decode_len < 1:
+        raise ConfigError(f"max_decode_len must be >= 1, got {max_decode_len}")
     budgets = [
         max_decode_len if max_decode_len is not None
         else default_decode_len(len(p.src_ids))

@@ -90,14 +90,13 @@ class Strategy:
 
 
 def parse_strategy(token: str) -> Strategy:
-    parts = token.split(":")
-    if parts[0] in ("shuffle_every_epoch", "shuffle_once") and len(parts) == 1:
-        return Strategy(parts[0])
-    if parts[0] == "length" and len(parts) == 3:
-        return Strategy("length", side=parts[1], direction=parts[2])
-    if parts[0] in ("ppl", "bleu") and len(parts) == 2:
-        return Strategy(parts[0], direction=parts[1])
-    raise ConfigError(f"cannot parse strategy token {token!r}")
+    """The strategy whose `token()` is `token`."""
+    tokens = {s.token(): s for s in table_one_strategies()}
+    if token not in tokens:
+        raise ConfigError(
+            f"cannot parse strategy token {token!r}; expected one of {', '.join(tokens)}"
+        )
+    return tokens[token]
 
 
 def table_one_strategies() -> tuple[Strategy, ...]:

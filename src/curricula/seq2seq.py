@@ -978,6 +978,8 @@ def greedy_decode(
     PAD and BOS are never emitted (their logits are excluded from the
     argmax); ties resolve to the smallest id. EOS is not returned.
     """
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     sources = [np.asarray(s, dtype=np.int64).reshape(-1) for s in sources]
     out: list[list[int]] = [[] for _ in sources]
     if not sources:

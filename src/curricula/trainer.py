@@ -45,12 +45,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        # written so that NaN fails: every comparison with NaN is false
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be > 0")
+        if not self.clip_norm > 0:
+            raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
 

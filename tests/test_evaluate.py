@@ -7,7 +7,10 @@ from conftest import overflowing_checkpoint
 from curricula.corpus import EOS_ID, EncodedPair
 from curricula.errors import ConfigError, FingerprintError, PairingError
 from curricula.evaluate import EvalResult, corpus_bleu, evaluate_model
-from curricula.metrics import BLEU_ORDER, bleu_counts, pair_cross_entropy, sentence_bleu
+from curricula.metrics import (
+    BLEU_ORDER, bleu_counts, decode_pairs, pair_cross_entropy, sentence_bleu,
+)
+from curricula.seq2seq import greedy_decode
 from oracles import clipped_counts, oracle_corpus_bleu
 
 
@@ -127,6 +130,18 @@ def test_overflowing_test_perplexity_is_infinite(toy_data, tiny_checkpoint):
     result = evaluate_model(model, toy_data["test_enc"], max_decode_len=4)
     assert result.perplexity == math.inf
     assert result.to_line().startswith("ppl=inf bleu=")
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_decode_budget_below_one_is_refused(toy_data, tiny_checkpoint, budget):
+    # such a budget decodes nothing and would report BLEU 0
+    pairs, params, config = toy_data["test_enc"], tiny_checkpoint.params, tiny_checkpoint.config
+    with pytest.raises(ConfigError, match=f"max_decode_len must be >= 1, got {budget}"):
+        evaluate_model(tiny_checkpoint, pairs, max_decode_len=budget)
+    with pytest.raises(ConfigError, match="max_decode_len must be >= 1"):
+        decode_pairs(params, config, [], budget)
+    with pytest.raises(ConfigError, match=f"max_len must be >= 1, got {budget}"):
+        greedy_decode(params, config, [pairs[0].src_ids], budget)
 
 
 def test_eval_result_line_format():

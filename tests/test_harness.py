@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import shutil
 import struct
 from dataclasses import asdict, replace
@@ -9,7 +10,7 @@ import pytest
 
 from checkpoint_files import checkpoint_file
 from conftest import overflowing_checkpoint
-from curricula.cli import main as cli_main
+from curricula.cli import build_parser, main as cli_main
 from curricula.checkpoint import (
     FORMAT_VERSION,
     ModelCheckpoint,
@@ -18,7 +19,7 @@ from curricula.checkpoint import (
 )
 from curricula.errors import CheckpointFormatError, ConfigError, DataError
 from curricula.evaluate import EvalResult
-from curricula.metrics import ScoreTable
+from curricula.metrics import ScoreTable, length_scores
 from curricula.harness import (
     CorpusSpec,
     ExperimentReport,
@@ -37,7 +38,7 @@ from curricula.harness import (
     spec_to_text,
     toy_alphabet,
 )
-from curricula.ordering import Strategy, table_one_strategies
+from curricula.ordering import OrderingPlan, Strategy, table_one_strategies
 from curricula.seq2seq import ModelConfig, init_params, parameter_shapes
 from curricula.trainer import TrainConfig
 
@@ -370,8 +371,8 @@ def test_cli_pipeline(tmp_path, capsys):
 
     plan_path = tmp_path / "plan.txt"
     assert cli_main([
-        "order", "--corpus-dir", str(corpus_dir), "--strategy", "ppl",
-        "--direction", "asc", "--scores", str(scores_path),
+        "order", "--corpus-dir", str(corpus_dir), "--strategy", "ppl:asc",
+        "--scores", str(scores_path),
         "--epochs", "1", "--out", str(plan_path),
     ]) == 0
     assert plan_path.read_text().startswith("CURRICULA-ORDER v1 ppl:asc ")
@@ -447,8 +448,8 @@ def test_cli_score_xent_and_bad_score_table(tmp_path, capsys):
     bad.write_text(paths["ppl"].read_text().replace("\t", " ", 1))
     capsys.readouterr()
     assert cli_main([
-        "order", "--corpus-dir", str(corpus_dir), "--strategy", "ppl",
-        "--direction", "asc", "--scores", str(bad),
+        "order", "--corpus-dir", str(corpus_dir), "--strategy", "ppl:asc",
+        "--scores", str(bad),
         "--epochs", "1", "--out", str(tmp_path / "plan.txt"),
     ]) == 3
     assert "score table line 2" in capsys.readouterr().err
@@ -517,19 +518,20 @@ def test_cli_stages_replay_an_experiment(tmp_path, capsys):
         "--out", rep / "scores_ppl_tiny.txt",
     )
     run(
-        "score", *corpus, "--metric", "length", "--side", "source",
+        "score", *corpus, "--metric", "length:source",
         "--out", rep / "scores_length-source.txt",
     )
-    rows = {
-        "ppl-asc_tiny": ["ppl", "--direction", "asc", "--scores", rep / "scores_ppl_tiny.txt"],
-        # no --scores: the length table comes from the corpus directory
-        "length-source-asc": ["length", "--side", "source", "--direction", "asc"],
-        "shuffle_once": ["shuffle_once"],
-    }
+    meta = report_from_tsv((exp / "report.tsv").read_text()).metadata
     capsys.readouterr()
-    for token, strategy in rows.items():
-        plan, model = rep / f"plan_{token}.txt", rep / f"model_{token}.ckpt"
-        run("order", *corpus, "--strategy", *strategy, "--epochs", t.max_epochs, *seed, "--out", plan)
+    for n in range(len(report.rows)):
+        token, scorer = meta[f"row.{n}.strategy"], meta[f"row.{n}.scorer"]
+        name = token.replace(":", "-") + ("" if scorer == "none" else f"_{scorer}")
+        metric = token.split(":")[0]
+        # without --scores, a length table comes from the corpus directory
+        scores = [] if scorer == "none" else ["--scores", rep / f"scores_{metric}_{scorer}.txt"]
+        plan, model = rep / f"plan_{name}.txt", rep / f"model_{name}.ckpt"
+        run("order", *corpus, "--strategy", token, *scores, "--epochs", t.max_epochs, *seed,
+            "--out", plan)
         run("train", *corpus, "--plan", plan, "--preset", "tiny", *train_flags, "--out", model)
         run("eval", *corpus, "--ckpt", model)
     evals = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ppl=")]
@@ -545,6 +547,30 @@ def test_cli_stages_replay_an_experiment(tmp_path, capsys):
     ]
 
 
+def test_readme_command_lines_parse():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line]
+    assert all(argv[0] == "curricula" for argv in commands)
+    parser = build_parser()
+    assert {parser.parse_args(argv[1:]).command for argv in commands} == {
+        "corpus", "pretrain", "score", "order", "train", "eval", "experiment", "report",
+    }
+
+
+@pytest.mark.parametrize("noise", [-0.5, math.nan, 1.5])
+def test_cli_refuses_label_noise_outside_the_unit_interval_before_writing(
+    tmp_path, capsys, noise
+):
+    spec = tiny_spec(tmp_path, noise=noise)
+    path = tmp_path / "bad.spec"
+    path.write_text(spec_to_text(spec))
+    capsys.readouterr()
+    assert cli_main(["experiment", "--spec", str(path)]) == 2
+    assert "fraction must be in [0, 1]" in capsys.readouterr().err
+    assert not spec.output_dir.exists()
+
+
 @pytest.fixture(scope="module")
 def cli_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "corpus"
@@ -555,7 +581,9 @@ def cli_corpus(tmp_path_factory):
 _REPORT_HEAD = "strategy\tscorer\tepochs\ttest_ppl\ttest_bleu\n"
 _ORDER = "order --corpus-dir {tmp}/corpus --epochs 1 --out {tmp}/plan.txt --strategy"
 _TRAIN = "train --corpus-dir {tmp}/corpus --plan {tmp}/plan.txt --out {tmp}/m.ckpt"
-_SCORE = "score --corpus-dir {tmp}/corpus --metric length --out {tmp}/s.txt"
+_SCORE_METRIC = "score --corpus-dir {tmp}/corpus --out {tmp}/s.txt --metric"
+_SCORE = _SCORE_METRIC + " length:source"
+_METRIC_NAMES = "length:source, length:target, xent, ppl or bleu"
 
 
 @pytest.mark.parametrize(
@@ -604,10 +632,33 @@ _SCORE = "score --corpus-dir {tmp}/corpus --metric length --out {tmp}/s.txt"
             id="vocab-id",
         ),
         pytest.param(
-            {}, _ORDER + " length --direction asc", 2, "side", id="order-length-no-side",
+            {}, _ORDER + " length", 2, "expected one of shuffle_every_epoch",
+            id="order-length-bare",
         ),
         pytest.param(
-            {}, _ORDER + " ppl --direction asc", 2, "ppl scores", id="order-ppl-no-scores",
+            {}, _ORDER + " length:asc", 2, "length:source:asc, length:source:desc",
+            id="order-length-no-side",
+        ),
+        pytest.param(
+            {}, _ORDER + " ppl", 2, "ppl:asc, ppl:desc", id="order-ppl-no-direction",
+        ),
+        pytest.param({}, _ORDER + " ppl:asc", 2, "ppl scores", id="order-ppl-no-scores"),
+        pytest.param({}, _SCORE_METRIC + " length", 2, _METRIC_NAMES, id="score-length-bare"),
+        pytest.param({}, _SCORE_METRIC + " foo", 2, _METRIC_NAMES, id="score-unknown-metric"),
+        pytest.param(
+            {}, "pretrain --corpus-dir {tmp}/corpus --out {tmp}/m.ckpt --clip-norm nan", 2,
+            "clip_norm must be > 0", id="pretrain-clip-norm-nan",
+        ),
+        pytest.param(
+            {}, "pretrain --corpus-dir {tmp}/corpus --out {tmp}/m.ckpt --learning-rate inf", 2,
+            "learning_rate must be > 0 and finite", id="pretrain-learning-rate-inf",
+        ),
+        pytest.param(
+            {"bad.spec": "CURRICULA-SPEC v1\ncorpus.toy = copy\nstrategies = shuffle_once\n"
+                         "trainer.preset = tiny\ntrain.learning_rate = nan\n"
+                         "output_dir = {tmp}/run\n"},
+            "experiment --spec {tmp}/bad.spec", 2, "learning_rate must be > 0 and finite",
+            id="spec-learning-rate-nan",
         ),
         pytest.param(
             {}, "corpus --out-dir {tmp}/c", 2, "train_src", id="corpus-no-input",
@@ -620,10 +671,42 @@ def test_cli_bad_input_exits_with_its_error_code(
     shutil.copytree(cli_corpus, tmp_path / "corpus")
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text.format(tmp=tmp_path))
     capsys.readouterr()
     assert cli_main(argv.format(tmp=tmp_path).split()) == code
     assert message in capsys.readouterr().err
+
+
+def test_cli_order_writes_a_plan_for_every_strategy_token(tmp_path, cli_corpus):
+    lengths = length_scores(load_corpus_dir(cli_corpus).splits["train"], "source")
+    for metric in ("ppl", "bleu"):  # any values of the right metric serve
+        replace(lengths, metric=metric).save(tmp_path / f"{metric}.txt")
+    plan = tmp_path / "plan.txt"
+    for strategy in table_one_strategies():
+        token = strategy.token()
+        model_based = strategy.kind in ("ppl", "bleu")
+        scores = ["--scores", tmp_path / f"{strategy.kind}.txt"] if model_based else []
+        argv = ["order", "--corpus-dir", cli_corpus, "--strategy", token, *scores,
+                "--epochs", 2, "--out", plan]
+        assert cli_main([str(a) for a in argv]) == 0
+        assert plan.read_text().startswith(f"CURRICULA-ORDER v1 {token} ")
+        assert OrderingPlan.load(plan).strategy == strategy
+
+
+def test_cli_score_writes_a_table_for_every_metric_name(tmp_path, cli_corpus):
+    data = load_corpus_dir(cli_corpus)
+    config = ModelConfig.preset("tiny", len(data.src_vocab), len(data.tgt_vocab))
+    save_checkpoint(ModelCheckpoint(
+        config, init_params(config, seed=1),
+        data.src_vocab.fingerprint(), data.tgt_vocab.fingerprint(),
+    ), tmp_path / "m.ckpt")
+    out = tmp_path / "s.txt"
+    for metric in ("length:source", "length:target", "xent", "ppl", "bleu"):
+        argv = ["score", "--corpus-dir", cli_corpus, "--metric", metric, "--split", "test",
+                "--ckpt", tmp_path / "m.ckpt", "--out", out]
+        assert cli_main([str(a) for a in argv]) == 0
+        table = ScoreTable.load(out)
+        assert table.metric == metric and table.indices() == data.splits["test"].indices()
 
 
 @pytest.mark.parametrize(
@@ -633,7 +716,7 @@ def test_cli_bad_input_exits_with_its_error_code(
         pytest.param("corpus/src.vocab", None, _SCORE, 3, id="vocabulary"),
         pytest.param(
             "scores.txt", b"CURRICULA-SCORES v1 length:source none\n0\t\xff\n",
-            _ORDER + " length --side source --direction asc --scores {tmp}/scores.txt",
+            _ORDER + " length:source:asc --scores {tmp}/scores.txt",
             3, id="score-table",
         ),
         pytest.param(
@@ -763,7 +846,7 @@ def test_overflowing_perplexity_fails_ppl_scoring_and_evaluates_to_inf(
     first = data.encoded["train"][0].index
     assert f"non-finite score at index {first}" in capsys.readouterr().err
     assert not out.exists()
-    assert cli_main(["eval", "--max-decode-len", "4", *corpus]) == 0
+    assert cli_main(["eval", *corpus]) == 0
     assert capsys.readouterr().out.startswith("ppl=inf bleu=")
 
 

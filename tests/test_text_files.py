@@ -117,9 +117,8 @@ _CORPUS_FILES = [f"{part}.{side}" for part in ("train", "val", "test") for side 
 _COMMANDS = {
     "report.tsv": "report --run-dir {dir} --format tsv",
     "scores_length-source.txt": (
-        "order --corpus-dir {run}/corpus --strategy length --side source "
-        "--direction asc --scores {dir}/scores_length-source.txt --epochs 1 "
-        "--out {dir}/plan.txt"
+        "order --corpus-dir {run}/corpus --strategy length:source:asc "
+        "--scores {dir}/scores_length-source.txt --epochs 1 --out {dir}/plan.txt"
     ),
     "plan_length-source-asc.txt": (
         "train --corpus-dir {run}/corpus --plan {dir}/plan_length-source-asc.txt "
@@ -185,8 +184,8 @@ _MALFORMED = {
     ),
     "score table": (
         "CURRICULA-SCORES v1 length:source none\n0\t1.0\n1 2.0\n", 3, DataError,
-        "order --corpus-dir {run}/corpus --strategy length --side source "
-        "--direction asc --scores {path} --epochs 1 --out {dir}/plan.txt", 3,
+        "order --corpus-dir {run}/corpus --strategy length:source:asc "
+        "--scores {path} --epochs 1 --out {dir}/plan.txt", 3,
     ),
     "plan": (
         "CURRICULA-ORDER v1 shuffle_once 0 1\n\n0 1 x\n", 3, DataError,

@@ -239,12 +239,15 @@ def test_adam_shape_mismatch_rejected():
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=0.0)
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            TrainConfig(learning_rate=bad)
     with pytest.raises(ConfigError):
         TrainConfig(patience=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(clip_norm=0.0)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ConfigError):
+            TrainConfig(clip_norm=bad)
+    TrainConfig(clip_norm=math.inf)  # a norm that never clips
 
 
 # ---------------------------------------------------------------------------
