@@ -8,10 +8,11 @@ import numpy as np
 from curricula import (
     Strategy,
     build_vocab,
+    encode_corpus,
     generate_toy_corpus,
-    length_scores,
     make_ordering,
     schedule_batches,
+    score_corpus,
     table_one_strategies,
     verify_plan,
 )
@@ -26,8 +27,10 @@ print("first pair:", " ".join(train[0].src_tokens), "->", " ".join(train[0].tgt_
 vocab = build_vocab(train, "source", min_count=1)
 print(f"source vocabulary: {len(vocab)} entries (4 specials)")
 
-# Length is the only metric that needs no model; sort ascending by source length.
-lengths = length_scores(train, "source")
+# Length is the only metric that needs no model (None); sort ascending by
+# source length, counted in the encoded pairs.
+encoded = encode_corpus(train, vocab, build_vocab(train, "target", min_count=1))
+lengths = score_corpus(None, encoded, "length:source")
 plan = make_ordering(
     Strategy("length", side="source", direction="asc"),
     lengths,

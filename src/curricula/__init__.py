@@ -40,10 +40,8 @@ from .harness import (
 from .metrics import (
     PairScore,
     ScoreTable,
-    length_scores,
     pair_bleu,
     pair_cross_entropy,
-    pair_length,
     pair_perplexity,
     score_corpus,
     sentence_bleu,

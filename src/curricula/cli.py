@@ -11,7 +11,8 @@ from files whose filter dropped lines (`corpus/` renumbers the pairs that
 remain). Train and corpus flags come from the spec key tables of `harness`,
 and `order --strategy` and `score --metric` take the tokens that spec
 `strategies` lines, plan headers and score-table headers hold
-(`ppl:asc`, `length:source`).
+(`ppl:asc`, `length:source`). A stage refuses an input it would not use,
+such as `score --ckpt` with a length metric, before it opens any file.
 Exit codes: 0 success, 2 configuration error (a bad spec among them), 3 data
 error (any other bad file), 4 numerical error.
 """
@@ -43,10 +44,9 @@ from .harness import (
     report_from_tsv,
     run_experiment,
     save_corpus_dir,
-    score_table,
     train_model,
 )
-from .metrics import ScoreTable
+from .metrics import MODEL_METRICS, ScoreTable, needs_scorer, score_corpus
 from .ordering import OrderingPlan, parse_strategy
 from .trainer import TrainConfig
 
@@ -91,9 +91,14 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    model_metric = needs_scorer(args.metric)
+    if model_metric and not args.ckpt:
+        raise ConfigError(f"{args.metric} scores need --ckpt, a scorer checkpoint")
+    if args.ckpt and not model_metric:
+        raise ConfigError(f"{args.metric} scores count tokens and take no --ckpt")
     data = load_corpus_dir(args.corpus_dir)
     scorer = load_checkpoint(args.ckpt) if args.ckpt else None
-    table = score_table(data, args.metric, scorer, args.split)
+    table = score_corpus(scorer, data.encoded[args.split], args.metric)
     table.save(args.out)
     print(f"{len(table)} {table.metric} scores written to {args.out}")
     return 0
@@ -101,14 +106,21 @@ def _cmd_score(args) -> int:
 
 def _cmd_order(args) -> int:
     strategy = parse_strategy(args.strategy)
-    data = load_corpus_dir(args.corpus_dir)
     metric = strategy.required_metric
-    if metric is None:
-        table = None
-    elif args.scores:
+    if metric is None and args.scores:
+        raise ConfigError(f"{strategy.token()} orders by no scores and takes no --scores")
+    if metric in MODEL_METRICS and not args.scores:
+        raise ConfigError(
+            f"{strategy.token()} orders by {metric} scores: pass --scores, a table "
+            "that `curricula score` wrote"
+        )
+    data = load_corpus_dir(args.corpus_dir)
+    if args.scores:
         table = ScoreTable.load(args.scores)
+    elif metric is not None:  # a length table comes from the corpus directory
+        table = score_corpus(None, data.encoded["train"], metric)
     else:
-        table = score_table(data, metric)
+        table = None
     plan = make_plan(strategy, table, data, args.epochs, args.seed)
     plan.save(args.out)
     print(f"plan for {strategy.token()} over {args.epochs} epochs written to {args.out}")

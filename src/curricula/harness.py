@@ -4,9 +4,10 @@ specs and results tables.
 Each pipeline stage is one function here, and it owns its checks, its file
 layout and the derivation of its working seeds from the experiment seed:
 `prepare_data`, `save_corpus_dir`/`load_corpus_dir`, `pretrain_scorer`,
-`score_table`, `make_plan`, `init_trainer`, `train_model` and
-`evaluate_split`. `run_experiment` composes them, and the command line
-calls the same functions one stage at a time.
+`make_plan`, `init_trainer`, `train_model` and `evaluate_split`. Scoring
+is `metrics.score_corpus` over a split's encoded pairs, with the scorer
+checkpoint or, for a length metric, none. `run_experiment` composes them,
+and the command line calls the same functions one stage at a time.
 
 The spec keys of `CorpusSpec` and `TrainConfig` are listed once, in tables
 that the spec writer, the spec reader and the command-line flags all read.
@@ -43,7 +44,7 @@ from .corpus import (
 from .checkpoint import ModelCheckpoint, save_checkpoint
 from .errors import ConfigError, CurriculaError, DataError
 from .evaluate import evaluate_model
-from .metrics import ScoreTable, _workers, length_scores, score_corpus
+from .metrics import MODEL_METRICS, ScoreTable, _workers, score_corpus
 from .ordering import (
     Strategy,
     make_ordering,
@@ -185,6 +186,11 @@ class CorpusSpec:
     # vocabulary
     min_count: int = 1
 
+    def __post_init__(self):
+        # written so that NaN fails: every comparison with NaN is false
+        if not 0.0 <= self.noise <= 1.0:
+            raise ConfigError(f"corpus.noise must be in [0, 1], got {self.noise}")
+
 
 FILE_KEYS = ("train_src", "train_tgt", "val_src", "val_tgt", "test_src", "test_tgt")
 
@@ -233,11 +239,13 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.strategies:
             raise ConfigError("an experiment needs at least one strategy")
-        tokens = [s.token() for s in self.strategies]
-        if len(set(tokens)) != len(tokens):
+        if len(set(self.strategies)) != len(self.strategies):
             raise ConfigError("strategies must be unique")
-        needs_scorer = any(s.kind in ("ppl", "bleu") for s in self.strategies)
-        if needs_scorer and not self.scorer_presets:
+        if len(set(self.scorer_presets)) != len(self.scorer_presets):
+            raise ConfigError("scorer presets must be unique")
+        if not self.scorer_presets and any(
+            s.required_metric in MODEL_METRICS for s in self.strategies
+        ):
             raise ConfigError("ppl/bleu strategies need at least one scorer preset")
         for preset in (self.trainer_preset, *self.scorer_presets):
             ModelConfig.preset(preset, 1, 1)  # fails on an unknown name
@@ -498,20 +506,6 @@ def pretrain_scorer(
     return ckpt, epochs
 
 
-def score_table(data: PreparedData, metric: str, scorer=None, split="train") -> ScoreTable:
-    """Score every pair of a split: `length:source` and `length:target` count
-    tokens, and `xent`, `ppl` and `bleu` run the scorer checkpoint."""
-    if metric in ("length:source", "length:target"):
-        return length_scores(data.splits[split], metric.split(":", 1)[1])
-    if metric not in ("xent", "ppl", "bleu"):
-        raise ConfigError(
-            f"unknown metric {metric!r}; expected length:source, length:target, xent, ppl or bleu"
-        )
-    if scorer is None:
-        raise ConfigError(f"{metric} scores need a scorer checkpoint or a saved table")
-    return score_corpus(scorer, data.encoded[split], metric)
-
-
 def make_plan(strategy: Strategy, table, data: PreparedData, epochs: int, seed: int):
     """The strategy's ordering of the training split, verified against the
     score table."""
@@ -555,7 +549,7 @@ def _strategy_rows(spec: ExperimentSpec) -> list[tuple[Strategy, str]]:
     """(strategy, scorer preset) per report row; 'none' when no model is used."""
     rows = []
     for strategy in spec.strategies:
-        if strategy.kind in ("ppl", "bleu"):
+        if strategy.required_metric in MODEL_METRICS:
             for preset in spec.scorer_presets:
                 rows.append((strategy, preset))
         else:
@@ -620,7 +614,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             return None
         key = (metric, scorer)
         if key not in tables:
-            table = score_table(data, metric, scorers.get(scorer))
+            table = score_corpus(scorers.get(scorer), data.encoded["train"], metric)
             table.save(out / f"scores_{_file_token(metric, scorer)}.txt")
             tables[key] = table
         return tables[key]
@@ -714,12 +708,16 @@ def run_directional_sanity(
     delta. The delta's sign is informative, not asserted: this exists to
     exercise the comparison pipeline end to end.
     """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ConfigError("the directional sanity experiment needs at least one seed")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if train is None:
         train = TrainConfig(
             learning_rate=1e-3, batch_size=16, max_epochs=20, patience=20, seed=0
         )
+    ascending = Strategy("ppl", direction="asc")
     asc_bleus, shuffle_bleus, lines = [], [], []
     lines.append("seed\tstrategy\tscorer\tepochs\ttest_ppl\ttest_bleu\treport")
     for seed in seeds:
@@ -728,7 +726,7 @@ def run_directional_sanity(
                 toy_task="reverse", size=size, vocab=vocab,
                 min_len=min_len, max_len=max_len, noise=noise, seed=seed,
             ),
-            strategies=(Strategy("ppl", direction="asc"), Strategy("shuffle_once")),
+            strategies=(ascending, Strategy("shuffle_once")),
             scorer_presets=(preset,),
             trainer_preset=preset,
             train=train,
@@ -742,7 +740,7 @@ def run_directional_sanity(
                 f"\t{row.test_perplexity!r}\t{row.test_bleu!r}"
                 f"\t{(spec.output_dir / 'report.tsv').relative_to(out)}"
             )
-            if row.strategy.startswith("Ascending PPL"):
+            if row.strategy == ascending.label():
                 asc_bleus.append(row.test_bleu)
             else:
                 shuffle_bleus.append(row.test_bleu)
@@ -754,7 +752,7 @@ def run_directional_sanity(
     lines.append(f"# delta\t{delta!r}")
     write_file(out / "directional_sanity.tsv", "\n".join(lines) + "\n")
     return {
-        "seeds": tuple(seeds),
+        "seeds": seeds,
         "mean_bleu_ppl_asc": mean_asc,
         "mean_bleu_shuffle_once": mean_shuffle,
         "delta": delta,

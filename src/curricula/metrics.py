@@ -1,4 +1,6 @@
 """Per-pair difficulty metrics: length, cross-entropy/perplexity, BLEU.
+`score_corpus` scores all five: `length:source` and `length:target` count
+tokens, and the `MODEL_METRICS` run a scorer checkpoint (`needs_scorer`).
 
 Cross-entropy is the teacher-forced mean negative log2-probability per
 target token, so perplexity `2 ** H` lands in the familiar per-token range.
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import ModelCheckpoint
-from .corpus import EncodedPair, ParallelCorpus, SentencePair, TextFile, TextLines
+from .corpus import EncodedPair, TextFile, TextLines
 from .errors import ConfigError, DataError, FingerprintError
 from .runtime import environment
 from .seq2seq import (
@@ -53,6 +55,9 @@ SCORES_HEADER = "CURRICULA-SCORES v1"
 BLEU_ORDER = 4
 
 SCORE_DIGITS = 9  # of a persisted score
+
+MODEL_METRICS = ("xent", "ppl", "bleu")
+METRICS = ("length:source", "length:target", *MODEL_METRICS)
 
 
 @dataclass(frozen=True)
@@ -147,15 +152,6 @@ def pair_perplexity(model: ModelCheckpoint, pair: EncodedPair) -> float:
     return perplexity(pair_cross_entropy(model, pair))
 
 
-def pair_length(pair: SentencePair, side: str) -> int:
-    """Token count on one side, specials excluded (pairs store raw tokens)."""
-    if side == "source":
-        return len(pair.src_tokens)
-    if side == "target":
-        return len(pair.tgt_tokens)
-    raise ConfigError(f"side must be 'source' or 'target', got {side!r}")
-
-
 def _ngram_counts(seq, n: int) -> Counter:
     return Counter(tuple(seq[i : i + n]) for i in range(len(seq) - n + 1))
 
@@ -217,38 +213,47 @@ def pair_bleu(model: ModelCheckpoint, pair: EncodedPair) -> float:
     return sentence_bleu(decoded, reference)
 
 
-def length_scores(corpus: ParallelCorpus, side: str) -> ScoreTable:
-    return ScoreTable(
-        metric=f"length:{side}",
-        scorer_fingerprint="none",
-        scores=tuple(
-            PairScore(p.index, float(pair_length(p, side))) for p in corpus.pairs
-        ),
-    )
+def needs_scorer(metric: str) -> bool:
+    """Whether a score-table metric runs a scorer model; refuses any name
+    that is not one of `METRICS`."""
+    if metric not in METRICS:
+        raise ConfigError(f"unknown metric {metric!r}; expected "
+                          f"{', '.join(METRICS[:-1])} or {METRICS[-1]}")
+    return metric in MODEL_METRICS
 
 
-def score_corpus(model: ModelCheckpoint, pairs, metric: str) -> ScoreTable:
-    """Score every encoded pair with one model-based metric.
+def score_corpus(model: ModelCheckpoint | None, pairs, metric: str) -> ScoreTable:
+    """Score every encoded pair with one metric of `METRICS`.
 
-    Pairs are independent of each other, and each gets the bits that
-    scoring it alone gives; results are emitted in corpus-index order
-    whatever order they were supplied in.
+    A length metric counts the source tokens or the target tokens without
+    EOS, and takes no model (its table's scorer is `none`); `xent`, `ppl`
+    and `bleu` need one. Pairs are independent of each other, and each gets
+    the bits that scoring it alone gives; results are emitted in
+    corpus-index order whatever order they were supplied in.
     """
-    if metric not in ("xent", "ppl", "bleu"):
-        raise ConfigError(f"unknown model metric {metric!r}; use xent, ppl or bleu")
     pairs = list(pairs)
-    _check_fingerprints(model, pairs)
-    if metric == "bleu":
-        references = [reference_ids(p) for p in pairs]
-        decoded = decode_pairs(model.params, model.config, pairs)
-        values = [sentence_bleu(d, r) for d, r in zip(decoded, references)]
+    if not needs_scorer(metric):
+        if model is not None:
+            raise ConfigError(f"{metric} scores count tokens and take no model")
+        scorer = "none"
+        values = [len(p.src_ids) if metric == "length:source" else len(p.tgt_out_ids) - 1
+                  for p in pairs]
+    elif model is None:
+        raise ConfigError(f"{metric} scores need a scorer model")
     else:
-        entropies, _ = corpus_cross_entropy(model.params, model.config, pairs)
-        values = [float(h) if metric == "xent" else perplexity(h) for h in entropies]
+        _check_fingerprints(model, pairs)
+        scorer = model.fingerprint
+        if metric == "bleu":
+            references = [reference_ids(p) for p in pairs]
+            decoded = decode_pairs(model.params, model.config, pairs)
+            values = [sentence_bleu(d, r) for d, r in zip(decoded, references)]
+        else:
+            entropies, _ = corpus_cross_entropy(model.params, model.config, pairs)
+            values = [h if metric == "xent" else perplexity(h) for h in entropies]
     return ScoreTable(
         metric=metric,
-        scorer_fingerprint=model.fingerprint,
-        scores=tuple(PairScore(p.index, v) for p, v in zip(pairs, values)),
+        scorer_fingerprint=scorer,
+        scores=tuple(PairScore(p.index, float(v)) for p, v in zip(pairs, values)),
     )
 
 

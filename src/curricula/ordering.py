@@ -14,46 +14,52 @@ shared `TextLines`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .corpus import TextFile, TextLines
 from .errors import ConfigError, CoverageError, MetricMismatchError
-from .metrics import ScoreTable
+from .metrics import MODEL_METRICS, ScoreTable
 from .rng import make_rng
 
 ORDER_HEADER = "CURRICULA-ORDER v1"
 
-_SIDES = ("source", "target")
-_DIRECTIONS = ("asc", "desc")
+# The ten patterns in their customary reporting order: (kind, side,
+# direction), then the token that files and the command line hold, then the
+# results-table label.
+_PATTERNS = {
+    ("shuffle_every_epoch", None, None): ("shuffle_every_epoch", "Random Shuffle every epoch"),
+    ("shuffle_once", None, None): ("shuffle_once", "Random Shuffle once"),
+    ("length", "source", "asc"): (
+        "length:source:asc", "Ascending Sequence Length Order for source language"),
+    ("length", "source", "desc"): (
+        "length:source:desc", "Descending Sequence Length Order for source language"),
+    ("length", "target", "asc"): (
+        "length:target:asc", "Ascending Sequence Length Order for target language"),
+    ("length", "target", "desc"): (
+        "length:target:desc", "Descending Sequence Length Order for target language"),
+    ("ppl", None, "asc"): ("ppl:asc", "Ascending PPL Order"),
+    ("ppl", None, "desc"): ("ppl:desc", "Descending PPL Order"),
+    ("bleu", None, "asc"): ("bleu:asc", "Ascending BLEU Order"),
+    ("bleu", None, "desc"): ("bleu:desc", "Descending BLEU Order"),
+}
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """One of the ten ordering patterns.
-
-    kind: shuffle_every_epoch | shuffle_once | length | ppl | bleu.
-    Metric kinds carry a direction (and a side, for length); shuffle kinds
-    draw from the seed passed to `make_ordering`.
-    """
+    """One of the ten ordering patterns of `_PATTERNS`. Metric kinds carry a
+    direction (and a side, for length); shuffle kinds draw from the seed
+    passed to `make_ordering`."""
 
     kind: str
     side: str | None = None
     direction: str | None = None
 
     def __post_init__(self):
-        if self.kind in ("shuffle_every_epoch", "shuffle_once"):
-            if self.side is not None or self.direction is not None:
-                raise ConfigError(f"{self.kind} takes no side/direction")
-        elif self.kind == "length":
-            if self.side not in _SIDES or self.direction not in _DIRECTIONS:
-                raise ConfigError("length strategy needs side and direction")
-        elif self.kind in ("ppl", "bleu"):
-            if self.side is not None or self.direction not in _DIRECTIONS:
-                raise ConfigError(f"{self.kind} strategy needs a direction only")
-        else:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}")
+        if astuple(self) not in _PATTERNS:
+            raise ConfigError(f"(kind, side, direction) {astuple(self)} is none of the "
+                              "ten ordering patterns")
 
     @property
     def is_fixed(self) -> bool:
@@ -64,55 +70,32 @@ class Strategy:
     def required_metric(self) -> str | None:
         if self.kind == "length":
             return f"length:{self.side}"
-        if self.kind in ("ppl", "bleu"):
+        if self.kind in MODEL_METRICS:
             return self.kind
         return None
 
     def token(self) -> str:
         """Compact single-word form used in files and on the command line."""
-        if self.kind in ("shuffle_every_epoch", "shuffle_once"):
-            return self.kind
-        if self.kind == "length":
-            return f"length:{self.side}:{self.direction}"
-        return f"{self.kind}:{self.direction}"
+        return _PATTERNS[astuple(self)][0]
 
     def label(self) -> str:
         """Human-readable row name matching the usual results-table wording."""
-        if self.kind == "shuffle_every_epoch":
-            return "Random Shuffle every epoch"
-        if self.kind == "shuffle_once":
-            return "Random Shuffle once"
-        direction = "Ascending" if self.direction == "asc" else "Descending"
-        if self.kind == "length":
-            return f"{direction} Sequence Length Order for {self.side} language"
-        name = "PPL" if self.kind == "ppl" else "BLEU"
-        return f"{direction} {name} Order"
+        return _PATTERNS[astuple(self)][1]
 
 
 def parse_strategy(token: str) -> Strategy:
     """The strategy whose `token()` is `token`."""
-    tokens = {s.token(): s for s in table_one_strategies()}
-    if token not in tokens:
+    keys = {t: key for key, (t, _) in _PATTERNS.items()}
+    if token not in keys:
         raise ConfigError(
-            f"cannot parse strategy token {token!r}; expected one of {', '.join(tokens)}"
+            f"cannot parse strategy token {token!r}; expected one of {', '.join(keys)}"
         )
-    return tokens[token]
+    return Strategy(*keys[token])
 
 
 def table_one_strategies() -> tuple[Strategy, ...]:
     """The ten patterns in their customary reporting order."""
-    return (
-        Strategy("shuffle_every_epoch"),
-        Strategy("shuffle_once"),
-        Strategy("length", side="source", direction="asc"),
-        Strategy("length", side="source", direction="desc"),
-        Strategy("length", side="target", direction="asc"),
-        Strategy("length", side="target", direction="desc"),
-        Strategy("ppl", direction="asc"),
-        Strategy("ppl", direction="desc"),
-        Strategy("bleu", direction="asc"),
-        Strategy("bleu", direction="desc"),
-    )
+    return tuple(Strategy(*key) for key in _PATTERNS)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from curricula.checkpoint import (
 )
 from curricula.errors import CheckpointFormatError, ConfigError, DataError
 from curricula.evaluate import EvalResult
-from curricula.metrics import ScoreTable, length_scores
+from curricula.metrics import ScoreTable, score_corpus
 from curricula.harness import (
     CorpusSpec,
     ExperimentReport,
@@ -33,6 +33,7 @@ from curricula.harness import (
     report_from_tsv,
     report_to_markdown,
     report_to_tsv,
+    run_directional_sanity,
     run_experiment,
     spec_from_text,
     spec_to_text,
@@ -171,6 +172,24 @@ def test_spec_rejects_bad_header_and_unknown_keys():
 def test_spec_requires_unique_strategies(tmp_path):
     with pytest.raises(ConfigError):
         tiny_spec(tmp_path, strategies=[Strategy("shuffle_once")] * 2)
+
+
+def test_cli_refuses_duplicate_scorer_presets_before_writing(tmp_path, capsys):
+    path = tmp_path / "dup.spec"
+    path.write_text(
+        "CURRICULA-SPEC v1\ncorpus.toy = reverse\ncorpus.size = 60\nstrategies = ppl:asc\n"
+        f"scorer.presets = tiny tiny\ntrainer.preset = tiny\noutput_dir = {tmp_path / 'run'}\n"
+    )
+    capsys.readouterr()
+    assert cli_main(["experiment", "--spec", str(path)]) == 2
+    assert f"{path}: scorer presets must be unique" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_directional_sanity_refuses_no_seeds_before_writing(tmp_path):
+    with pytest.raises(ConfigError, match="needs at least one seed"):
+        run_directional_sanity(tmp_path / "sanity", seeds=())
+    assert not (tmp_path / "sanity").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +581,12 @@ def test_readme_command_lines_parse():
 def test_cli_refuses_label_noise_outside_the_unit_interval_before_writing(
     tmp_path, capsys, noise
 ):
-    spec = tiny_spec(tmp_path, noise=noise)
+    spec = tiny_spec(tmp_path, noise=0.5)  # a spec cannot be built with a bad noise
     path = tmp_path / "bad.spec"
-    path.write_text(spec_to_text(spec))
+    path.write_text(spec_to_text(spec).replace("corpus.noise = 0.5", f"corpus.noise = {noise!r}"))
     capsys.readouterr()
     assert cli_main(["experiment", "--spec", str(path)]) == 2
-    assert "fraction must be in [0, 1]" in capsys.readouterr().err
+    assert f"{path}: corpus.noise must be in [0, 1], got {noise}" in capsys.readouterr().err
     assert not spec.output_dir.exists()
 
 
@@ -643,6 +662,22 @@ _METRIC_NAMES = "length:source, length:target, xent, ppl or bleu"
             {}, _ORDER + " ppl", 2, "ppl:asc, ppl:desc", id="order-ppl-no-direction",
         ),
         pytest.param({}, _ORDER + " ppl:asc", 2, "ppl scores", id="order-ppl-no-scores"),
+        pytest.param(
+            {}, _ORDER + " shuffle_once --scores {tmp}/nosuch.txt", 2, "takes no --scores",
+            id="order-shuffle-with-scores",
+        ),
+        pytest.param(
+            {}, _SCORE + " --ckpt {tmp}/nosuch.ckpt", 2, "length:source scores count tokens "
+            "and take no --ckpt", id="score-length-with-ckpt",
+        ),
+        pytest.param(
+            {}, _SCORE_METRIC + " foo --ckpt {tmp}/nosuch.ckpt", 2, _METRIC_NAMES,
+            id="score-unknown-metric-with-ckpt",
+        ),
+        pytest.param(
+            {}, _SCORE_METRIC + " ppl", 2, "ppl scores need --ckpt, a scorer checkpoint",
+            id="score-ppl-no-ckpt",
+        ),
         pytest.param({}, _SCORE_METRIC + " length", 2, _METRIC_NAMES, id="score-length-bare"),
         pytest.param({}, _SCORE_METRIC + " foo", 2, _METRIC_NAMES, id="score-unknown-metric"),
         pytest.param(
@@ -659,6 +694,13 @@ _METRIC_NAMES = "length:source, length:target, xent, ppl or bleu"
                          "output_dir = {tmp}/run\n"},
             "experiment --spec {tmp}/bad.spec", 2, "learning_rate must be > 0 and finite",
             id="spec-learning-rate-nan",
+        ),
+        pytest.param(
+            {"bad.spec": "CURRICULA-SPEC v1\ncorpus.toy = copy\ncorpus.noise = -0.5\n"
+                         "strategies = shuffle_once\ntrainer.preset = tiny\n"
+                         "output_dir = {tmp}/run\n"},
+            "experiment --spec {tmp}/bad.spec", 2,
+            "bad.spec: corpus.noise must be in [0, 1], got -0.5", id="spec-noise-negative",
         ),
         pytest.param(
             {}, "corpus --out-dir {tmp}/c", 2, "train_src", id="corpus-no-input",
@@ -678,7 +720,7 @@ def test_cli_bad_input_exits_with_its_error_code(
 
 
 def test_cli_order_writes_a_plan_for_every_strategy_token(tmp_path, cli_corpus):
-    lengths = length_scores(load_corpus_dir(cli_corpus).splits["train"], "source")
+    lengths = score_corpus(None, load_corpus_dir(cli_corpus).encoded["train"], "length:source")
     for metric in ("ppl", "bleu"):  # any values of the right metric serve
         replace(lengths, metric=metric).save(tmp_path / f"{metric}.txt")
     plan = tmp_path / "plan.txt"
@@ -702,8 +744,9 @@ def test_cli_score_writes_a_table_for_every_metric_name(tmp_path, cli_corpus):
     ), tmp_path / "m.ckpt")
     out = tmp_path / "s.txt"
     for metric in ("length:source", "length:target", "xent", "ppl", "bleu"):
+        ckpt = [] if metric.startswith("length") else ["--ckpt", tmp_path / "m.ckpt"]
         argv = ["score", "--corpus-dir", cli_corpus, "--metric", metric, "--split", "test",
-                "--ckpt", tmp_path / "m.ckpt", "--out", out]
+                *ckpt, "--out", out]
         assert cli_main([str(a) for a in argv]) == 0
         table = ScoreTable.load(out)
         assert table.metric == metric and table.indices() == data.splits["test"].indices()

@@ -15,15 +15,13 @@ import pytest
 
 from conftest import overflowing_checkpoint, uniform_output_checkpoint
 from curricula.checkpoint import ModelCheckpoint
-from curricula.corpus import EOS_ID, SentencePair
+from curricula.corpus import EOS_ID, ParallelCorpus, SentencePair, build_vocab, encode_corpus
 from curricula.errors import ConfigError, DataError, EncodingError, FingerprintError
 from curricula.metrics import (
     ScoreTable,
     PairScore,
-    length_scores,
     pair_bleu,
     pair_cross_entropy,
-    pair_length,
     pair_perplexity,
     perplexity,
     score_corpus,
@@ -260,18 +258,24 @@ def test_pair_bleu_composes_decode_and_sentence_bleu(toy_data, tiny_checkpoint):
     assert pair_bleu(tiny_checkpoint, pair) == expected
 
 
-def test_pair_length_counts_raw_tokens():
-    pair = SentencePair(0, ("a", "b", "c"), ("x",))
-    assert pair_length(pair, "source") == 3
-    assert pair_length(pair, "target") == 1
-    with pytest.raises(ConfigError):
-        pair_length(pair, "both")
+def test_length_scores_count_raw_tokens():
+    corpus = ParallelCorpus((SentencePair(5, ("a", "b", "c"), ("x",)),))
+    (pair,) = encode_corpus(
+        corpus, build_vocab(corpus, "source", 1), build_vocab(corpus, "target", 1))
+    lengths = {
+        metric: score_corpus(None, [pair], metric).value_map()
+        for metric in ("length:source", "length:target")
+    }
+    assert lengths == {"length:source": {5: 3.0}, "length:target": {5: 1.0}}
+    for metric in ("length", "length:both", "foo"):
+        with pytest.raises(ConfigError, match="length:source, length:target, xent, ppl or bleu"):
+            score_corpus(None, [pair], metric)
 
 
 def test_post_filter_lengths_within_bounds(toy_data):
     for pair in toy_data["train"]:
-        assert 3 <= pair_length(pair, "source") <= 6
-        assert 3 <= pair_length(pair, "target") <= 6
+        assert 3 <= len(pair.src_tokens) <= 6
+        assert 3 <= len(pair.tgt_tokens) <= 6
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +283,23 @@ def test_post_filter_lengths_within_bounds(toy_data):
 # ---------------------------------------------------------------------------
 
 def test_length_scores_cover_corpus(toy_data):
-    table = length_scores(toy_data["train"], "source")
-    assert table.metric == "length:source"
-    assert table.scorer_fingerprint == "none"
-    assert table.indices() == toy_data["train"].indices()
+    for metric, side in (("length:source", "src_tokens"), ("length:target", "tgt_tokens")):
+        table = score_corpus(None, toy_data["train_enc"], metric)
+        assert table.metric == metric
+        assert table.scorer_fingerprint == "none"
+        assert table.indices() == toy_data["train"].indices()
+        assert table.value_map() == {
+            p.index: float(len(getattr(p, side))) for p in toy_data["train"]
+        }
+
+
+def test_score_corpus_takes_a_model_exactly_for_model_metrics(toy_data, tiny_checkpoint):
+    pairs = toy_data["train_enc"][:2]
+    with pytest.raises(ConfigError, match="length:source scores count tokens"):
+        score_corpus(tiny_checkpoint, pairs, "length:source")
+    for metric in ("xent", "ppl", "bleu"):
+        with pytest.raises(ConfigError, match=f"{metric} scores need a scorer model"):
+            score_corpus(None, pairs, metric)
 
 
 def test_score_corpus_records_model_fingerprint(toy_data, tiny_checkpoint):

@@ -193,6 +193,22 @@ def test_strategy_tokens_round_trip():
         assert parse_strategy(strategy.token()) == strategy
 
 
+@pytest.mark.parametrize(
+    "kind, side, direction",
+    [
+        ("length", None, "asc"),
+        ("length", "both", "asc"),
+        ("ppl", None, None),
+        ("ppl", "source", "asc"),
+        ("shuffle_once", None, "asc"),
+        ("foo", None, None),
+    ],
+)
+def test_strategy_outside_the_ten_patterns_is_refused(kind, side, direction):
+    with pytest.raises(ConfigError):
+        Strategy(kind, side=side, direction=direction)
+
+
 def test_strategy_labels_match_reporting_names():
     labels = [s.label() for s in table_one_strategies()]
     assert labels[0] == "Random Shuffle every epoch"

@@ -23,6 +23,7 @@ from curricula.errors import (
 )
 from curricula.corpus import build_vocab, encode_corpus
 from curricula.harness import generate_toy_corpus
+from curricula.metrics import score_corpus
 from curricula.ordering import Strategy, make_ordering
 from curricula.runtime import environment
 from curricula.seq2seq import (
@@ -314,9 +315,7 @@ def test_different_plans_diverge_but_each_reproduces(toy_data):
     plan_a = make_ordering(Strategy("shuffle_once"), None, list(by_index), 2, seed=1)
     plan_b = make_ordering(
         Strategy("length", side="source", direction="asc"),
-        __import__("curricula.metrics", fromlist=["length_scores"]).length_scores(
-            toy_data["train"], "source"
-        ),
+        score_corpus(None, toy_data["train_enc"], "length:source"),
         list(by_index), 2,
     )
     ckpt_a1, _, _ = fit(params, config, plan_a, toy_data["train_enc"],
