@@ -49,7 +49,7 @@ print("longest three sources:", [len(by_index[int(i)].src_tokens) for i in first
 
 # Minibatches are sliced from the fixed order sequentially, last short batch kept.
 schedule = schedule_batches(plan, batch_size=32)
-sizes = [len(b) for b in schedule.epochs[0]]
+sizes = [len(b) for b in schedule[0]]
 print("batch sizes per epoch:", sizes)
 
 # The two random baselines: a single shuffle vs a fresh shuffle every epoch.

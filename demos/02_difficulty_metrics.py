@@ -34,18 +34,18 @@ val_enc = encode_corpus(val, src_vocab, tgt_vocab)
 
 config = ModelConfig.preset("tiny", len(src_vocab), len(tgt_vocab))
 plan = make_ordering(Strategy("shuffle_every_epoch"), None, train.indices(), 8, seed=0)
-scorer, stats, best_epoch = fit(
+# The checkpoint takes its vocabulary fingerprints from the pairs, and its
+# history holds one record per epoch run.
+scorer, history, best_epoch = fit(
     init_params(config, seed=0),
     config,
     plan,
     train_enc,
     val_enc,
     TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=8, patience=8, seed=0),
-    src_vocab.fingerprint(),
-    tgt_vocab.fingerprint(),
 )
 print(f"\nscorer converged at epoch {best_epoch}, "
-      f"val ppl {stats[best_epoch - 1].val_perplexity:.2f}")
+      f"val ppl {history[best_epoch - 1]['val_perplexity']:.2f}")
 
 pair = train_enc[0]
 h = pair_cross_entropy(scorer, pair)

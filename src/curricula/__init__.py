@@ -47,7 +47,6 @@ from .metrics import (
     sentence_bleu,
 )
 from .ordering import (
-    BatchSchedule,
     OrderingPlan,
     PlanCheck,
     Strategy,
@@ -72,7 +71,6 @@ from .seq2seq import (
 )
 from .trainer import (
     AdamState,
-    EpochStats,
     TrainConfig,
     adam_step,
     fit,

@@ -2,17 +2,19 @@
 
 Subcommands mirror the pipeline stages: corpus, pretrain, score, order,
 train, eval, experiment, report. Each stage command is argument parsing
-around one stage function of `harness`, the same function that
-`run_experiment` calls, and `--seed` is the experiment seed from which
-that function derives its working seeds. Run with an experiment's seed and
-train flags over its `corpus/` directory, the stage commands therefore
-rewrite that experiment's artifacts byte for byte, unless the corpus came
-from files whose filter dropped lines (`corpus/` renumbers the pairs that
-remain). Train and corpus flags come from the spec key tables of `harness`,
-and `order --strategy` and `score --metric` take the tokens that spec
-`strategies` lines, plan headers and score-table headers hold
-(`ppl:asc`, `length:source`). A stage refuses an input it would not use,
-such as `score --ckpt` with a length metric, before it opens any file.
+around one stage function, the same function that `run_experiment` calls:
+a stage function of `harness`, `metrics.score_corpus` for score, or
+`evaluate.evaluate_model` for eval. `--seed` is the experiment seed from
+which a `harness` stage derives its working seeds. Run with an
+experiment's seed and train flags over its `corpus/` directory, the stage
+commands therefore rewrite that experiment's artifacts byte for byte,
+unless the corpus came from files whose filter dropped lines (`corpus/`
+renumbers the pairs that remain). Train and corpus flags come from the
+spec key tables of `harness`, and `order --strategy` and `score --metric`
+take the tokens that spec `strategies` lines, plan headers and
+score-table headers hold (`ppl:asc`, `length:source`). A stage refuses an
+input it would not use, such as `score --ckpt` with a length metric,
+before it opens any file.
 Exit codes: 0 success, 2 configuration error (a bad spec among them), 3 data
 error (any other bad file), 4 numerical error.
 """
@@ -26,6 +28,7 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import read_text
 from .errors import ConfigError, DataError, NumericalError
+from .evaluate import evaluate_model
 from .harness import (
     FILE_CORPUS_KEYS,
     MIN_COUNT,
@@ -33,7 +36,6 @@ from .harness import (
     TRAIN_KEYS,
     CorpusSpec,
     emit_report,
-    evaluate_split,
     init_trainer,
     load_corpus_dir,
     load_spec,
@@ -131,12 +133,11 @@ def _cmd_train(args) -> int:
     data = load_corpus_dir(args.corpus_dir)
     plan = OrderingPlan.load(args.plan)
     init = init_trainer(data, args.preset, args.seed)
-    ckpt, stats, epochs = train_model(init, plan, data, _train_config(args), args.seed)
+    ckpt, history, epochs = train_model(init, plan, data, _train_config(args), args.seed)
     save_checkpoint(ckpt, args.out)
-    last = stats[-1]
     print(
         f"trained {args.preset} on {plan.strategy.token()}: best epoch {epochs}, "
-        f"final train loss {last.train_loss:.4f} bits/token, saved to {args.out}"
+        f"final train loss {history[-1]['train_loss']:.4f} bits/token, saved to {args.out}"
     )
     return 0
 
@@ -144,7 +145,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     data = load_corpus_dir(args.corpus_dir)
     ckpt = load_checkpoint(args.ckpt)
-    print(evaluate_split(ckpt, data, args.split).to_line())
+    print(evaluate_model(ckpt, data.encoded[args.split]).to_line())
     return 0
 
 

@@ -4,10 +4,11 @@ specs and results tables.
 Each pipeline stage is one function here, and it owns its checks, its file
 layout and the derivation of its working seeds from the experiment seed:
 `prepare_data`, `save_corpus_dir`/`load_corpus_dir`, `pretrain_scorer`,
-`make_plan`, `init_trainer`, `train_model` and `evaluate_split`. Scoring
-is `metrics.score_corpus` over a split's encoded pairs, with the scorer
-checkpoint or, for a length metric, none. `run_experiment` composes them,
-and the command line calls the same functions one stage at a time.
+`make_plan`, `init_trainer` and `train_model`. Scoring and evaluation are
+`metrics.score_corpus` and `evaluate.evaluate_model` over a split's
+encoded pairs; scoring takes the scorer checkpoint or, for a length
+metric, none. `run_experiment` composes them, and the command line calls
+the same functions one stage at a time.
 
 The spec keys of `CorpusSpec` and `TrainConfig` are listed once, in tables
 that the spec writer, the spec reader and the command-line flags all read.
@@ -190,6 +191,9 @@ class CorpusSpec:
         # written so that NaN fails: every comparison with NaN is false
         if not 0.0 <= self.noise <= 1.0:
             raise ConfigError(f"corpus.noise must be in [0, 1], got {self.noise}")
+        file_keys = [k for k in (*FILE_KEYS, "take") if getattr(self, k) is not None]
+        if self.toy_task is not None and file_keys:
+            raise ConfigError(f"a toy corpus reads no files; drop {file_keys}")
 
 
 FILE_KEYS = ("train_src", "train_tgt", "val_src", "val_tgt", "test_src", "test_tgt")
@@ -285,6 +289,8 @@ def spec_from_text(text: str, source=None) -> ExperimentSpec:
             raise lines.fail(number, f"bad spec line (need 'key = value'): {line!r}")
         if key in kv:
             raise lines.fail(number, f"spec key {key} given twice, first on line {kv[key][0]}")
+        if not value:  # the writer writes none, and an empty output_dir is the cwd
+            raise lines.fail(number, f"spec key {key} has no value")
         kv[key] = number, value
 
     def pop(key, kind=str, default=None):
@@ -480,13 +486,6 @@ def load_corpus_dir(corpus_dir) -> PreparedData:
     return PreparedData(splits, *vocabs)
 
 
-def _fit(params, config: ModelConfig, plan, data: PreparedData, train: TrainConfig):
-    return fit(
-        params, config, plan, data.encoded["train"], data.encoded["val"], train,
-        data.src_vocab.fingerprint(), data.tgt_vocab.fingerprint(),
-    )
-
-
 def pretrain_scorer(
     data: PreparedData, preset: str, train: TrainConfig, seed: int
 ) -> tuple[ModelCheckpoint, int]:
@@ -502,7 +501,9 @@ def pretrain_scorer(
         seed=derive_seed("scorer-order", preset, seed),
     )
     scorer_train = replace(train, seed=derive_seed("scorer-train", preset, seed))
-    ckpt, _, epochs = _fit(params, config, plan, data, scorer_train)
+    ckpt, _, epochs = fit(
+        params, config, plan, data.encoded["train"], data.encoded["val"], scorer_train
+    )
     return ckpt, epochs
 
 
@@ -533,12 +534,9 @@ def init_trainer(data: PreparedData, preset: str, seed: int) -> ModelCheckpoint:
 def train_model(init: ModelCheckpoint, plan, data: PreparedData, train, seed: int):
     """Train from `init` along the plan; returns what `fit` returns."""
     row_train = replace(train, seed=derive_seed("trainer-run", seed))
-    return _fit(init.params, init.config, plan, data, row_train)
-
-
-def evaluate_split(ckpt, data: PreparedData, split="test"):
-    """Test perplexity and corpus BLEU of the checkpoint on one split."""
-    return evaluate_model(ckpt, data.encoded[split])
+    return fit(
+        init.params, init.config, plan, data.encoded["train"], data.encoded["val"], row_train
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +647,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
             ckpt, _, epochs = train_model(init_ckpt, plan, data, spec.train, spec.seed)
             save_checkpoint(ckpt, out / f"model_{name}.ckpt")
             stage = "evaluate"
-            result = evaluate_split(ckpt, data)
+            result = evaluate_model(ckpt, data.encoded["test"])
         except CurriculaError as exc:
             # the same class, so that the CLI's exit code still follows it,
             # with the same attributes, made without calling its __init__,

@@ -120,7 +120,10 @@ class ScoreTable(TextFile):
             return cls(metric=metric, scorer_fingerprint=scorer, scores=tuple(scores))
 
 
-def _check_fingerprints(model: ModelCheckpoint, pairs) -> None:
+def _check_fingerprints(model, pairs) -> None:
+    """Refuse any pair whose vocabulary fingerprints differ from those of
+    `model`: a checkpoint, or a pair that names the vocabularies a model is
+    trained on."""
     for pair in pairs:
         if (
             model.src_vocab_fingerprint != pair.src_vocab_fingerprint

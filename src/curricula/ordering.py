@@ -201,24 +201,15 @@ def make_ordering(
     return OrderingPlan(strategy=strategy, seed=seed, epoch_permutations=perms)
 
 
-@dataclass
-class BatchSchedule:
-    """Each epoch's permutation chunked sequentially into minibatches."""
-
-    epochs: tuple[tuple[np.ndarray, ...], ...]
-
-
-def schedule_batches(plan: OrderingPlan, batch_size: int) -> BatchSchedule:
-    """Chunk every epoch permutation in order; the last short batch is kept."""
+def schedule_batches(plan: OrderingPlan, batch_size: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Each epoch's permutation chunked in order into minibatches, a tuple of
+    batches per epoch; the last short batch is kept."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    epochs = []
-    for perm in plan.epoch_permutations:
-        batches = tuple(
-            perm[i : i + batch_size] for i in range(0, len(perm), batch_size)
-        )
-        epochs.append(batches)
-    return BatchSchedule(epochs=tuple(epochs))
+    return tuple(
+        tuple(perm[i : i + batch_size] for i in range(0, len(perm), batch_size))
+        for perm in plan.epoch_permutations
+    )
 
 
 @dataclass(frozen=True)

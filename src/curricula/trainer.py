@@ -5,7 +5,6 @@ perplexity and deterministic end-to-end behavior for a fixed seed.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from .checkpoint import ModelCheckpoint
 from .errors import ConfigError, NumericalError, StructuralError
-from .metrics import corpus_cross_entropy, perplexity
+from .metrics import _check_fingerprints, corpus_cross_entropy, perplexity
 from .ordering import OrderingPlan, schedule_batches
 from .rng import derive_seed
 from .seq2seq import ModelConfig, loss_and_gradients, make_batch
@@ -21,7 +20,6 @@ from .seq2seq import ModelConfig, loss_and_gradients, make_batch
 __all__ = [
     "TrainConfig",
     "AdamState",
-    "EpochStats",
     "ModelCheckpoint",
     "adam_step",
     "train_epoch",
@@ -72,14 +70,6 @@ class AdamState:
             v={k: np.zeros_like(p) for k, p in params.items()},
             t=0,
         )
-
-
-@dataclass
-class EpochStats:
-    epoch: int
-    train_loss: float  # mean of batch mean-losses, bits/token
-    val_perplexity: float | None = None
-    seconds: float = 0.0
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
@@ -177,14 +167,15 @@ def train_epoch(
     model_config: ModelConfig,
     config: TrainConfig,
     epoch: int,
-):
-    """One pass over the epoch's batches, in schedule order.
+) -> tuple[dict[str, np.ndarray], AdamState, float]:
+    """One pass over the epoch's batches, in schedule order. Returns the new
+    parameters, Adam's state and the train loss: the mean of the batches'
+    mean losses, in bits per token.
 
     Dropout masks derive from (seed, epoch, batch index), so rerunning an
     epoch reproduces it exactly. A step's gradients are released once Adam
     has used them; `params` is never written.
     """
-    started = time.perf_counter()
     losses = []
     for bi, batch_indices in enumerate(epoch_batches):
         batch = make_batch([pairs_by_index[int(i)] for i in batch_indices])
@@ -200,12 +191,7 @@ def train_epoch(
         losses.append(result.mean_loss)
         params, adam = adam_step(params, grads, adam, config)
         del result, grads  # not kept through the next batch's passes
-    stats = EpochStats(
-        epoch=epoch,
-        train_loss=float(np.mean(losses)),
-        seconds=time.perf_counter() - started,
-    )
-    return params, adam, stats
+    return params, adam, float(np.mean(losses))
 
 
 def validation_perplexity(params, model_config: ModelConfig, pairs) -> float:
@@ -222,15 +208,15 @@ def fit(
     train_pairs,
     val_pairs,
     config: TrainConfig,
-    src_vocab_fingerprint: str,
-    tgt_vocab_fingerprint: str,
-) -> tuple[ModelCheckpoint, list[EpochStats], int]:
+) -> tuple[ModelCheckpoint, tuple[dict, ...], int]:
     """Train along the plan, early-stopping on validation perplexity.
 
     Keeps the best epoch's parameters; stops after `patience` epochs without
-    improvement or at max_epochs. Returns (best checkpoint, per-epoch stats,
-    epochs to convergence = the best epoch's number, 0 if none had a finite
-    perplexity).
+    improvement or at max_epochs. Returns (best checkpoint, its history: an
+    `{"epoch", "train_loss", "val_perplexity"}` record per epoch run, epochs
+    to convergence = the best epoch's number, 0 if none had a finite
+    perplexity). The checkpoint carries the vocabulary fingerprints of the
+    pairs, which must all agree.
 
     `adam_step` never writes its input, so no parameters are copied: a fit
     holds the parameters, Adam's two moments, the best epoch's parameters
@@ -239,6 +225,8 @@ def fit(
     """
     if not val_pairs:
         raise ConfigError("fit requires a non-empty validation set")
+    vocabs = (train_pairs or val_pairs)[0]  # any pair names its vocabularies
+    _check_fingerprints(vocabs, (*train_pairs, *val_pairs))
     if plan.num_epochs < config.max_epochs:
         raise ConfigError(
             f"plan has {plan.num_epochs} epochs but max_epochs={config.max_epochs}"
@@ -258,21 +246,21 @@ def fit(
     best_epoch = 0
     best_params = init_params
     bad_streak = 0
-    all_stats: list[EpochStats] = []
+    history: list[dict] = []
     for epoch in range(1, config.max_epochs + 1):
-        latest["params"], adam, stats = train_epoch(
+        latest["params"], adam, train_loss = train_epoch(
             latest.pop("params"),
             adam,
-            schedule.epochs[epoch - 1],
+            schedule[epoch - 1],
             pairs_by_index,
             model_config,
             config,
             epoch,
         )
-        stats.val_perplexity = validation_perplexity(latest["params"], model_config, val_pairs)
-        all_stats.append(stats)
-        if stats.val_perplexity < best_ppl:
-            best_ppl = stats.val_perplexity
+        val_ppl = validation_perplexity(latest["params"], model_config, val_pairs)
+        history.append({"epoch": epoch, "train_loss": train_loss, "val_perplexity": val_ppl})
+        if val_ppl < best_ppl:
+            best_ppl = val_ppl
             best_epoch = epoch
             best_params = latest["params"]
             bad_streak = 0
@@ -280,21 +268,13 @@ def fit(
             bad_streak += 1
             if bad_streak >= config.patience:
                 break
-    history = tuple(
-        {
-            "epoch": s.epoch,
-            "train_loss": s.train_loss,
-            "val_perplexity": s.val_perplexity,
-        }
-        for s in all_stats
-    )
     if best_epoch == 0:  # the caller's arrays are not handed back
         best_params = {k: v.copy() for k, v in init_params.items()}
     ckpt = ModelCheckpoint(
         config=model_config,
         params=best_params,
-        src_vocab_fingerprint=src_vocab_fingerprint,
-        tgt_vocab_fingerprint=tgt_vocab_fingerprint,
-        history=history,
+        src_vocab_fingerprint=vocabs.src_vocab_fingerprint,
+        tgt_vocab_fingerprint=vocabs.tgt_vocab_fingerprint,
+        history=tuple(history),
     )
-    return ckpt, all_stats, best_epoch
+    return ckpt, ckpt.history, best_epoch

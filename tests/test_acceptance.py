@@ -356,21 +356,14 @@ def test_toy_learning_reverse_task():
     plan = make_ordering(
         Strategy("shuffle_every_epoch"), None, train.indices(), 30, seed=5
     )
-    ckpt, stats, best_epoch = fit(
-        init_params(config, seed=1),
-        config,
-        plan,
-        train_enc,
-        val_enc,
-        train_cfg,
-        src_vocab.fingerprint(),
-        tgt_vocab.fingerprint(),
+    ckpt, history, best_epoch = fit(
+        init_params(config, seed=1), config, plan, train_enc, val_enc, train_cfg
     )
     result = evaluate_model(ckpt, test_enc)
     elapsed = time.perf_counter() - started
     _report(
         "small preset learns the reverse task (test BLEU >= 0.90, <= 30 epochs)",
-        result.bleu >= 0.90 and len(stats) <= 30 and elapsed < 600,
+        result.bleu >= 0.90 and len(history) <= 30 and elapsed < 600,
         f"BLEU {result.bleu:.4f} at epoch {best_epoch}, {elapsed:.0f}s",
     )
 

@@ -392,16 +392,25 @@ def test_cli_pipeline(tmp_path, capsys):
     assert cli_main([
         "order", "--corpus-dir", str(corpus_dir), "--strategy", "ppl:asc",
         "--scores", str(scores_path),
-        "--epochs", "1", "--out", str(plan_path),
+        "--epochs", "3", "--out", str(plan_path),
     ]) == 0
     assert plan_path.read_text().startswith("CURRICULA-ORDER v1 ppl:asc ")
 
     model_path = tmp_path / "model.ckpt"
+    capsys.readouterr()
     assert cli_main([
         "train", "--corpus-dir", str(corpus_dir), "--plan", str(plan_path),
         "--preset", "tiny", "--learning-rate", "1e-3", "--batch-size", "16",
-        "--max-epochs", "1", "--out", str(model_path),
+        "--max-epochs", "3", "--out", str(model_path),
     ]) == 0
+    # the printed line reads the saved checkpoint's own history
+    history = load_checkpoint(model_path).history
+    best = min(history, key=lambda h: h["val_perplexity"])["epoch"]
+    assert capsys.readouterr().out == (
+        f"trained tiny on ppl:asc: best epoch {best}, final train loss "
+        f"{history[-1]['train_loss']:.4f} bits/token, saved to {model_path}\n"
+    )
+    assert len(history) == 3
 
     assert cli_main([
         "eval", "--corpus-dir", str(corpus_dir), "--ckpt", str(model_path),
@@ -705,18 +714,44 @@ _METRIC_NAMES = "length:source, length:target, xent, ppl or bleu"
         pytest.param(
             {}, "corpus --out-dir {tmp}/c", 2, "train_src", id="corpus-no-input",
         ),
+        pytest.param(
+            {"bad.spec": "CURRICULA-SPEC v1\ncorpus.toy = copy\nstrategies = shuffle_once\n"
+                         "trainer.preset = tiny\noutput_dir =\n"},
+            "experiment --spec {tmp}/bad.spec", 2,
+            "bad.spec:5: spec line 5: spec key output_dir has no value",
+            id="spec-empty-output-dir",
+        ),
+        pytest.param(
+            {"bad.spec": "CURRICULA-SPEC v1\ncorpus.train_src =\n"},
+            "experiment --spec {tmp}/bad.spec", 2,
+            "bad.spec:2: spec line 2: spec key corpus.train_src has no value",
+            id="spec-empty-corpus-path",
+        ),
+        pytest.param(
+            {}, "corpus --toy reverse --size 40 --train-src {tmp}/nosuch.src --out-dir {tmp}/c",
+            2, "a toy corpus reads no files; drop ['train_src']", id="corpus-toy-with-file",
+        ),
+        pytest.param(
+            {}, "corpus --toy reverse --take 3 --out-dir {tmp}/c", 2,
+            "a toy corpus reads no files; drop ['take']", id="corpus-toy-with-take",
+        ),
     ],
 )
 def test_cli_bad_input_exits_with_its_error_code(
-    tmp_path, cli_corpus, capsys, files, argv, code, message
+    tmp_path, cli_corpus, capsys, monkeypatch, files, argv, code, message
 ):
     shutil.copytree(cli_corpus, tmp_path / "corpus")
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text.format(tmp=tmp_path))
+    cwd = tmp_path / "cwd"  # a refused command writes nothing in the working directory
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     capsys.readouterr()
     assert cli_main(argv.format(tmp=tmp_path).split()) == code
     assert message in capsys.readouterr().err
+    assert not any(cwd.iterdir())
+    assert not (tmp_path / "c").exists()  # the corpus commands' --out-dir
 
 
 def test_cli_order_writes_a_plan_for_every_strategy_token(tmp_path, cli_corpus):

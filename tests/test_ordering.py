@@ -114,14 +114,14 @@ def test_schedule_chunks_sequentially():
         (np.array([4, 2, 0, 1, 3]),),
     )
     schedule = schedule_batches(plan, 2)
-    assert [b.tolist() for b in schedule.epochs[0]] == [[4, 2], [0, 1], [3]]
+    assert [b.tolist() for b in schedule[0]] == [[4, 2], [0, 1], [3]]
 
 
 def test_schedule_batch_count_at_paper_scale():
     perm = np.arange(60000)
     plan = OrderingPlan(Strategy("shuffle_once"), 0, (perm,))
     schedule = schedule_batches(plan, 128)
-    batches = schedule.epochs[0]
+    batches = schedule[0]
     assert len(batches) == 469
     assert all(len(b) == 128 for b in batches[:-1])
     assert len(batches[-1]) == 96
@@ -130,7 +130,7 @@ def test_schedule_batch_count_at_paper_scale():
 def test_schedule_oversized_batch_is_whole_epoch():
     plan = OrderingPlan(Strategy("shuffle_once"), 0, (np.array([2, 0, 1]),))
     schedule = schedule_batches(plan, 100)
-    assert [b.tolist() for b in schedule.epochs[0]] == [[2, 0, 1]]
+    assert [b.tolist() for b in schedule[0]] == [[2, 0, 1]]
     with pytest.raises(ConfigError):
         schedule_batches(plan, 0)
 
@@ -138,7 +138,7 @@ def test_schedule_oversized_batch_is_whole_epoch():
 def test_schedule_concatenation_reproduces_permutation():
     plan = make_ordering(Strategy("shuffle_every_epoch"), None, range(37), 3, seed=1)
     schedule = schedule_batches(plan, 5)
-    for perm, batches in zip(plan.epoch_permutations, schedule.epochs):
+    for perm, batches in zip(plan.epoch_permutations, schedule):
         flat = np.concatenate(batches)
         assert np.array_equal(flat, perm)
 

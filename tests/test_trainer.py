@@ -19,6 +19,7 @@ from curricula.errors import (
     CheckpointCorruptError,
     CheckpointFormatError,
     ConfigError,
+    FingerprintError,
     StructuralError,
 )
 from curricula.corpus import build_vocab, encode_corpus
@@ -279,13 +280,13 @@ def test_single_batch_epoch_equals_one_adam_step(toy_data):
     )
     direct, _ = adam_step(params, grads, AdamState.fresh(params), train_config)
 
-    stepped, _, stats = train_epoch(
+    stepped, _, train_loss = train_epoch(
         params, AdamState.fresh(params), [np.array(indices)], by_index,
         config, train_config, epoch=1,
     )
     for k in direct:
         assert np.array_equal(direct[k], stepped[k])
-    assert stats.epoch == 1 and stats.train_loss > 0
+    assert train_loss > 0
 
 
 def test_loss_decreases_on_toy_task(toy_data):
@@ -296,22 +297,16 @@ def test_loss_decreases_on_toy_task(toy_data):
     plan = make_ordering(
         Strategy("shuffle_every_epoch"), None, list(by_index), 5, seed=3
     )
-    _, stats, _ = fit(
-        params, config, plan, toy_data["train_enc"], toy_data["val_enc"],
-        train_config,
-        toy_data["src_vocab"].fingerprint(), toy_data["tgt_vocab"].fingerprint(),
+    _, history, _ = fit(
+        params, config, plan, toy_data["train_enc"], toy_data["val_enc"], train_config
     )
-    assert stats[4].train_loss < stats[0].train_loss
+    assert history[4]["train_loss"] < history[0]["train_loss"]
 
 
 def test_different_plans_diverge_but_each_reproduces(toy_data):
     config, params, by_index = small_training_setup(toy_data)
     train_config = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=2,
                                patience=5, seed=1)
-    fps = (
-        toy_data["src_vocab"].fingerprint(),
-        toy_data["tgt_vocab"].fingerprint(),
-    )
     plan_a = make_ordering(Strategy("shuffle_once"), None, list(by_index), 2, seed=1)
     plan_b = make_ordering(
         Strategy("length", side="source", direction="asc"),
@@ -319,11 +314,11 @@ def test_different_plans_diverge_but_each_reproduces(toy_data):
         list(by_index), 2,
     )
     ckpt_a1, _, _ = fit(params, config, plan_a, toy_data["train_enc"],
-                        toy_data["val_enc"], train_config, *fps)
+                        toy_data["val_enc"], train_config)
     ckpt_a2, _, _ = fit(params, config, plan_a, toy_data["train_enc"],
-                        toy_data["val_enc"], train_config, *fps)
+                        toy_data["val_enc"], train_config)
     ckpt_b, _, _ = fit(params, config, plan_b, toy_data["train_enc"],
-                       toy_data["val_enc"], train_config, *fps)
+                       toy_data["val_enc"], train_config)
     assert ckpt_a1.fingerprint == ckpt_a2.fingerprint
     assert ckpt_a1.fingerprint != ckpt_b.fingerprint
 
@@ -339,14 +334,13 @@ def test_fit_patience_arithmetic(toy_data, monkeypatch):
         learning_rate=1e-3, batch_size=16, max_epochs=10, patience=3, seed=2
     )
     plan = make_ordering(Strategy("shuffle_once"), None, list(by_index), 10, seed=1)
-    ckpt, stats, best_epoch = fit(
-        params, config, plan, toy_data["train_enc"], toy_data["val_enc"],
-        train_config,
-        toy_data["src_vocab"].fingerprint(), toy_data["tgt_vocab"].fingerprint(),
+    ckpt, history, best_epoch = fit(
+        params, config, plan, toy_data["train_enc"], toy_data["val_enc"], train_config
     )
-    assert len(stats) == 5  # stopped after epoch 5
+    assert history is ckpt.history
+    assert [h["epoch"] for h in history] == [1, 2, 3, 4, 5]  # stopped after epoch 5
     assert best_epoch == 2
-    assert [s.val_perplexity for s in stats] == [10.0, 9.0, 9.5, 9.4, 9.6]
+    assert [h["val_perplexity"] for h in history] == [10.0, 9.0, 9.5, 9.4, 9.6]
 
 
 def test_fit_best_checkpoint_not_worse_than_any_epoch(toy_data):
@@ -355,13 +349,11 @@ def test_fit_best_checkpoint_not_worse_than_any_epoch(toy_data):
         learning_rate=1e-2, batch_size=8, max_epochs=4, patience=4, seed=9
     )
     plan = make_ordering(Strategy("shuffle_every_epoch"), None, list(by_index), 4, seed=2)
-    ckpt, stats, best_epoch = fit(
-        params, config, plan, toy_data["train_enc"], toy_data["val_enc"],
-        train_config,
-        toy_data["src_vocab"].fingerprint(), toy_data["tgt_vocab"].fingerprint(),
+    ckpt, history, best_epoch = fit(
+        params, config, plan, toy_data["train_enc"], toy_data["val_enc"], train_config
     )
-    best_ppl = min(s.val_perplexity for s in stats)
-    assert stats[best_epoch - 1].val_perplexity == best_ppl
+    best_ppl = min(h["val_perplexity"] for h in history)
+    assert history[best_epoch - 1]["val_perplexity"] == best_ppl
     assert validation_perplexity(ckpt.params, config, toy_data["val_enc"]) == best_ppl
 
 
@@ -370,22 +362,49 @@ def test_fit_max_epochs_one(toy_data):
     train_config = TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=1,
                                patience=1, seed=0)
     plan = make_ordering(Strategy("shuffle_once"), None, list(by_index), 1, seed=0)
-    _, stats, _ = fit(
-        params, config, plan, toy_data["train_enc"], toy_data["val_enc"],
-        train_config,
-        toy_data["src_vocab"].fingerprint(), toy_data["tgt_vocab"].fingerprint(),
+    _, history, _ = fit(
+        params, config, plan, toy_data["train_enc"], toy_data["val_enc"], train_config
     )
-    assert len(stats) == 1
+    assert len(history) == 1
 
 
 def test_fit_requires_validation_pairs(toy_data):
     config, params, by_index = small_training_setup(toy_data)
     plan = make_ordering(Strategy("shuffle_once"), None, list(by_index), 1, seed=0)
     with pytest.raises(ConfigError):
-        fit(
-            params, config, plan, toy_data["train_enc"], [],
-            TrainConfig(max_epochs=1), "a", "b",
-        )
+        fit(params, config, plan, toy_data["train_enc"], [], TrainConfig(max_epochs=1))
+
+
+@pytest.mark.parametrize("odd_split", ["train", "val"])
+def test_fit_refuses_pairs_of_other_vocabularies_before_training(
+    toy_data, monkeypatch, odd_split
+):
+    config, params, by_index = small_training_setup(toy_data)
+    other_src = build_vocab(toy_data["test"], "source", 2)
+    assert other_src.fingerprint() != toy_data["src_vocab"].fingerprint()
+    splits = {"train": toy_data["train_enc"], "val": toy_data["val_enc"]}
+    splits[odd_split] = encode_corpus(
+        toy_data[odd_split], other_src, toy_data["tgt_vocab"]
+    )
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr("curricula.trainer.loss_and_gradients", no_step)
+    plan = make_ordering(Strategy("shuffle_once"), None, list(by_index), 1, seed=0)
+    with pytest.raises(FingerprintError, match="different vocabularies"):
+        fit(params, config, plan, splits["train"], splits["val"], TrainConfig(max_epochs=1))
+
+
+def test_fit_checkpoint_carries_the_vocabularies_of_its_pairs(toy_data):
+    config, params, by_index = small_training_setup(toy_data)
+    plan = make_ordering(Strategy("shuffle_once"), None, list(by_index), 1, seed=0)
+    ckpt, _, _ = fit(
+        params, config, plan, toy_data["train_enc"], toy_data["val_enc"],
+        TrainConfig(learning_rate=1e-3, max_epochs=1, patience=1),
+    )
+    assert ckpt.src_vocab_fingerprint == toy_data["src_vocab"].fingerprint()
+    assert ckpt.tgt_vocab_fingerprint == toy_data["tgt_vocab"].fingerprint()
 
 
 @pytest.mark.parametrize("improves", [True, False], ids=["improves", "never-improves"])
@@ -402,10 +421,8 @@ def test_fit_neither_writes_nor_returns_the_initial_parameters(
         learning_rate=1e-2, batch_size=8, max_epochs=2, patience=2, seed=1
     )
     plan = make_ordering(Strategy("shuffle_once"), None, list(by_index), 2, seed=1)
-    ckpt, stats, best_epoch = fit(
-        params, config, plan, toy_data["train_enc"], toy_data["val_enc"],
-        train_config,
-        toy_data["src_vocab"].fingerprint(), toy_data["tgt_vocab"].fingerprint(),
+    ckpt, history, best_epoch = fit(
+        params, config, plan, toy_data["train_enc"], toy_data["val_enc"], train_config
     )
     assert list(ckpt.params) == list(params)
     for k, p in params.items():
@@ -415,7 +432,7 @@ def test_fit_neither_writes_nor_returns_the_initial_parameters(
         assert best_epoch > 0
     else:  # an infinite perplexity is no improvement: the initial values come back
         assert best_epoch == 0
-        assert [s.val_perplexity for s in stats] == [math.inf, math.inf]
+        assert [h["val_perplexity"] for h in history] == [math.inf, math.inf]
         assert all(ckpt.params[k].tobytes() == before[k] for k in params)
 
 
@@ -457,10 +474,7 @@ def test_fit_peak_memory(monkeypatch, perplexities):
     train_config = TrainConfig(
         learning_rate=1e-3, batch_size=16, max_epochs=epochs, patience=epochs, seed=1
     )
-    peak = traced_peak(lambda: fit(
-        params, config, plan, train_pairs, val_pairs, train_config,
-        src_vocab.fingerprint(), tgt_vocab.fingerprint(),
-    ))
+    peak = traced_peak(lambda: fit(params, config, plan, train_pairs, val_pairs, train_config))
     assert peak < 7.5 * parameter_bytes(params), peak / parameter_bytes(params)
 
 
