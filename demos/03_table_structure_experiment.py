@@ -12,9 +12,9 @@ Run:  python demos/03_table_structure_experiment.py
 from pathlib import Path
 
 from curricula import (
-    CorpusSpec,
     ExperimentSpec,
     Strategy,
+    ToyCorpus,
     TrainConfig,
     run_experiment,
     table_one_strategies,
@@ -24,7 +24,7 @@ out = Path("runs/demo_tables")
 
 # Ten-row table: every ordering pattern, one scorer.
 spec = ExperimentSpec(
-    corpus=CorpusSpec(toy_task="reverse", size=100, vocab=8, min_len=3, max_len=6, seed=3),
+    corpus=ToyCorpus(toy_task="reverse", size=100, vocab=8, min_len=3, max_len=6, seed=3),
     strategies=table_one_strategies(),
     scorer_presets=("tiny",),
     trainer_preset="tiny",
@@ -37,7 +37,7 @@ print((out / "ten_rows" / "report.md").read_text())
 
 # Eight-row table: ppl/bleu orderings crossed with two scorer presets.
 spec2 = ExperimentSpec(
-    corpus=CorpusSpec(toy_task="reverse", size=100, vocab=8, min_len=3, max_len=6, seed=3),
+    corpus=ToyCorpus(toy_task="reverse", size=100, vocab=8, min_len=3, max_len=6, seed=3),
     strategies=(
         Strategy("ppl", direction="asc"),
         Strategy("ppl", direction="desc"),

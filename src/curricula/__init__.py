@@ -26,10 +26,11 @@ from .corpus import (
 )
 from .evaluate import EvalResult, corpus_bleu, evaluate_model
 from .harness import (
-    CorpusSpec,
     ExperimentReport,
     ExperimentSpec,
+    FileCorpus,
     ReportRow,
+    ToyCorpus,
     corrupt_targets,
     emit_report,
     generate_toy_corpus,

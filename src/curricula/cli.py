@@ -13,8 +13,8 @@ renumbers the pairs that remain). Train and corpus flags come from the
 spec key tables of `harness`, and `order --strategy` and `score --metric`
 take the tokens that spec `strategies` lines, plan headers and
 score-table headers hold (`ppl:asc`, `length:source`). A stage refuses an
-input it would not use, such as `score --ckpt` with a length metric,
-before it opens any file.
+input it would not use, such as `score --ckpt` with a length metric or
+`corpus --toy` with a file corpus flag, before it opens any file.
 Exit codes: 0 success, 2 configuration error (a bad spec among them), 3 data
 error (any other bad file), 4 numerical error.
 """
@@ -34,7 +34,8 @@ from .harness import (
     MIN_COUNT,
     TOY_KEYS,
     TRAIN_KEYS,
-    CorpusSpec,
+    FileCorpus,
+    ToyCorpus,
     emit_report,
     init_trainer,
     load_corpus_dir,
@@ -53,30 +54,53 @@ from .ordering import OrderingPlan, parse_strategy
 from .trainer import TrainConfig
 
 
-# The corpus command's flags: corpus.noise and corpus.seed only a spec sets,
-# and --seed, the experiment seed, draws a toy corpus.
+# The corpus command's flags, of both kinds: corpus.noise and corpus.seed
+# only a spec sets, and --seed, the experiment seed, draws a toy corpus.
 _CORPUS_FLAGS = tuple(
     k for k in (*TOY_KEYS, *FILE_CORPUS_KEYS, MIN_COUNT)
     if k.key not in ("corpus.noise", "corpus.seed")
 )
 
 
-def _add_flags(p: argparse.ArgumentParser, keys, defaults) -> None:
-    """A flag per spec key, of its type and with its default, and --seed."""
-    for k in keys:  # train.learning_rate is --learning-rate, and so on
-        flag = "--" + k.key.split(".", 1)[1].replace("_", "-")
-        p.add_argument(flag, dest=k.field, type=k.kind, default=getattr(defaults, k.field))
+def _flag(k) -> str:
+    return "--" + k.key.split(".", 1)[1].replace("_", "-")  # train.batch_size is --batch-size
+
+
+def _add_flags(p: argparse.ArgumentParser, keys) -> None:
+    """A flag per spec key, of its type, and --seed. A spec-key flag left
+    out is no attribute of the parsed arguments: its field's default holds."""
+    for k in keys:
+        p.add_argument(_flag(k), dest=k.field, type=k.kind, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=0)
+
+
+def _given(args, keys) -> dict:
+    return {k.field: getattr(args, k.field) for k in keys if hasattr(args, k.field)}
 
 
 def _train_config(args) -> TrainConfig:
     # the stage functions derive the training seed from --seed themselves
-    return TrainConfig(**{k.field: getattr(args, k.field) for k in TRAIN_KEYS})
+    return TrainConfig(**_given(args, TRAIN_KEYS))
+
+
+def _corpus(args) -> ToyCorpus | FileCorpus:
+    """The corpus of the given flags: --toy chooses the toy kind, and a flag
+    of the other kind is refused."""
+    toy = hasattr(args, "toy_task")
+    kind, name = (ToyCorpus, "a toy corpus (--toy)") if toy else (FileCorpus, "a file corpus")
+    given = _given(args, _CORPUS_FLAGS)
+    other = [_flag(k) for k in _CORPUS_FLAGS if k.field in given and k not in kind.keys]
+    if other:
+        raise ConfigError(f"{name} takes no {', '.join(other)}")
+    # a field without a default, a file path, is no class attribute
+    missing = [_flag(k) for k in kind.keys if k.field not in given and not hasattr(kind, k.field)]
+    if missing:
+        raise ConfigError(f"a corpus needs --toy or six files; missing {', '.join(missing)}")
+    return kind(**given)
 
 
 def _cmd_corpus(args) -> int:
-    corpus = CorpusSpec(**{k.field: getattr(args, k.field) for k in _CORPUS_FLAGS})
-    data = prepare_data(corpus, args.seed)
+    data = prepare_data(_corpus(args), args.seed)
     save_corpus_dir(data, args.out_dir)
     sizes = " / ".join(f"{len(split)} {name}" for name, split in data.splits.items())
     print(f"corpus written to {args.out_dir} ({sizes})")
@@ -175,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("corpus", help="generate a toy corpus or load+filter files")
-    _add_flags(p, _CORPUS_FLAGS, CorpusSpec)
+    _add_flags(p, _CORPUS_FLAGS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_corpus)
 
@@ -183,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-dir", required=True)
     p.add_argument("--preset", default="small")
     p.add_argument("--out", required=True)
-    _add_flags(p, TRAIN_KEYS, TrainConfig)
+    _add_flags(p, TRAIN_KEYS)
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("score", help="compute a per-pair score table")
@@ -208,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--preset", default="small")
     p.add_argument("--out", required=True)
-    _add_flags(p, TRAIN_KEYS, TrainConfig)
+    _add_flags(p, TRAIN_KEYS)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="test perplexity and BLEU of a checkpoint")

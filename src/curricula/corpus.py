@@ -279,6 +279,19 @@ def write_corpus(corpus: ParallelCorpus, src_path, tgt_path) -> None:
     write_file(tgt_path, "".join(" ".join(p.tgt_tokens) + "\n" for p in corpus.pairs))
 
 
+def at_least_one(name: str, value: int) -> None:
+    """Refuse a count below one, naming it."""
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
+def check_lengths(min_len: int, max_len: int, names=("min_len", "max_len")) -> None:
+    """`filter_corpus`'s bounds, named as the caller calls them."""
+    at_least_one(names[0], min_len)
+    if max_len < min_len:
+        raise ConfigError(f"{names[1]} {max_len} < {names[0]} {min_len}")
+
+
 def filter_corpus(
     corpus: ParallelCorpus, min_len: int, max_len: int
 ) -> ParallelCorpus:
@@ -288,10 +301,7 @@ def filter_corpus(
     Original indices are preserved, so the result is a subsequence of the
     input and the operation is idempotent.
     """
-    if min_len < 1:
-        raise ConfigError(f"min_len must be >= 1, got {min_len}")
-    if max_len < min_len:
-        raise ConfigError(f"max_len {max_len} < min_len {min_len}")
+    check_lengths(min_len, max_len)
     seen: set[tuple] = set()
     kept = []
     for p in corpus.pairs:
@@ -313,8 +323,7 @@ def filter_corpus(
 
 def truncate_corpus(corpus: ParallelCorpus, k: int) -> ParallelCorpus:
     """Keep the k pairs with the lowest indices (the first k, order intact)."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    at_least_one("k", k)
     if k >= len(corpus):
         return corpus
     return ParallelCorpus(corpus.pairs[:k])
@@ -328,8 +337,7 @@ def build_vocab(corpus: ParallelCorpus, side: str, min_count: int) -> Vocabulary
     """
     if side not in ("source", "target"):
         raise ConfigError(f"side must be 'source' or 'target', got {side!r}")
-    if min_count < 1:
-        raise ConfigError(f"min_count must be >= 1, got {min_count}")
+    at_least_one("min_count", min_count)
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot build a vocabulary from an empty corpus")
     counts: Counter = Counter()

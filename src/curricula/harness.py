@@ -10,8 +10,11 @@ encoded pairs; scoring takes the scorer checkpoint or, for a length
 metric, none. `run_experiment` composes them, and the command line calls
 the same functions one stage at a time.
 
-The spec keys of `CorpusSpec` and `TrainConfig` are listed once, in tables
-that the spec writer, the spec reader and the command-line flags all read.
+A corpus is a `ToyCorpus` or a `FileCorpus`, each checked when it is made
+and each making its own splits. Each holds its table of spec keys, and the
+`TrainConfig` keys have one table too: the spec writer, the spec reader and
+the command-line flags all read them. Only the spec reader and the `corpus`
+command choose between the two kinds.
 
 An experiment runs every requested strategy against the same data, the same
 initial parameters and the same training configuration, so the ordering is
@@ -33,7 +36,9 @@ from .corpus import (
     SentencePair,
     TextLines,
     Vocabulary,
+    at_least_one,
     build_vocab,
+    check_lengths,
     encode_corpus,
     filter_corpus,
     load_parallel_corpus,
@@ -86,6 +91,23 @@ def _toy_target(task: str, src: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(_DIGIT_WORDS[int(tok)] for tok in src)
 
 
+def _check_toy(task: str, size: int, vocab: int, lo: int, hi: int) -> None:
+    if task not in TOY_TASKS:
+        raise ConfigError(f"unknown toy task {task!r}; choose from {TOY_TASKS}")
+    if size < 30:
+        raise ConfigError(f"toy corpus size must be >= 30, got {size}")
+    if not (1 <= lo <= hi <= 60):
+        raise ConfigError(f"toy lengths must satisfy 1 <= min_len <= max_len <= 60: {lo, hi}")
+    if vocab < 2:
+        raise ConfigError(f"toy vocab must be >= 2, got {vocab}")
+
+
+def _check_noise(name: str, fraction: float) -> None:
+    # written so that NaN fails: every comparison with NaN is false
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError(f"{name} must be in [0, 1], got {fraction}")
+
+
 def generate_toy_corpus(
     task: str,
     size: int,
@@ -98,15 +120,8 @@ def generate_toy_corpus(
     Tasks: copy (target = source), reverse (target = reversed source),
     digit-translation (digit tokens mapped to word tokens).
     """
-    if task not in TOY_TASKS:
-        raise ConfigError(f"unknown toy task {task!r}; choose from {TOY_TASKS}")
-    if size < 30:
-        raise ConfigError(f"toy corpus size must be >= 30, got {size}")
     lo, hi = length_range
-    if not (1 <= lo <= hi <= 60):
-        raise ConfigError(f"length range must satisfy 1 <= lo <= hi <= 60: {length_range}")
-    if vocab < 2:
-        raise ConfigError(f"toy vocab must be >= 2, got {vocab}")
+    _check_toy(task, size, vocab, lo, hi)
     alphabet = toy_alphabet(task, vocab)
     rng = make_rng("toy", task, size, vocab, lo, hi, seed)
     seen: set[tuple[str, ...]] = set()
@@ -137,8 +152,7 @@ def corrupt_targets(
 ) -> ParallelCorpus:
     """Label noise: replace the targets of a fraction of pairs with random
     token strings of the same length. Indices are untouched."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"fraction must be in [0, 1], got {fraction}")
+    _check_noise("fraction", fraction)
     if fraction == 0.0:
         return corpus
     alphabet = tuple(alphabet)
@@ -164,48 +178,13 @@ def corrupt_targets(
 # Experiment specification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CorpusSpec:
-    # toy generator
-    toy_task: str | None = None
-    size: int = 200
-    vocab: int = 12
-    min_len: int = 3
-    max_len: int = 8
-    noise: float = 0.0
-    seed: int | None = None
-    # file-based corpus
-    train_src: str | None = None
-    train_tgt: str | None = None
-    val_src: str | None = None
-    val_tgt: str | None = None
-    test_src: str | None = None
-    test_tgt: str | None = None
-    filter_min: int = 5
-    filter_max: int = 60
-    take: int | None = None
-    # vocabulary
-    min_count: int = 1
-
-    def __post_init__(self):
-        # written so that NaN fails: every comparison with NaN is false
-        if not 0.0 <= self.noise <= 1.0:
-            raise ConfigError(f"corpus.noise must be in [0, 1], got {self.noise}")
-        file_keys = [k for k in (*FILE_KEYS, "take") if getattr(self, k) is not None]
-        if self.toy_task is not None and file_keys:
-            raise ConfigError(f"a toy corpus reads no files; drop {file_keys}")
-
-
-FILE_KEYS = ("train_src", "train_tgt", "val_src", "val_tgt", "test_src", "test_tgt")
-
-
 # One `key = value` line of a spec file and the field it sets; kind converts
 # the value. A key whose field is None is not written, nor an optional key
 # whose field is the default. A float is written with repr.
 SpecKey = namedtuple("SpecKey", "key field kind optional", defaults=(False,))
 
-# Every spec key of CorpusSpec, in file order: a toy corpus reads TOY_KEYS,
-# and a file corpus FILE_CORPUS_KEYS, each then MIN_COUNT.
+# Every spec key of a corpus, in file order: a ToyCorpus reads TOY_KEYS,
+# and a FileCorpus FILE_CORPUS_KEYS, each then MIN_COUNT.
 TOY_KEYS = (
     SpecKey("corpus.toy", "toy_task", str),
     SpecKey("corpus.size", "size", int),
@@ -216,7 +195,8 @@ TOY_KEYS = (
     SpecKey("corpus.seed", "seed", int, optional=True),
 )
 FILE_CORPUS_KEYS = (
-    *(SpecKey(f"corpus.{k}", k, str) for k in FILE_KEYS),
+    *(SpecKey(f"corpus.{k}", k, str)
+      for k in ("train_src", "train_tgt", "val_src", "val_tgt", "test_src", "test_tgt")),
     SpecKey("corpus.filter_min", "filter_min", int),
     SpecKey("corpus.filter_max", "filter_max", int),
     SpecKey("corpus.take", "take", int, optional=True),
@@ -230,9 +210,74 @@ TRAIN_KEYS = tuple(
 )
 
 
+@dataclass(frozen=True)
+class ToyCorpus:
+    """Synthetic pairs drawn from `seed`, or the experiment seed when it is
+    None; `noise` is the share of training targets replaced at random."""
+
+    toy_task: str
+    size: int = 200
+    vocab: int = 12
+    min_len: int = 3
+    max_len: int = 8
+    noise: float = 0.0
+    seed: int | None = None
+    min_count: int = 1
+    keys = (*TOY_KEYS, MIN_COUNT)
+
+    def __post_init__(self):
+        _check_toy(self.toy_task, self.size, self.vocab, self.min_len, self.max_len)
+        _check_noise("corpus.noise", self.noise)
+        at_least_one("corpus.min_count", self.min_count)
+
+    def splits(self, seed: int) -> tuple[ParallelCorpus, ParallelCorpus, ParallelCorpus]:
+        corpus_seed = self.seed if self.seed is not None else seed
+        train, val, test = generate_toy_corpus(
+            self.toy_task, self.size, self.vocab, (self.min_len, self.max_len), corpus_seed
+        )
+        train = corrupt_targets(  # the corpus itself at noise 0.0
+            train, self.noise, toy_alphabet(self.toy_task, self.vocab),
+            derive_seed(corpus_seed, "noise"),
+        )
+        return train, val, test
+
+
+@dataclass(frozen=True)
+class FileCorpus:
+    """Six line-aligned text files; training keeps the distinct pairs of
+    `filter_min`..`filter_max` tokens a side, the first `take` when set."""
+
+    train_src: str
+    train_tgt: str
+    val_src: str
+    val_tgt: str
+    test_src: str
+    test_tgt: str
+    filter_min: int = 5
+    filter_max: int = 60
+    take: int | None = None
+    min_count: int = 1
+    keys = (*FILE_CORPUS_KEYS, MIN_COUNT)
+
+    def __post_init__(self):
+        check_lengths(self.filter_min, self.filter_max, ("corpus.filter_min", "corpus.filter_max"))
+        if self.take is not None:
+            at_least_one("corpus.take", self.take)
+        at_least_one("corpus.min_count", self.min_count)
+
+    def splits(self, seed: int) -> tuple[ParallelCorpus, ParallelCorpus, ParallelCorpus]:
+        train = load_parallel_corpus(self.train_src, self.train_tgt)
+        train = filter_corpus(train, self.filter_min, self.filter_max)
+        if self.take is not None:
+            train = truncate_corpus(train, self.take)
+        val = load_parallel_corpus(self.val_src, self.val_tgt)
+        test = load_parallel_corpus(self.test_src, self.test_tgt)
+        return train, val, test
+
+
 @dataclass
 class ExperimentSpec:
-    corpus: CorpusSpec
+    corpus: ToyCorpus | FileCorpus
     strategies: tuple[Strategy, ...]
     scorer_presets: tuple[str, ...]
     trainer_preset: str
@@ -265,8 +310,7 @@ def _spec_lines(obj, keys) -> list[str]:
 
 
 def spec_to_text(spec: ExperimentSpec) -> str:
-    corpus_keys = TOY_KEYS if spec.corpus.toy_task is not None else FILE_CORPUS_KEYS
-    lines = [SPEC_HEADER, *_spec_lines(spec.corpus, (*corpus_keys, MIN_COUNT))]
+    lines = [SPEC_HEADER, *_spec_lines(spec.corpus, spec.corpus.keys)]
     lines.append("strategies = " + " ".join(s.token() for s in spec.strategies))
     if spec.scorer_presets:
         lines.append("scorer.presets = " + " ".join(spec.scorer_presets))
@@ -300,11 +344,13 @@ def spec_from_text(text: str, source=None) -> ExperimentSpec:
         with lines.at(number, f"spec key {key}: expected {kind.__name__}, got {value!r}"):
             return kind(value)
 
-    corpus_keys = (*(TOY_KEYS if "corpus.toy" in kv else FILE_CORPUS_KEYS), MIN_COUNT)
-    corpus = {k.field: pop(k.key, k.kind) for k in corpus_keys if k.key in kv}
-    for key in ("strategies", "trainer.preset", "output_dir"):
-        if key not in kv:
-            raise lines.fail(None, f"spec is missing {key!r}")
+    kind = ToyCorpus if "corpus.toy" in kv else FileCorpus
+    corpus = {k.field: pop(k.key, k.kind) for k in kind.keys if k.key in kv}
+    # a field without a default, such as a file path, is no class attribute
+    missing = [k.key for k in kind.keys if k.field not in corpus and not hasattr(kind, k.field)]
+    missing += [key for key in ("strategies", "trainer.preset", "output_dir") if key not in kv]
+    if missing:
+        raise lines.fail(None, f"spec is missing {missing[0]!r}")
     number, raw = kv.pop("strategies")
     with lines.at(number):
         strategies = tuple(parse_strategy(tok) for tok in raw.split())
@@ -317,7 +363,7 @@ def spec_from_text(text: str, source=None) -> ExperimentSpec:
         raise lines.fail(min(n for n, _ in kv.values()), f"unknown spec keys: {sorted(kv)}")
     with lines.at(None):
         return ExperimentSpec(
-            corpus=CorpusSpec(**corpus),
+            corpus=kind(**corpus),
             strategies=strategies,
             scorer_presets=scorers,
             trainer_preset=trainer_preset,
@@ -436,33 +482,14 @@ class PreparedData:
         }
 
 
-def prepare_data(corpus: CorpusSpec, seed: int) -> PreparedData:
-    """Generate or load the corpus and build its vocabularies. A toy corpus
-    is drawn from `corpus.seed`, or from the experiment seed when unset."""
-    c = corpus
-    if c.toy_task is not None:
-        corpus_seed = c.seed if c.seed is not None else seed
-        train, val, test = generate_toy_corpus(
-            c.toy_task, c.size, c.vocab, (c.min_len, c.max_len), corpus_seed
-        )
-        train = corrupt_targets(  # the corpus itself at noise 0.0
-            train, c.noise, toy_alphabet(c.toy_task, c.vocab),
-            derive_seed(corpus_seed, "noise"),
-        )
-    else:
-        missing = [k for k in FILE_KEYS if getattr(c, k) is None]
-        if missing:
-            raise ConfigError(f"a corpus needs a toy task or six files; missing {missing}")
-        train = load_parallel_corpus(c.train_src, c.train_tgt)
-        train = filter_corpus(train, c.filter_min, c.filter_max)
-        if c.take is not None:
-            train = truncate_corpus(train, c.take)
-        val = load_parallel_corpus(c.val_src, c.val_tgt)
-        test = load_parallel_corpus(c.test_src, c.test_tgt)
+def prepare_data(corpus: ToyCorpus | FileCorpus, seed: int) -> PreparedData:
+    """Make the corpus's splits, from the experiment seed, and build the
+    vocabularies of its training split."""
+    train, val, test = corpus.splits(seed)
     return PreparedData(
         {"train": train, "val": val, "test": test},
-        build_vocab(train, "source", c.min_count),
-        build_vocab(train, "target", c.min_count),
+        build_vocab(train, "source", corpus.min_count),
+        build_vocab(train, "target", corpus.min_count),
     )
 
 
@@ -720,7 +747,7 @@ def run_directional_sanity(
     lines.append("seed\tstrategy\tscorer\tepochs\ttest_ppl\ttest_bleu\treport")
     for seed in seeds:
         spec = ExperimentSpec(
-            corpus=CorpusSpec(
+            corpus=ToyCorpus(
                 toy_task="reverse", size=size, vocab=vocab,
                 min_len=min_len, max_len=max_len, noise=noise, seed=seed,
             ),

@@ -18,8 +18,8 @@ from curricula.corpus import EncodedPair, build_vocab, encode_corpus
 from curricula.errors import CheckpointCorruptError
 from curricula.evaluate import corpus_bleu, evaluate_model
 from curricula.harness import (
-    CorpusSpec,
     ExperimentSpec,
+    ToyCorpus,
     generate_toy_corpus,
     run_directional_sanity,
     run_experiment,
@@ -62,7 +62,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 def test_table_structure_reproduced_on_toy_data(tmp_path):
     started = time.perf_counter()
-    corpus = CorpusSpec(toy_task="reverse", size=100, vocab=8, min_len=3, max_len=6, seed=3)
+    corpus = ToyCorpus(toy_task="reverse", size=100, vocab=8, min_len=3, max_len=6, seed=3)
     train_cfg = TrainConfig(
         learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2, seed=0
     )
@@ -297,7 +297,7 @@ def test_adam_unit_check():
 def test_end_to_end_determinism(tmp_path):
     def spec(out):
         return ExperimentSpec(
-            corpus=CorpusSpec(toy_task="reverse", size=60, vocab=8, min_len=3, max_len=5, seed=1),
+            corpus=ToyCorpus(toy_task="reverse", size=60, vocab=8, min_len=3, max_len=5, seed=1),
             strategies=(
                 Strategy("shuffle_once"),
                 Strategy("length", side="source", direction="desc"),

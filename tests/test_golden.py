@@ -49,11 +49,11 @@ def _files_digest(out: Path) -> str:
 
 def tiny_experiment(out: Path) -> str:
     """All ten strategies, ppl and bleu scored by a tiny-preset scorer."""
-    from curricula import CorpusSpec, ExperimentSpec, TrainConfig, run_experiment
+    from curricula import ExperimentSpec, ToyCorpus, TrainConfig, run_experiment
     from curricula.ordering import table_one_strategies
 
     run_experiment(ExperimentSpec(
-        corpus=CorpusSpec(
+        corpus=ToyCorpus(
             toy_task="reverse", size=40, vocab=8, min_len=3, max_len=6, seed=1
         ),
         strategies=table_one_strategies(),
@@ -92,12 +92,12 @@ def base_scores() -> str:
 
 def small_fit() -> str:
     """Checkpoint bytes of a short small-preset fit."""
-    from curricula import CorpusSpec, Strategy, TrainConfig
+    from curricula import Strategy, ToyCorpus, TrainConfig
     from curricula.checkpoint import checkpoint_bytes
     from curricula.harness import init_trainer, make_plan, prepare_data, train_model
 
     data = prepare_data(
-        CorpusSpec(toy_task="reverse", size=48, vocab=10, min_len=3, max_len=8), seed=5
+        ToyCorpus(toy_task="reverse", size=48, vocab=10, min_len=3, max_len=8), seed=5
     )
     train = TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2)
     plan = make_plan(Strategy("shuffle_once"), None, data, 2, seed=5)

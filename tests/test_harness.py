@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shlex
@@ -10,7 +11,7 @@ import pytest
 
 from checkpoint_files import checkpoint_file
 from conftest import overflowing_checkpoint
-from curricula.cli import build_parser, main as cli_main
+from curricula.cli import _corpus, build_parser, main as cli_main
 from curricula.checkpoint import (
     FORMAT_VERSION,
     ModelCheckpoint,
@@ -21,10 +22,14 @@ from curricula.errors import CheckpointFormatError, ConfigError, DataError
 from curricula.evaluate import EvalResult
 from curricula.metrics import ScoreTable, score_corpus
 from curricula.harness import (
-    CorpusSpec,
+    FILE_CORPUS_KEYS,
+    MIN_COUNT,
+    TOY_KEYS,
     ExperimentReport,
     ExperimentSpec,
+    FileCorpus,
     ReportRow,
+    ToyCorpus,
     corrupt_targets,
     emit_report,
     generate_toy_corpus,
@@ -48,7 +53,7 @@ def tiny_spec(tmp_path, strategies=None, seed=7, **corpus_kw):
     corpus = dict(toy_task="reverse", size=60, vocab=8, min_len=3, max_len=5, seed=1)
     corpus.update(corpus_kw)
     return ExperimentSpec(
-        corpus=CorpusSpec(**corpus),
+        corpus=ToyCorpus(**corpus),
         strategies=tuple(
             strategies
             or (Strategy("shuffle_once"), Strategy("ppl", direction="asc"))
@@ -129,9 +134,15 @@ def test_corrupt_targets_fraction_and_determinism():
 # experiment spec file
 # ---------------------------------------------------------------------------
 
-def test_spec_text_writes_only_the_file_keys_that_are_set(tmp_path):
+_FILES = dict(
+    train_src="a.src", train_tgt="a.tgt", val_src="b.src", val_tgt="b.tgt",
+    test_src="c.src", test_tgt="c.tgt",
+)
+
+
+def test_spec_text_writes_only_the_file_keys_that_are_set(tmp_path, capsys):
     spec = ExperimentSpec(
-        corpus=CorpusSpec(train_src="a"),
+        corpus=FileCorpus(**_FILES),
         strategies=(Strategy("shuffle_once"),),
         scorer_presets=(),
         trainer_preset="tiny",
@@ -140,11 +151,70 @@ def test_spec_text_writes_only_the_file_keys_that_are_set(tmp_path):
         output_dir=tmp_path / "run",
     )
     text = spec_to_text(spec)
-    assert "corpus.train_src = a\n" in text and "None" not in text
+    assert "corpus.train_src = a.src\n" in text and "None" not in text
+    assert "corpus.take" not in text
     parsed = spec_from_text(text)
     assert parsed.corpus == spec.corpus
-    (tmp_path / "run.spec").write_text(text)
-    assert cli_main(["experiment", "--spec", str(tmp_path / "run.spec")]) == 2
+    # a file path is required: a spec without one is refused when it is read
+    path = tmp_path / "run.spec"
+    path.write_text(text.replace("corpus.val_src = b.src\n", ""))
+    capsys.readouterr()
+    assert cli_main(["experiment", "--spec", str(path)]) == 2
+    assert f"{path}: spec is missing 'corpus.val_src'" in capsys.readouterr().err
+    assert not spec.output_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "files, line, message",
+    [
+        pytest.param(
+            None, "corpus.toy = sort",
+            "unknown toy task 'sort'; choose from ('copy', 'reverse', 'digit-translation')",
+            id="toy",
+        ),
+        pytest.param(None, "corpus.size = 10", "toy corpus size must be >= 30, got 10", id="size"),
+        pytest.param(None, "corpus.vocab = 1", "toy vocab must be >= 2, got 1", id="vocab"),
+        pytest.param(
+            None, "corpus.min_len = 0",
+            "toy lengths must satisfy 1 <= min_len <= max_len <= 60: (0, 5)", id="min_len",
+        ),
+        pytest.param(
+            None, "corpus.max_len = 61",
+            "toy lengths must satisfy 1 <= min_len <= max_len <= 60: (3, 61)", id="max_len",
+        ),
+        pytest.param(
+            None, "corpus.min_count = 0", "corpus.min_count must be >= 1, got 0",
+            id="toy-min_count",
+        ),
+        pytest.param(
+            _FILES, "corpus.filter_min = 0", "corpus.filter_min must be >= 1, got 0",
+            id="filter_min",
+        ),
+        pytest.param(
+            _FILES, "corpus.filter_max = 4", "corpus.filter_max 4 < corpus.filter_min 5",
+            id="filter_max",
+        ),
+        pytest.param(_FILES, "corpus.take = 0", "corpus.take must be >= 1, got 0", id="take"),
+        pytest.param(
+            _FILES, "corpus.min_count = 0", "corpus.min_count must be >= 1, got 0",
+            id="file-min_count",
+        ),
+    ],
+)
+def test_spec_corpus_value_out_of_range_is_refused_naming_the_spec(
+    tmp_path, capsys, files, line, message
+):
+    spec = tiny_spec(tmp_path)
+    if files is not None:
+        spec.corpus = FileCorpus(**files)
+    key = line.split(" = ")[0]
+    kept = [ln for ln in spec_to_text(spec).splitlines() if not ln.startswith(key + " ")]
+    path = tmp_path / "bad.spec"
+    path.write_text("\n".join([*kept, line]) + "\n")
+    capsys.readouterr()
+    assert cli_main(["experiment", "--spec", str(path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {path}: {message}\n"
+    assert not spec.output_dir.exists()
 
 
 def test_spec_text_round_trip(tmp_path):
@@ -521,7 +591,7 @@ def test_cli_stages_replay_an_experiment(tmp_path, capsys):
         ),
         seed=4,
     )
-    spec.corpus.seed = None  # the experiment seed draws the toy corpus
+    spec.corpus = replace(spec.corpus, seed=None)  # the experiment seed draws the toy corpus
     report = run_experiment(spec)
     exp, rep = Path(spec.output_dir), tmp_path / "replay"
     c, t = spec.corpus, spec.train
@@ -581,9 +651,29 @@ def test_readme_command_lines_parse():
     commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line]
     assert all(argv[0] == "curricula" for argv in commands)
     parser = build_parser()
-    assert {parser.parse_args(argv[1:]).command for argv in commands} == {
+    parsed = [parser.parse_args(argv[1:]) for argv in commands]
+    assert {args.command for args in parsed} == {
         "corpus", "pretrain", "score", "order", "train", "eval", "experiment", "report",
     }
+    # each corpus command gives the flags of one kind, with values in range
+    kinds = {type(_corpus(args)).__name__ for args in parsed if args.command == "corpus"}
+    assert kinds == {"ToyCorpus", "FileCorpus"}
+
+
+def test_corpus_flags_are_the_keys_of_one_corpus_kind():
+    def flags(keys):
+        return {"--" + k.key.split(".", 1)[1].replace("_", "-") for k in keys}
+
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    given = {s for a in subparsers.choices["corpus"]._actions for s in a.option_strings}
+    tables = [flags(TOY_KEYS), flags(FILE_CORPUS_KEYS), flags([MIN_COUNT])]
+    # corpus.noise and corpus.seed only a spec sets; --seed is the experiment seed
+    assert given - {"-h", "--help", "--out-dir", "--seed"} == set().union(*tables) - {
+        "--noise", "--seed",
+    }
+    for flag in set().union(*tables):
+        assert sum(flag in table for table in tables) == 1, flag
 
 
 @pytest.mark.parametrize("noise", [-0.5, math.nan, 1.5])
@@ -712,7 +802,7 @@ _METRIC_NAMES = "length:source, length:target, xent, ppl or bleu"
             "bad.spec: corpus.noise must be in [0, 1], got -0.5", id="spec-noise-negative",
         ),
         pytest.param(
-            {}, "corpus --out-dir {tmp}/c", 2, "train_src", id="corpus-no-input",
+            {}, "corpus --out-dir {tmp}/c", 2, "missing --train-src", id="corpus-no-input",
         ),
         pytest.param(
             {"bad.spec": "CURRICULA-SPEC v1\ncorpus.toy = copy\nstrategies = shuffle_once\n"
@@ -729,11 +819,23 @@ _METRIC_NAMES = "length:source, length:target, xent, ppl or bleu"
         ),
         pytest.param(
             {}, "corpus --toy reverse --size 40 --train-src {tmp}/nosuch.src --out-dir {tmp}/c",
-            2, "a toy corpus reads no files; drop ['train_src']", id="corpus-toy-with-file",
+            2, "a toy corpus (--toy) takes no --train-src", id="corpus-toy-with-file",
         ),
         pytest.param(
             {}, "corpus --toy reverse --take 3 --out-dir {tmp}/c", 2,
-            "a toy corpus reads no files; drop ['take']", id="corpus-toy-with-take",
+            "a toy corpus (--toy) takes no --take", id="corpus-toy-with-take",
+        ),
+        pytest.param(
+            {}, "corpus --toy reverse --size 40 --filter-min 50 --filter-max 55 "
+            "--out-dir {tmp}/c", 2, "a toy corpus (--toy) takes no --filter-min, --filter-max",
+            id="corpus-toy-with-filter",
+        ),
+        pytest.param(
+            {}, "corpus --train-src {tmp}/corpus/train.src --train-tgt {tmp}/corpus/train.tgt "
+            "--val-src {tmp}/corpus/val.src --val-tgt {tmp}/corpus/val.tgt "
+            "--test-src {tmp}/corpus/test.src --test-tgt {tmp}/corpus/test.tgt "
+            "--size 999 --vocab 3 --out-dir {tmp}/c", 2,
+            "a file corpus takes no --size, --vocab", id="corpus-files-with-toy-sizes",
         ),
     ],
 )

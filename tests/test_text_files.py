@@ -16,8 +16,8 @@ from curricula.cli import main as cli_main
 from curricula.corpus import Vocabulary, read_text
 from curricula.errors import ConfigError, CurriculaError, DataError
 from curricula.harness import (
-    CorpusSpec,
     ExperimentSpec,
+    ToyCorpus,
     load_spec,
     report_from_tsv,
     report_to_tsv,
@@ -57,7 +57,7 @@ def run_dir(tmp_path_factory):
     """A tiny experiment's directory, with the spec that made it as `run.spec`."""
     out = tmp_path_factory.mktemp("text") / "run"
     spec = ExperimentSpec(
-        corpus=CorpusSpec(toy_task="reverse", size=40, vocab=6, min_len=2, max_len=4),
+        corpus=ToyCorpus(toy_task="reverse", size=40, vocab=6, min_len=2, max_len=4),
         strategies=(Strategy("shuffle_once"), Strategy("length", "source", "asc")),
         scorer_presets=(),
         trainer_preset="tiny",

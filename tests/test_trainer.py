@@ -187,11 +187,11 @@ def test_adam_step_peak_memory_when_clipping():
 
 _FIT_BITS = """
 import hashlib
-from curricula import CorpusSpec, Strategy, TrainConfig
+from curricula import Strategy, ToyCorpus, TrainConfig
 from curricula.checkpoint import checkpoint_bytes
 from curricula.harness import init_trainer, make_plan, prepare_data, train_model
 data = prepare_data(
-    CorpusSpec(toy_task="reverse", size=250, vocab=20, min_len=5, max_len=30), seed=3
+    ToyCorpus(toy_task="reverse", size=250, vocab=20, min_len=5, max_len=30), seed=3
 )
 assert len(data.splits["train"]) == 200
 train = TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2,

@@ -13,10 +13,10 @@ from curricula.checkpoint import ModelCheckpoint, save_checkpoint
 from curricula.corpus import ParallelCorpus, SentencePair, build_vocab, write_corpus, write_file
 from curricula.errors import DataError
 from curricula.harness import (
-    CorpusSpec,
     ExperimentReport,
     ExperimentSpec,
     ReportRow,
+    ToyCorpus,
     emit_report,
     run_directional_sanity,
     run_experiment,
@@ -30,7 +30,7 @@ TRAIN = TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=1, patience=1,
 
 def tiny_spec(out):
     return ExperimentSpec(
-        corpus=CorpusSpec(toy_task="reverse", size=40, vocab=6, min_len=2, max_len=4, seed=1),
+        corpus=ToyCorpus(toy_task="reverse", size=40, vocab=6, min_len=2, max_len=4, seed=1),
         strategies=(Strategy("shuffle_once"), Strategy("ppl", direction="asc")),
         scorer_presets=("tiny",),
         trainer_preset="tiny",
