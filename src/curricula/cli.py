@@ -5,16 +5,16 @@ train, eval, experiment, report. Each stage command is argument parsing
 around one stage function, the same function that `run_experiment` calls:
 a stage function of `harness`, `metrics.score_corpus` for score, or
 `evaluate.evaluate_model` for eval. `--seed` is the experiment seed from
-which a `harness` stage derives its working seeds. Run with an
-experiment's seed and train flags over its `corpus/` directory, the stage
-commands therefore rewrite that experiment's artifacts byte for byte,
-unless the corpus came from files whose filter dropped lines (`corpus/`
-renumbers the pairs that remain). Train and corpus flags come from the
-spec key tables of `harness`, and `order --strategy` and `score --metric`
-take the tokens that spec `strategies` lines, plan headers and
-score-table headers hold (`ppl:asc`, `length:source`). A stage refuses an
-input it would not use, such as `score --ckpt` with a length metric or
-`corpus --toy` with a file corpus flag, before it opens any file.
+which a `harness` stage derives its working seeds; for `corpus` it is the
+toy corpus's seed, which a file corpus refuses. An experiment runs every
+stage on the `corpus/` directory it wrote, so, run with its seed and train
+flags over that directory, the stage commands rewrite its artifacts byte
+for byte. Train and corpus flags come from the spec key tables of
+`harness`, and `order --strategy` and `score --metric` take the tokens
+that spec `strategies` lines, plan headers and score-table headers hold
+(`ppl:asc`, `length:source`). A stage refuses an input it would not use,
+such as `score --ckpt` with a length metric or `corpus --toy` with a file
+corpus flag, before it opens any file.
 Exit codes: 0 success, 2 configuration error (a bad spec among them), 3 data
 error (any other bad file), 4 numerical error.
 """
@@ -54,11 +54,10 @@ from .ordering import OrderingPlan, parse_strategy
 from .trainer import TrainConfig
 
 
-# The corpus command's flags, of both kinds: corpus.noise and corpus.seed
-# only a spec sets, and --seed, the experiment seed, draws a toy corpus.
+# The corpus command's flags, of both kinds: corpus.noise only a spec sets,
+# and --seed is corpus.seed, which a toy corpus draws from (0 when left out).
 _CORPUS_FLAGS = tuple(
-    k for k in (*TOY_KEYS, *FILE_CORPUS_KEYS, MIN_COUNT)
-    if k.key not in ("corpus.noise", "corpus.seed")
+    k for k in (*TOY_KEYS, *FILE_CORPUS_KEYS, MIN_COUNT) if k.key != "corpus.noise"
 )
 
 
@@ -67,11 +66,10 @@ def _flag(k) -> str:
 
 
 def _add_flags(p: argparse.ArgumentParser, keys) -> None:
-    """A flag per spec key, of its type, and --seed. A spec-key flag left
-    out is no attribute of the parsed arguments: its field's default holds."""
+    """A flag per spec key, of its type. A flag left out is no attribute of
+    the parsed arguments: its field's default holds."""
     for k in keys:
         p.add_argument(_flag(k), dest=k.field, type=k.kind, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _given(args, keys) -> dict:
@@ -100,7 +98,7 @@ def _corpus(args) -> ToyCorpus | FileCorpus:
 
 
 def _cmd_corpus(args) -> int:
-    data = prepare_data(_corpus(args), args.seed)
+    data = prepare_data(_corpus(args), 0)  # the seed of a toy corpus without --seed
     save_corpus_dir(data, args.out_dir)
     sizes = " / ".join(f"{len(split)} {name}" for name, split in data.splits.items())
     print(f"corpus written to {args.out_dir} ({sizes})")
@@ -208,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="small")
     p.add_argument("--out", required=True)
     _add_flags(p, TRAIN_KEYS)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("score", help="compute a per-pair score table")
@@ -233,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="small")
     p.add_argument("--out", required=True)
     _add_flags(p, TRAIN_KEYS)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="test perplexity and BLEU of a checkpoint")

@@ -8,7 +8,11 @@ layout and the derivation of its working seeds from the experiment seed:
 `metrics.score_corpus` and `evaluate.evaluate_model` over a split's
 encoded pairs; scoring takes the scorer checkpoint or, for a length
 metric, none. `run_experiment` composes them, and the command line calls
-the same functions one stage at a time.
+the same functions one stage at a time. Both read a corpus through
+`load_corpus_dir`: an experiment writes its `corpus/` directory and runs
+every later stage on what it reads back, so its pairs are numbered by
+their line in `corpus/` and each of its artifacts can be rewritten from
+that directory.
 
 A corpus is a `ToyCorpus` or a `FileCorpus`, each checked when it is made
 and each making its own splits. Each holds its table of spec keys, and the
@@ -100,6 +104,12 @@ def _check_toy(task: str, size: int, vocab: int, lo: int, hi: int) -> None:
         raise ConfigError(f"toy lengths must satisfy 1 <= min_len <= max_len <= 60: {lo, hi}")
     if vocab < 2:
         raise ConfigError(f"toy vocab must be >= 2, got {vocab}")
+    sources = sum(len(toy_alphabet(task, vocab)) ** n for n in range(lo, hi + 1))
+    if size > sources:
+        raise ConfigError(
+            f"toy corpus size {size} exceeds the {sources} distinct sources of its "
+            "alphabet and lengths"
+        )
 
 
 def _check_noise(name: str, fraction: float) -> None:
@@ -123,7 +133,7 @@ def generate_toy_corpus(
     lo, hi = length_range
     _check_toy(task, size, vocab, lo, hi)
     alphabet = toy_alphabet(task, vocab)
-    rng = make_rng("toy", task, size, vocab, lo, hi, seed)
+    rng = make_rng("toy", task, size, len(alphabet), lo, hi, seed)
     seen: set[tuple[str, ...]] = set()
     pairs: list[SentencePair] = []
     attempts = 0
@@ -292,10 +302,14 @@ class ExperimentSpec:
             raise ConfigError("strategies must be unique")
         if len(set(self.scorer_presets)) != len(self.scorer_presets):
             raise ConfigError("scorer presets must be unique")
-        if not self.scorer_presets and any(
-            s.required_metric in MODEL_METRICS for s in self.strategies
-        ):
+        scored = any(s.required_metric in MODEL_METRICS for s in self.strategies)
+        if scored and not self.scorer_presets:
             raise ConfigError("ppl/bleu strategies need at least one scorer preset")
+        if self.scorer_presets and not scored:
+            raise ConfigError(
+                f"scorer presets {' '.join(self.scorer_presets)} train a scorer that no "
+                "strategy uses: only ppl/bleu strategies order by one"
+            )
         for preset in (self.trainer_preset, *self.scorer_presets):
             ModelConfig.preset(preset, 1, 1)  # fails on an unknown name
 
@@ -504,7 +518,9 @@ def save_corpus_dir(data: PreparedData, corpus_dir) -> None:
 
 
 def load_corpus_dir(corpus_dir) -> PreparedData:
-    """Read what `save_corpus_dir` wrote; pairs are numbered by file line."""
+    """Read what `save_corpus_dir` wrote; each split's pairs are numbered by
+    their line, from 0. The one corpus input of `run_experiment`'s stages
+    and of the stage commands."""
     d = Path(corpus_dir)
     vocabs = Vocabulary.load(d / "src.vocab"), Vocabulary.load(d / "tgt.vocab")
     splits = {
@@ -606,19 +622,20 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run every (strategy, scorer) row of the spec and persist all artifacts.
 
     All rows share the corpus, the initial trainer parameters and the train
-    configuration; only the data ordering differs. A second run of the same
-    spec writes byte-identical scores, plans, checkpoints and reports.
+    configuration; only the data ordering differs. Every stage runs on the
+    `corpus/` directory the run wrote, as the stage commands do. A second
+    run of the same spec writes byte-identical scores, plans, checkpoints
+    and reports.
     """
     started = f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] experiment started"
-    data = prepare_data(spec.corpus, spec.seed)
     out = Path(spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_corpus_dir(data, out / "corpus")
+    save_corpus_dir(prepare_data(spec.corpus, spec.seed), out / "corpus")
+    data = load_corpus_dir(out / "corpus")  # what every stage command reads
     init_ckpt = init_trainer(data, spec.trainer_preset, spec.seed)
     save_checkpoint(init_ckpt, out / "init.ckpt")
 
     rows_wanted = _strategy_rows(spec)
-    scorer_presets_needed = sorted({s for _, s in rows_wanted if s != "none"})
+    scorer_presets_needed = sorted(spec.scorer_presets)  # each is used by some row
     presets = dict.fromkeys([spec.trainer_preset, *scorer_presets_needed])
     log_lines = [_environment_line(data, presets), started]
     scorers: dict[str, ModelCheckpoint] = {}

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import random
 import shlex
 import shutil
 import struct
@@ -11,6 +12,7 @@ import pytest
 
 from checkpoint_files import checkpoint_file
 from conftest import overflowing_checkpoint
+from curricula import harness
 from curricula.cli import _corpus, build_parser, main as cli_main
 from curricula.checkpoint import (
     FORMAT_VERSION,
@@ -44,7 +46,7 @@ from curricula.harness import (
     spec_to_text,
     toy_alphabet,
 )
-from curricula.ordering import OrderingPlan, Strategy, table_one_strategies
+from curricula.ordering import OrderingPlan, Strategy, parse_strategy, table_one_strategies
 from curricula.seq2seq import ModelConfig, init_params, parameter_shapes
 from curricula.trainer import TrainConfig
 
@@ -52,13 +54,12 @@ from curricula.trainer import TrainConfig
 def tiny_spec(tmp_path, strategies=None, seed=7, **corpus_kw):
     corpus = dict(toy_task="reverse", size=60, vocab=8, min_len=3, max_len=5, seed=1)
     corpus.update(corpus_kw)
+    strategies = tuple(strategies or (Strategy("shuffle_once"), Strategy("ppl", direction="asc")))
+    scored = any(s.required_metric in ("ppl", "bleu") for s in strategies)
     return ExperimentSpec(
         corpus=ToyCorpus(**corpus),
-        strategies=tuple(
-            strategies
-            or (Strategy("shuffle_once"), Strategy("ppl", direction="asc"))
-        ),
-        scorer_presets=("tiny",),
+        strategies=strategies,
+        scorer_presets=("tiny",) if scored else (),  # a spec refuses a preset no row uses
         trainer_preset="tiny",
         train=TrainConfig(
             learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2, seed=0
@@ -581,6 +582,64 @@ def test_spec_key_given_twice_is_refused_naming_the_line(tmp_path):
         spec_from_text(text)
 
 
+def _replay_stages(spec, corpus_dir, rep, capsys) -> list[str]:
+    """Run pretrain, score, order, train and eval with the spec's seed and
+    train flags over `corpus_dir`, writing the run's artifact names into
+    `rep`; return the lines `eval` printed, one per report row."""
+    t = spec.train
+    seed = ["--seed", spec.seed]
+    train_flags = [
+        "--learning-rate", repr(t.learning_rate), "--batch-size", t.batch_size,
+        "--max-epochs", t.max_epochs, "--patience", t.patience,
+        "--clip-norm", repr(t.clip_norm), *seed,
+    ]
+    corpus = ["--corpus-dir", corpus_dir]
+
+    def run(*argv):
+        assert cli_main([str(a) for a in argv]) == 0
+
+    for preset in spec.scorer_presets:
+        run("pretrain", *corpus, "--preset", preset, *train_flags,
+            "--out", rep / f"scorer_{preset}.ckpt")
+    meta = report_from_tsv((Path(spec.output_dir) / "report.tsv").read_text()).metadata
+    capsys.readouterr()
+    n = 0
+    while f"row.{n}.strategy" in meta:
+        token, scorer = meta[f"row.{n}.strategy"], meta[f"row.{n}.scorer"]
+        by_scorer = "" if scorer == "none" else f"_{scorer}"
+        name = token.replace(":", "-") + by_scorer
+        metric = parse_strategy(token).required_metric
+        scores = []
+        if metric is not None:
+            table = rep / f"scores_{metric.replace(':', '-')}{by_scorer}.txt"
+            ckpt = [] if scorer == "none" else ["--ckpt", rep / f"scorer_{scorer}.ckpt"]
+            run("score", *corpus, "--metric", metric, *ckpt, "--out", table)
+            # without --scores, a length table comes from the corpus directory
+            scores = [] if scorer == "none" else ["--scores", table]
+        plan, model = rep / f"plan_{name}.txt", rep / f"model_{name}.ckpt"
+        run("order", *corpus, "--strategy", token, *scores, "--epochs", t.max_epochs, *seed,
+            "--out", plan)
+        run("train", *corpus, "--plan", plan, "--preset", spec.trainer_preset, *train_flags,
+            "--out", model)
+        run("eval", *corpus, "--ckpt", model)
+        n += 1
+    return [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ppl=")]
+
+
+def _assert_replayed(exp, rep, report, evals) -> list[Path]:
+    """Every file under `rep` has the bytes of the same file under `exp`, and
+    `evals` are the report's test numbers; return the replayed files."""
+    replayed = sorted(p.relative_to(rep) for p in rep.rglob("*") if p.is_file())
+    for rel in replayed:
+        assert (rep / rel).read_bytes() == (exp / rel).read_bytes(), rel
+    test_pairs = len((exp / "corpus" / "test.src").read_text().splitlines())
+    assert evals == [
+        EvalResult(r.test_perplexity, r.test_bleu, test_pairs).to_line()
+        for r in report.rows
+    ]
+    return replayed
+
+
 def test_cli_stages_replay_an_experiment(tmp_path, capsys):
     spec = tiny_spec(
         tmp_path,
@@ -594,54 +653,53 @@ def test_cli_stages_replay_an_experiment(tmp_path, capsys):
     spec.corpus = replace(spec.corpus, seed=None)  # the experiment seed draws the toy corpus
     report = run_experiment(spec)
     exp, rep = Path(spec.output_dir), tmp_path / "replay"
-    c, t = spec.corpus, spec.train
-    seed = ["--seed", spec.seed]
-    train_flags = [
-        "--learning-rate", repr(t.learning_rate), "--batch-size", t.batch_size,
-        "--max-epochs", t.max_epochs, "--patience", t.patience,
-        "--clip-norm", repr(t.clip_norm), *seed,
-    ]
-    corpus = ["--corpus-dir", rep / "corpus"]
-
-    def run(*argv):
-        assert cli_main([str(a) for a in argv]) == 0
-
-    run(
+    c = spec.corpus
+    argv = [
         "corpus", "--toy", c.toy_task, "--size", c.size, "--vocab", c.vocab,
-        "--min-len", c.min_len, "--max-len", c.max_len, *seed, "--out-dir", rep / "corpus",
-    )
-    run("pretrain", *corpus, "--preset", "tiny", *train_flags, "--out", rep / "scorer_tiny.ckpt")
-    run(
-        "score", *corpus, "--metric", "ppl", "--ckpt", rep / "scorer_tiny.ckpt",
-        "--out", rep / "scores_ppl_tiny.txt",
-    )
-    run(
-        "score", *corpus, "--metric", "length:source",
-        "--out", rep / "scores_length-source.txt",
-    )
-    meta = report_from_tsv((exp / "report.tsv").read_text()).metadata
-    capsys.readouterr()
-    for n in range(len(report.rows)):
-        token, scorer = meta[f"row.{n}.strategy"], meta[f"row.{n}.scorer"]
-        name = token.replace(":", "-") + ("" if scorer == "none" else f"_{scorer}")
-        metric = token.split(":")[0]
-        # without --scores, a length table comes from the corpus directory
-        scores = [] if scorer == "none" else ["--scores", rep / f"scores_{metric}_{scorer}.txt"]
-        plan, model = rep / f"plan_{name}.txt", rep / f"model_{name}.ckpt"
-        run("order", *corpus, "--strategy", token, *scores, "--epochs", t.max_epochs, *seed,
-            "--out", plan)
-        run("train", *corpus, "--plan", plan, "--preset", "tiny", *train_flags, "--out", model)
-        run("eval", *corpus, "--ckpt", model)
-    evals = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("ppl=")]
-
-    replayed = sorted(p.relative_to(rep) for p in rep.rglob("*") if p.is_file())
+        "--min-len", c.min_len, "--max-len", c.max_len, "--seed", spec.seed,
+        "--out-dir", rep / "corpus",
+    ]
+    assert cli_main([str(a) for a in argv]) == 0
+    evals = _replay_stages(spec, rep / "corpus", rep, capsys)
+    replayed = _assert_replayed(exp, rep, report, evals)
     assert len(replayed) == 6 + 2 + 1 + 2 + 3 + 3  # corpus dir, then artifacts
-    for rel in replayed:
-        assert (rep / rel).read_bytes() == (exp / rel).read_bytes(), rel
-    test_pairs = len((exp / "corpus" / "test.src").read_text().splitlines())
-    assert evals == [
-        EvalResult(r.test_perplexity, r.test_bleu, test_pairs).to_line()
-        for r in report.rows
+
+
+def test_cli_stages_replay_an_experiment_on_a_filtered_file_corpus(tmp_path, capsys):
+    # training lines of 2..9 tokens, filtered to 3..8, and one pair twice:
+    # the pairs that remain are numbered by their line in corpus/
+    rng = random.Random(5)
+    lines = [" ".join(rng.choices("abcdefgh", k=rng.randint(2, 9))) for _ in range(60)]
+    splits = {"train": lines + [lines[12]], "val": lines[3:60:6], "test": lines[5:60:7]}
+    corpus = {}
+    for split, sources in splits.items():
+        targets = [" ".join(ln.split()[::-1]) for ln in sources]
+        for side, text in (("src", sources), ("tgt", targets)):
+            path = tmp_path / f"{split}.{side}"
+            path.write_text("\n".join(text) + "\n")
+            corpus[f"{split}_{side}"] = str(path)
+    spec = ExperimentSpec(
+        corpus=FileCorpus(**corpus, filter_min=3, filter_max=8),
+        strategies=(Strategy("length", side="source", direction="asc"),
+                    Strategy("ppl", direction="asc")),
+        scorer_presets=("tiny",),
+        trainer_preset="tiny",
+        train=TrainConfig(learning_rate=1e-3, batch_size=16, max_epochs=2, patience=2),
+        seed=5,
+        output_dir=tmp_path / "run",
+    )
+    report = run_experiment(spec)
+    exp, rep = Path(spec.output_dir), tmp_path / "replay"
+    kept = (exp / "corpus" / "train.src").read_text().splitlines()
+    assert kept == list(dict.fromkeys(ln for ln in splits["train"] if 3 <= len(ln.split()) <= 8))
+    assert len(kept) < 60  # a dropped line renumbers every kept line after it
+    rep.mkdir()
+    evals = _replay_stages(spec, exp / "corpus", rep, capsys)
+    replayed = _assert_replayed(exp, rep, report, evals)
+    assert sorted(p.name for p in replayed) == [
+        "model_length-source-asc.ckpt", "model_ppl-asc_tiny.ckpt",
+        "plan_length-source-asc.txt", "plan_ppl-asc_tiny.txt", "scorer_tiny.ckpt",
+        "scores_length-source.txt", "scores_ppl_tiny.txt",
     ]
 
 
@@ -668,10 +726,8 @@ def test_corpus_flags_are_the_keys_of_one_corpus_kind():
                       if isinstance(a, argparse._SubParsersAction))
     given = {s for a in subparsers.choices["corpus"]._actions for s in a.option_strings}
     tables = [flags(TOY_KEYS), flags(FILE_CORPUS_KEYS), flags([MIN_COUNT])]
-    # corpus.noise and corpus.seed only a spec sets; --seed is the experiment seed
-    assert given - {"-h", "--help", "--out-dir", "--seed"} == set().union(*tables) - {
-        "--noise", "--seed",
-    }
+    # corpus.noise only a spec sets; --seed is corpus.seed, a toy corpus flag
+    assert given - {"-h", "--help", "--out-dir"} == set().union(*tables) - {"--noise"}
     for flag in set().union(*tables):
         assert sum(flag in table for table in tables) == 1, flag
 
@@ -837,6 +893,20 @@ _METRIC_NAMES = "length:source, length:target, xent, ppl or bleu"
             "--size 999 --vocab 3 --out-dir {tmp}/c", 2,
             "a file corpus takes no --size, --vocab", id="corpus-files-with-toy-sizes",
         ),
+        pytest.param(
+            {}, "corpus --train-src {tmp}/corpus/train.src --train-tgt {tmp}/corpus/train.tgt "
+            "--val-src {tmp}/corpus/val.src --val-tgt {tmp}/corpus/val.tgt "
+            "--test-src {tmp}/corpus/test.src --test-tgt {tmp}/corpus/test.tgt "
+            "--seed 9 --out-dir {tmp}/c", 2,
+            "a file corpus takes no --seed", id="corpus-files-with-seed",
+        ),
+        pytest.param(
+            {"bad.spec": "CURRICULA-SPEC v1\ncorpus.toy = reverse\nstrategies = shuffle_once\n"
+             "scorer.presets = tiny\ntrainer.preset = tiny\noutput_dir = {tmp}/c\n"},
+            "experiment --spec {tmp}/bad.spec", 2,
+            "bad.spec: scorer presets tiny train a scorer that no strategy uses",
+            id="spec-scorer-preset-no-strategy-uses",
+        ),
     ],
 )
 def test_cli_bad_input_exits_with_its_error_code(
@@ -854,6 +924,46 @@ def test_cli_bad_input_exits_with_its_error_code(
     assert message in capsys.readouterr().err
     assert not any(cwd.iterdir())
     assert not (tmp_path / "c").exists()  # the corpus commands' --out-dir
+
+
+def test_toy_corpus_larger_than_its_token_space_is_refused_before_any_draw(
+    tmp_path, capsys, monkeypatch
+):
+    def no_draw(*parts):
+        raise AssertionError(f"drew {parts}")
+
+    monkeypatch.setattr(harness, "make_rng", no_draw)
+    # 2 + 4 + 8 + 16 = 30 distinct sources of one to four tokens over two
+    assert ToyCorpus("copy", size=30, vocab=2, min_len=1, max_len=4).size == 30
+    with pytest.raises(ConfigError, match="size 31 exceeds the 30 distinct sources"):
+        ToyCorpus("copy", size=31, vocab=2, min_len=1, max_len=4)
+    with pytest.raises(ConfigError, match="size 30 exceeds the 6 distinct sources"):
+        generate_toy_corpus("reverse", 30, 2, (1, 2), seed=0)
+    flags = "--toy reverse --size 30 --vocab 2 --min-len 1 --max-len 2".split()
+    capsys.readouterr()
+    assert cli_main(["corpus", *flags, "--out-dir", str(tmp_path / "c")]) == 2
+    assert "toy corpus size 30 exceeds the 6 distinct sources" in capsys.readouterr().err
+    spec = tmp_path / "small.spec"
+    spec.write_text(
+        "CURRICULA-SPEC v1\ncorpus.toy = reverse\ncorpus.size = 30\ncorpus.vocab = 2\n"
+        "corpus.min_len = 1\ncorpus.max_len = 2\nstrategies = shuffle_once\n"
+        f"trainer.preset = tiny\noutput_dir = {tmp_path / 'run'}\n"
+    )
+    assert cli_main(["experiment", "--spec", str(spec)]) == 2
+    assert f"{spec}: toy corpus size 30 exceeds the 6 distinct sources" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists() and not (tmp_path / "run").exists()
+
+
+def test_digit_translation_corpus_is_drawn_by_its_alphabet_not_its_vocab(tmp_path):
+    # digit-translation reads at most ten of vocab: 10 and 20 draw the same pairs
+    for vocab in (10, 20):
+        argv = ["corpus", "--toy", "digit-translation", "--size", "60", "--vocab", str(vocab),
+                "--seed", "3", "--out-dir", str(tmp_path / str(vocab))]
+        assert cli_main(argv) == 0
+    files = sorted(p.name for p in (tmp_path / "10").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "20").iterdir()) and len(files) == 8
+    for name in files:
+        assert (tmp_path / "10" / name).read_bytes() == (tmp_path / "20" / name).read_bytes()
 
 
 def test_cli_order_writes_a_plan_for_every_strategy_token(tmp_path, cli_corpus):
